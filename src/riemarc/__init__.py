@@ -49,7 +49,6 @@ from .subproblem import (
     SubsolverResult,
     cauchy_point,
     eigen_point,
-    eval_model,
     min_eig_estimate,
     solve_subproblem,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "cauchy_point",
     "concentration_trial",
     "eigen_point",
-    "eval_model",
     "generate_instance",
     "load_instance",
     "min_eig_estimate",

@@ -1,17 +1,24 @@
-"""Adaptive cubic-regularization driver on a manifold.
+"""Outer driver shared by adaptive cubic regularization and trust region.
 
 Each outer iteration fixes the oracle samples, forms the inexact
-gradient and Hessian operator, tests termination, approximately solves
-the cubic model, and accepts or rejects the trial point by the ratio
+gradient and Hessian operator, tests termination, asks the step rule
+for a trial step, and accepts or rejects the trial point by the ratio
 
     rho = (f(x) - f(retract(x, eta))) / (-m(eta))
 
 computed with the exact full objective in every oracle mode. Acceptance
-(``rho >= rho_threshold``) moves the iterate and divides the
-regularization weight sigma by gamma; rejection keeps the iterate and
-multiplies sigma by gamma. Sigma is clamped below at ``SIGMA_MIN``.
+(``rho >= rho_threshold``) moves the iterate; rejection keeps it.
 
-Three standard variants are named after their oracle modes: ``racr``
+Both methods run this one loop and differ only in the step rule their
+config supplies: the initial weight, the step from the local model, and
+the weight update. The cubic rule of ``SolverConfig``
+approximately minimizes the cubic model with regularization weight
+sigma, divides sigma by gamma on acceptance and multiplies it by gamma
+on rejection, and clamps sigma below at ``SIGMA_MIN``. The trust-region
+rule of ``trust_region.TrustRegionConfig`` uses the radius as its
+weight.
+
+Three cubic variants are named after their oracle modes: ``racr``
 (exact gradient and Hessian), ``sracr`` (exact gradient, sub-sampled
 Hessian) and ``ssracr`` (both sub-sampled).
 """
@@ -20,15 +27,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
 from .errors import ContractError, MissingEigenEstimateError
-from .manifolds import Point
+from .manifolds import Point, Tangent
 from .objectives import SeparableObjective
 from .oracles import OracleBundle, OracleMode
 from .subproblem import (
@@ -97,15 +104,33 @@ _VARIANT_MODES = {
 }
 
 
+# A step rule's trial step: ``(eta, m(eta), taylor)``. ``taylor`` is
+# ``(<G, eta>, <H[eta], eta>, ||eta||)`` when the rule tracks the
+# empirical Hessian Lipschitz constant ``RunTrace.l_hat``, else None.
+TrialStep = tuple[Tangent, float, "tuple[float, float, float] | None"]
+
+
 @dataclass
-class SolverConfig:
-    """Parameters of the cubic-regularization driver."""
+class DriverConfig:
+    """Parameters both step rules share: tolerances, the acceptance
+    threshold, the weight factor gamma, oracles, stop rule and probe.
+
+    A subclass adds its step rule's fields, names the weight's trace
+    column in ``radius_column``, and supplies the rule's methods:
+
+    * ``initial_weight()``: sigma0 or delta0;
+    * ``step(grad, hvp, weight, x, manifold, probe) -> TrialStep``;
+    * ``next_weight(weight, success) -> (weight, clamped)``;
+    * ``weight_bounds()``: the resolved bound of the weight update,
+      keyed as the run sidecar records it.
+    """
+
+    radius_column = "sigma"
 
     eps_g: float = 1e-2
     eps_h: float = 1e-1
     rho_threshold: float = 0.9
     gamma: float = 2.0
-    sigma0: float = 1e-3
     mode: OracleMode = OracleMode.EXACT
     grad_sample_size: int | None = None
     hess_sample_size: int | None = None
@@ -115,7 +140,6 @@ class SolverConfig:
     eig_policy: EigPolicy = EigPolicy.ON_SMALL_GRADIENT
     lanczos_tol: float = 1e-6
     lanczos_max_iters: int | None = None
-    refine_steps: int = 0
     max_iters: int | None = None
 
     def validate(self) -> None:
@@ -129,8 +153,6 @@ class SolverConfig:
             )
         if not self.gamma > 1.0:
             raise ContractError(f"gamma must exceed 1, got {self.gamma}")
-        if not self.sigma0 > 0.0:
-            raise ContractError(f"sigma0 must be positive, got {self.sigma0}")
         if self.tau <= 0.0:
             raise ContractError(f"tau must be positive, got {self.tau}")
         if self.max_iters is not None and self.max_iters < 0:
@@ -143,6 +165,25 @@ class SolverConfig:
         budget = 50.0 * max(self.eps_g**-2, self.eps_h**-3)
         return int(min(budget, 1e6))
 
+
+@dataclass
+class SolverConfig(DriverConfig):
+    """Parameters of the cubic-regularization rule. ``refine_steps``
+    (at most 20) bounds the gradient steps that polish the sub-problem
+    step."""
+
+    sigma0: float = 1e-3
+    refine_steps: int = 0
+
+    def validate(self) -> None:
+        super().validate()
+        if not self.sigma0 > 0.0:
+            raise ContractError(f"sigma0 must be positive, got {self.sigma0}")
+        if not 0 <= self.refine_steps <= 20:
+            raise ContractError(
+                f"refine_steps must lie in [0, 20], got {self.refine_steps}"
+            )
+
     @classmethod
     def for_variant(cls, name: str, **kwargs) -> "SolverConfig":
         """Config preset for ``racr``, ``sracr`` or ``ssracr``."""
@@ -152,6 +193,32 @@ class SolverConfig:
                 f"unknown variant {name!r}, expected one of {sorted(_VARIANT_MODES)}"
             )
         return cls(mode=_VARIANT_MODES[key], **kwargs)
+
+    def initial_weight(self) -> float:
+        return self.sigma0
+
+    def step(self, grad, hvp, weight, x, manifold, probe) -> TrialStep:
+        model = CubicModel(grad, hvp, weight, x, manifold)
+        options = SubsolverOptions(
+            probe_curvature=probe is not None,
+            lanczos_tol=self.lanczos_tol,
+            lanczos_max_iters=self.lanczos_max_iters,
+            refine_steps=self.refine_steps,
+        )
+        result = solve_subproblem(model, options, probe=probe)
+        taylor = (result.g_eta, result.h_eta, result.step_norm)
+        return result.step, result.m_val, taylor
+
+    def next_weight(self, weight: float, success: bool) -> tuple[float, bool]:
+        if not success:
+            return self.gamma * weight, False
+        next_sigma = weight / self.gamma
+        if next_sigma < SIGMA_MIN:
+            return SIGMA_MIN, True
+        return next_sigma, False
+
+    def weight_bounds(self) -> dict[str, float]:
+        return {"sigma_min": SIGMA_MIN}
 
 
 @dataclass(frozen=True)
@@ -199,7 +266,7 @@ class RunTrace:
 
 
 def should_terminate(
-    grad_norm: float, lambda_est: float | None, cfg: SolverConfig
+    grad_norm: float, lambda_est: float | None, cfg: DriverConfig
 ) -> bool:
     """Outer stopping test on the current inexact quantities."""
     if cfg.stop_rule is StopRule.GRAD_SQUARED:
@@ -213,14 +280,29 @@ def should_terminate(
     return lambda_est >= -cfg.eps_h
 
 
-def _small_gradient_threshold(cfg: SolverConfig) -> float:
+def _small_gradient_threshold(cfg: DriverConfig) -> float:
     if cfg.stop_rule is StopRule.GRAD_SQUARED:
         return math.sqrt(cfg.tau)
     return cfg.eps_g
 
 
 def run(objective: SeparableObjective, x0: Point, cfg: SolverConfig) -> RunTrace:
-    """Run the driver from ``x0`` until termination or the budget."""
+    """Run the cubic-regularization driver from ``x0`` until termination
+    or the budget."""
+    return _drive(objective, x0, cfg, min_eig_estimate)
+
+
+def _drive(
+    objective: SeparableObjective,
+    x0: Point,
+    cfg: DriverConfig,
+    probe_curvature: Callable[..., MinEigResult],
+) -> RunTrace:
+    """The outer loop behind ``run`` and ``trust_region.run_trust_region``.
+
+    ``probe_curvature`` is ``subproblem.min_eig_estimate`` as the calling
+    entry point's module names it.
+    """
     cfg.validate()
     manifold = objective.manifold
     bundle = OracleBundle(
@@ -231,7 +313,7 @@ def run(objective: SeparableObjective, x0: Point, cfg: SolverConfig) -> RunTrace
         seed=cfg.seed,
     )
     x = manifold.point(x0.data)
-    sigma = cfg.sigma0
+    weight = cfg.initial_weight()
     f_x = bundle.objective_value(x)
     exact_hessian = cfg.mode is OracleMode.EXACT
     l_hat: float | None = None
@@ -251,7 +333,7 @@ def run(objective: SeparableObjective, x0: Point, cfg: SolverConfig) -> RunTrace
 
         probe: MinEigResult | None = None
         if cfg.eig_policy is EigPolicy.EVERY_ITERATION or grad_norm <= small_grad:
-            probe = min_eig_estimate(
+            probe = probe_curvature(
                 manifold,
                 x,
                 hvp,
@@ -265,33 +347,25 @@ def run(objective: SeparableObjective, x0: Point, cfg: SolverConfig) -> RunTrace
             outcome = Outcome.OPTIMALITY_REACHED
             break
 
-        model = CubicModel(grad, hvp, sigma, x, manifold)
-        options = SubsolverOptions(
-            probe_curvature=probe is not None,
-            lanczos_tol=cfg.lanczos_tol,
-            lanczos_max_iters=cfg.lanczos_max_iters,
-            refine_steps=cfg.refine_steps,
-        )
-        result = solve_subproblem(model, options, probe=probe)
-        if not result.m_val < -1e-16 * max(1.0, abs(f_x)):
+        eta, m_val, taylor = cfg.step(grad, hvp, weight, x, manifold, probe)
+        if not m_val < -1e-16 * max(1.0, abs(f_x)):
             outcome = Outcome.SUBSOLVER_FAILURE
             break
 
-        x_trial = manifold.retract(x, result.step)
+        x_trial = manifold.retract(x, eta)
         f_trial = bundle.objective_value(x_trial)
         if not (math.isfinite(f_trial) and math.isfinite(f_x)):
             outcome = Outcome.NUMERICAL_FAILURE
             break
-        rho = (f_x - f_trial) / (-result.m_val)
+        rho = (f_x - f_trial) / (-m_val)
         success = rho >= cfg.rho_threshold
 
-        if exact_hessian and result.step_norm > 0.0:
+        if exact_hessian and taylor is not None and taylor[2] > 0.0:
             # Third-order remainder of the exact quadratic model along the
             # actual trajectory, an empirical Hessian Lipschitz constant.
-            remainder = abs(
-                f_trial - f_x - result.g_eta - 0.5 * result.h_eta
-            )
-            sample = 2.0 * remainder / result.step_norm**3
+            g_eta, h_eta, step_norm = taylor
+            remainder = abs(f_trial - f_x - g_eta - 0.5 * h_eta)
+            sample = 2.0 * remainder / step_norm**3
             l_hat = sample if l_hat is None else max(l_hat, sample)
 
         millis = (time.perf_counter() - t_start) * 1e3
@@ -300,8 +374,8 @@ def run(objective: SeparableObjective, x0: Point, cfg: SolverConfig) -> RunTrace
                 k=k,
                 f=f_x,
                 grad_norm=grad_norm,
-                sigma=sigma,
-                model_val=result.m_val,
+                sigma=weight,
+                model_val=m_val,
                 rho=rho,
                 success=success,
                 lambda_min=lambda_est,
@@ -314,13 +388,9 @@ def run(objective: SeparableObjective, x0: Point, cfg: SolverConfig) -> RunTrace
         if success:
             x = x_trial
             f_x = f_trial
-            next_sigma = sigma / cfg.gamma
-            if next_sigma < SIGMA_MIN:
-                next_sigma = SIGMA_MIN
-                clamped.append(k)
-            sigma = next_sigma
-        else:
-            sigma = cfg.gamma * sigma
+        weight, was_clamped = cfg.next_weight(weight, success)
+        if was_clamped:
+            clamped.append(k)
         k += 1
 
     return RunTrace(
@@ -354,26 +424,10 @@ def write_trace_rows(
     header = [c if c != "sigma" else sigma_name for c in TRACE_COLUMNS]
     stream.write(",".join(header) + "\n")
     for rec in records:
-        row = [
-            _format_value(rec.k),
-            _format_value(rec.f),
-            _format_value(rec.grad_norm),
-            _format_value(rec.sigma),
-            _format_value(rec.model_val),
-            _format_value(rec.rho),
-            _format_value(rec.success),
-            _format_value(rec.lambda_min),
-            _format_value(rec.grad_evals),
-            _format_value(rec.hess_evals),
-            _format_value(rec.millis),
-        ]
+        row = [_format_value(getattr(rec, c)) for c in TRACE_COLUMNS]
         stream.write(",".join(row) + "\n")
 
 
 def write_trace_csv(trace: RunTrace, path, *, sigma_name: str = "sigma") -> None:
     with open(path, "w", encoding="utf-8") as stream:
         write_trace_rows(trace.records, stream, sigma_name=sigma_name)
-
-
-def clone_config(cfg: SolverConfig, **overrides) -> SolverConfig:
-    return replace(cfg, **overrides)

@@ -12,10 +12,14 @@ line per problem size:
 
 Each (case, repetition) pair generates one joint-diagonalization
 instance shared by every solver, so solvers are compared on identical
-data. Every run writes a trace CSV plus a sidecar ``.meta.json`` with
-its configuration and outcome; ``summary.csv`` aggregates per (case,
-solver). Traces are deterministic for a fixed plan and master seed up
-to the wall-time column, which the content digest therefore excludes.
+data. ``solver_config`` maps (plan, solver, n, run seed) to the
+solver's config: plan keys named like config fields carry over, and the
+solver name fixes the step rule and oracle mode. Every run writes a
+trace CSV plus a sidecar ``.meta.json`` holding that config as
+``dataclasses.asdict`` gives it, the step rule's resolved weight bound,
+and the run's outcome; ``summary.csv`` aggregates per (case, solver).
+Traces are deterministic for a fixed plan and master seed up to the
+wall-time column, which the content digest therefore excludes.
 """
 
 from __future__ import annotations
@@ -24,19 +28,27 @@ import hashlib
 import json
 import statistics
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .arc import Outcome, RunTrace, SolverConfig, StopRule, write_trace_csv
-from .errors import PlanError
+from .arc import DriverConfig, Outcome, SolverConfig, StopRule, write_trace_csv
+from .errors import ContractError, PlanError
 from .jointdiag import JointDiagObjective, generate_instance
 from .oracles import OracleMode
 from .trust_region import TrustRegionConfig, run_trust_region
 from . import arc
 
-SOLVERS = ("racr", "sracr", "ssracr", "ssrtr")
+# Step rule and oracle mode of each benchmark solver.
+_SOLVER_KINDS = {
+    "racr": (SolverConfig, OracleMode.EXACT),
+    "sracr": (SolverConfig, OracleMode.SUBSAMPLED_HESSIAN),
+    "ssracr": (SolverConfig, OracleMode.SUBSAMPLED_BOTH),
+    "ssrtr": (TrustRegionConfig, OracleMode.SUBSAMPLED_BOTH),
+}
+SOLVERS = tuple(_SOLVER_KINDS)
 
 _PLAN_FLOAT_KEYS = {
     "noise",
@@ -97,6 +109,12 @@ class BenchmarkPlan:
             raise PlanError("sample fractions must lie in (0, 1]")
         if self.max_iters < 1:
             raise PlanError("max_iters must be at least 1")
+        for n, _, _ in self.cases:
+            for solver in self.solvers:
+                try:
+                    solver_config(self, solver, n, 0).validate()
+                except ContractError as exc:
+                    raise PlanError(f"{solver}: {exc}") from exc
 
 
 def default_plan() -> BenchmarkPlan:
@@ -164,97 +182,40 @@ def run_name(case: tuple[int, int, int], solver: str, rep: int) -> str:
     return f"{_case_id(case)}_rep{rep}_{solver}"
 
 
-def _solver_trace(
-    plan: BenchmarkPlan,
-    solver: str,
-    objective: JointDiagObjective,
-    x0,
-    run_seed: int,
-) -> RunTrace:
-    n = objective.n
+def solver_config(
+    plan: BenchmarkPlan, solver: str, n: int, run_seed: int
+) -> DriverConfig:
+    """The config ``solver`` runs with on a case of ``n`` components.
+
+    Plan keys that name a field of the solver's config carry over:
+    ``rho_threshold``, ``gamma``, ``tau``, ``max_iters`` and the step
+    rule's ``sigma0`` and ``refine_steps`` or ``delta0``.
+    """
+    cls, mode = _SOLVER_KINDS[solver]
     grad_size, hess_size = sample_sizes(plan, n)
-    if solver == "ssrtr":
-        cfg = TrustRegionConfig(
-            rho_threshold=plan.rho_threshold,
-            gamma=plan.gamma,
-            delta0=plan.delta0,
-            mode=OracleMode.SUBSAMPLED_BOTH,
-            grad_sample_size=grad_size,
-            hess_sample_size=hess_size,
-            seed=run_seed,
-            stop_rule=StopRule.GRAD_SQUARED,
-            tau=plan.tau,
-            max_iters=plan.max_iters,
-        )
-        return run_trust_region(objective, x0, cfg)
-    base = SolverConfig.for_variant(
-        solver,
-        rho_threshold=plan.rho_threshold,
-        gamma=plan.gamma,
-        sigma0=plan.sigma0,
+    plan_keys = {f.name for f in fields(BenchmarkPlan)}
+    shared = {k.name: getattr(plan, k.name) for k in fields(cls) if k.name in plan_keys}
+    return cls(
+        mode=mode,
+        grad_sample_size=grad_size if mode is OracleMode.SUBSAMPLED_BOTH else None,
+        hess_sample_size=None if mode is OracleMode.EXACT else hess_size,
         seed=run_seed,
         stop_rule=StopRule.GRAD_SQUARED,
-        tau=plan.tau,
-        max_iters=plan.max_iters,
-        refine_steps=plan.refine_steps,
+        **shared,
     )
-    if base.mode is OracleMode.SUBSAMPLED_BOTH:
-        cfg = replace(base, grad_sample_size=grad_size, hess_sample_size=hess_size)
-    elif base.mode is OracleMode.SUBSAMPLED_HESSIAN:
-        cfg = replace(base, hess_sample_size=hess_size)
-    else:
-        cfg = base
-    return arc.run(objective, x0, cfg)
 
 
-def _meta_for_run(
-    plan: BenchmarkPlan,
-    case: tuple[int, int, int],
-    solver: str,
-    rep: int,
-    instance_seed: int,
-    run_seed: int,
-    trace: RunTrace,
-    wall_s: float,
-) -> dict:
-    n, d, r = case
-    grad_size, hess_size = sample_sizes(plan, n)
-    meta = {
-        "case": {"n": n, "d": d, "r": r},
-        "solver": solver,
-        "rep": rep,
-        "instance_seed": instance_seed,
-        "run_seed": run_seed,
-        "noise": plan.noise,
-        "gamma": plan.gamma,
-        "rho_threshold": plan.rho_threshold,
-        "tau": plan.tau,
-        "stop_rule": "grad_squared",
-        "max_iters": plan.max_iters,
-        "outcome": trace.outcome.value,
-        "iterations": trace.iterations,
-        "final_f": trace.final_f,
-        "wall_s": wall_s,
-        "grad_evals": trace.grad_evals,
-        "hess_evals": trace.hess_evals,
-    }
-    if solver == "ssrtr":
-        meta["delta0"] = plan.delta0
-        meta["delta_max"] = 10.0 * plan.delta0
-        meta["radius_column"] = "delta"
-    else:
-        meta["sigma0"] = plan.sigma0
-        meta["sigma_min"] = arc.SIGMA_MIN
-        meta["radius_column"] = "sigma"
-        meta["refine_steps"] = plan.refine_steps
-    if solver in ("ssracr", "ssrtr"):
-        meta["grad_sample_size"] = grad_size
-    else:
-        meta["grad_sample_size"] = n
-    if solver == "racr":
-        meta["hess_sample_size"] = n
-    else:
-        meta["hess_sample_size"] = hess_size
+def _config_sidecar(cfg: DriverConfig, n: int) -> dict:
+    """``asdict(cfg)`` with enums by value, an unsampled oracle's sample
+    size as ``n``, plus the weight's trace column and resolved bound."""
+    meta = {}
+    for key, value in asdict(cfg).items():
+        if isinstance(value, Enum):
+            value = value.value
+        elif value is None and key.endswith("_sample_size"):
+            value = n
+        meta[key] = value
+    meta.update(cfg.weight_bounds(), radius_column=cfg.radius_column)
     return meta
 
 
@@ -296,24 +257,36 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
             )
             for si, solver in enumerate(plan.solvers):
                 run_seed = _derived_seed([plan.master_seed, ci, rep, 17, si])
+                cfg = solver_config(plan, solver, n, run_seed)
+                runner = (
+                    run_trust_region if isinstance(cfg, TrustRegionConfig) else arc.run
+                )
                 name = run_name(case, solver, rep)
                 t0 = time.perf_counter()
                 try:
-                    trace = _solver_trace(plan, solver, objective, x0, run_seed)
+                    trace = runner(objective, x0, cfg)
                 except Exception as exc:  # noqa: BLE001
                     failures.append(f"{name}: {type(exc).__name__}: {exc}")
                     continue
                 wall_s = time.perf_counter() - t0
                 if trace.outcome is Outcome.NUMERICAL_FAILURE:
                     failures.append(f"{name}: non-finite objective during run")
-                write_trace_csv(
-                    trace,
-                    out / f"{name}.csv",
-                    sigma_name="delta" if solver == "ssrtr" else "sigma",
-                )
-                meta = _meta_for_run(
-                    plan, case, solver, rep, instance_seed, run_seed, trace, wall_s
-                )
+                csv_path = out / f"{name}.csv"
+                write_trace_csv(trace, csv_path, sigma_name=cfg.radius_column)
+                meta = {
+                    "case": {"n": n, "d": d, "r": r},
+                    "solver": solver,
+                    "rep": rep,
+                    "instance_seed": instance_seed,
+                    "noise": plan.noise,
+                    **_config_sidecar(cfg, n),
+                    "outcome": trace.outcome.value,
+                    "iterations": trace.iterations,
+                    "final_f": trace.final_f,
+                    "wall_s": wall_s,
+                    "grad_evals": trace.grad_evals,
+                    "hess_evals": trace.hess_evals,
+                }
                 (out / f"{name}.meta.json").write_text(
                     json.dumps(meta, indent=1, sort_keys=True) + "\n", encoding="utf-8"
                 )
@@ -387,16 +360,22 @@ def summarize_traces(directory) -> list[SummaryRow]:
     return rows_out
 
 
+def format_summary(rows: list[SummaryRow]) -> str:
+    """Summary rows as CSV text under a header, without a final newline."""
+    lines = [",".join(SUMMARY_COLUMNS)]
+    for row in rows:
+        values = asdict(row)
+        lines.append(
+            ",".join(
+                repr(float(v)) if isinstance(v, float) else str(v)
+                for v in (values[col] for col in SUMMARY_COLUMNS)
+            )
+        )
+    return "\n".join(lines)
+
+
 def write_summary(rows: list[SummaryRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in rows:
-            values = asdict(row)
-            out = []
-            for col in SUMMARY_COLUMNS:
-                v = values[col]
-                out.append(repr(float(v)) if isinstance(v, float) else str(v))
-            stream.write(",".join(out) + "\n")
+    Path(path).write_text(format_summary(rows) + "\n", encoding="utf-8")
 
 
 # -- verification ---------------------------------------------------------

@@ -22,9 +22,9 @@ from pathlib import Path
 from .bench import (
     BenchmarkPlan,
     SOLVERS,
-    SUMMARY_COLUMNS,
     default_plan,
     determinism_digest,
+    format_summary,
     load_plan,
     run_plan,
     summarize_traces,
@@ -52,19 +52,6 @@ def _apply_overrides(plan: BenchmarkPlan, pairs: list[str]) -> BenchmarkPlan:
         except ValueError as exc:
             raise PlanError(f"bad value for {key}: {exc}") from exc
     return plan
-
-
-def _format_rows(rows) -> str:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for row in rows:
-        values = dataclasses.asdict(row)
-        lines.append(
-            ",".join(
-                repr(float(values[c])) if isinstance(values[c], float) else str(values[c])
-                for c in SUMMARY_COLUMNS
-            )
-        )
-    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             _apply_overrides(plan, args.overrides)
             plan.validate()
             report = run_plan(plan, args.out)
-            print(_format_rows(report.rows))
+            print(format_summary(report.rows))
             print(f"digest {determinism_digest(args.out)}")
             if report.failures:
                 for failure in report.failures:
@@ -131,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "summarize":
             rows = summarize_traces(args.traces)
-            text = _format_rows(rows)
+            text = format_summary(rows)
             print(text)
             if args.out is not None:
                 write_summary(rows, args.out)

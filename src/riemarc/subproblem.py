@@ -63,9 +63,6 @@ class CubicModel:
         return g_eta + 0.5 * h_eta + (self.sigma / 3.0) * nrm**3
 
 
-def eval_model(model: CubicModel, eta: Tangent) -> float:
-    return model.value(eta)
-
 
 def _positive_quadratic_root(a: float, b: float, c: float) -> float:
     """Positive root of ``a t^2 + b t - c = 0`` with ``a > 0``, ``c > 0``,
@@ -145,7 +142,7 @@ def min_eig_estimate(
     dim = manifold.intrinsic_dim
     if dim < 1:
         raise ContractError("tangent space must have dimension >= 1")
-    budget = 5 * dim if max_iters is None else int(max_iters)
+    budget = dim if max_iters is None else int(max_iters)
     if budget < 1:
         raise ContractError("iteration budget must be positive")
     budget = min(budget, dim)
@@ -256,7 +253,7 @@ class SubsolverOptions:
     ``probe_curvature`` controls whether a Lanczos probe runs when no
     precomputed estimate is supplied. ``refine_steps`` bounds the number
     of normalized gradient steps on ``m`` used to polish the winning
-    candidate (0 disables refinement, at most 20 are allowed).
+    candidate (0 disables refinement).
     """
 
     probe_curvature: bool = True
@@ -266,10 +263,6 @@ class SubsolverOptions:
     seed: int = 0
 
     def validate(self) -> None:
-        if not 0 <= self.refine_steps <= 20:
-            raise ContractError(
-                f"refine_steps must lie in [0, 20], got {self.refine_steps}"
-            )
         if self.lanczos_tol <= 0.0:
             raise ContractError("lanczos_tol must be positive")
 

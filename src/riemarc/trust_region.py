@@ -4,93 +4,67 @@ Solves the quadratic model ``q(eta) = <G, eta> + 0.5 <H[eta], eta>``
 inside the ball ``||eta|| <= delta`` with truncated conjugate gradients
 (Steihaug-Toint): negative curvature or leaving the ball exits through
 the boundary, and the residual test stops at
-``||r|| <= ||G|| min(0.1, sqrt(||G||))``. Acceptance uses the same exact
-objective ratio as the cubic driver; the radius grows to
+``||r|| <= ||G|| min(0.1, sqrt(||G||))``. The radius grows to
 ``min(gamma delta, delta_max)`` on success and shrinks to
 ``delta / gamma`` on rejection.
 
-The sub-sampled variant of this driver is the ``ssrtr`` benchmark
-solver. Traces share the cubic driver's row format with the radius
-stored in the ``sigma`` slot and written under the name ``delta``.
+``TrustRegionConfig`` is this step rule; ``run_trust_region`` runs it in
+the cubic driver's outer loop (``arc._drive``), so sampling, the
+curvature probe, the stop test, the exact-objective ratio and the
+bookkeeping are shared. The sub-sampled variant is the ``ssrtr``
+benchmark solver. Traces share the cubic driver's row format with the
+radius stored in the ``sigma`` slot and written under the name
+``delta``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .arc import (
-    EigPolicy,
-    IterationRecord,
-    Outcome,
-    RunTrace,
-    StopRule,
-    _small_gradient_threshold,
-    should_terminate,
-)
+from .arc import DriverConfig, RunTrace, TrialStep, _drive
 from .errors import ContractError
 from .manifolds import Manifold, Point, Tangent
 from .objectives import SeparableObjective
-from .oracles import OracleBundle, OracleMode
-from .subproblem import MinEigResult, min_eig_estimate
-
-_PURPOSE_LANCZOS = 2
+from .subproblem import min_eig_estimate
 
 
 @dataclass
-class TrustRegionConfig:
-    """Parameters of the trust-region driver."""
+class TrustRegionConfig(DriverConfig):
+    """Parameters of the trust-region rule."""
 
-    eps_g: float = 1e-2
-    eps_h: float = 1e-1
-    rho_threshold: float = 0.9
-    gamma: float = 2.0
+    radius_column = "delta"
+
     delta0: float = 1.0
     delta_max: float | None = None  # defaults to 10 * delta0
-    mode: OracleMode = OracleMode.EXACT
-    grad_sample_size: int | None = None
-    hess_sample_size: int | None = None
-    seed: int = 0
-    stop_rule: StopRule = StopRule.OPTIMALITY
-    tau: float = 1e-3
-    eig_policy: EigPolicy = EigPolicy.ON_SMALL_GRADIENT
-    lanczos_tol: float = 1e-6
-    lanczos_max_iters: int | None = None
-    max_iters: int | None = None
 
     def validate(self) -> None:
-        if not 0.0 < self.eps_g < 1.0:
-            raise ContractError(f"eps_g must lie in (0, 1), got {self.eps_g}")
-        if not 0.0 < self.eps_h < 1.0:
-            raise ContractError(f"eps_h must lie in (0, 1), got {self.eps_h}")
-        if not 0.0 < self.rho_threshold < 1.0:
-            raise ContractError(
-                f"rho_threshold must lie in (0, 1), got {self.rho_threshold}"
-            )
-        if not self.gamma > 1.0:
-            raise ContractError(f"gamma must exceed 1, got {self.gamma}")
+        super().validate()
         if not self.delta0 > 0.0:
             raise ContractError(f"delta0 must be positive, got {self.delta0}")
         if self.delta_max is not None and self.delta_max < self.delta0:
             raise ContractError("delta_max must be at least delta0")
-        if self.tau <= 0.0:
-            raise ContractError(f"tau must be positive, got {self.tau}")
-        if self.max_iters is not None and self.max_iters < 0:
-            raise ContractError("max_iters must be non-negative")
 
     def radius_cap(self) -> float:
         return 10.0 * self.delta0 if self.delta_max is None else self.delta_max
 
-    def iteration_budget(self) -> int:
-        if self.max_iters is not None:
-            return self.max_iters
-        budget = 50.0 * max(self.eps_g**-2, self.eps_h**-3)
-        return int(min(budget, 1e6))
+    def initial_weight(self) -> float:
+        return self.delta0
+
+    def step(self, grad, hvp, weight, x, manifold, probe) -> TrialStep:
+        sub = tr_subproblem(grad, hvp, weight, manifold)
+        return sub.step, sub.model_val, None
+
+    def next_weight(self, weight: float, success: bool) -> tuple[float, bool]:
+        if success:
+            return min(self.gamma * weight, self.radius_cap()), False
+        return weight / self.gamma, False
+
+    def weight_bounds(self) -> dict[str, float]:
+        return {"delta_max": self.radius_cap()}
 
 
 @dataclass
@@ -151,15 +125,11 @@ def tr_subproblem(
         hp = hvp(p)
         php = manifold.inner(p, hp)
         iterations += 1
-        if php <= 0.0:
-            t = _boundary_step(manifold, eta, p, delta)
-            eta = manifold.tangent(base, eta.data + t * p.data, check=False)
-            h_eta = manifold.tangent(base, h_eta.data + t * hp.data, check=False)
-            boundary = True
-            break
-        alpha = r_norm2 / php
+        # Negative curvature, or a full step leaving the ball, exits
+        # through the boundary.
+        alpha = r_norm2 / php if php > 0.0 else 0.0
         cand = eta.data + alpha * p.data
-        if float(np.linalg.norm(cand)) >= delta:
+        if php <= 0.0 or float(np.linalg.norm(cand)) >= delta:
             t = _boundary_step(manifold, eta, p, delta)
             eta = manifold.tangent(base, eta.data + t * p.data, check=False)
             h_eta = manifold.tangent(base, h_eta.data + t * hp.data, check=False)
@@ -186,91 +156,4 @@ def run_trust_region(
     objective: SeparableObjective, x0: Point, cfg: TrustRegionConfig
 ) -> RunTrace:
     """Run the trust-region driver from ``x0``."""
-    cfg.validate()
-    manifold = objective.manifold
-    bundle = OracleBundle(
-        objective,
-        cfg.mode,
-        grad_sample_size=cfg.grad_sample_size,
-        hess_sample_size=cfg.hess_sample_size,
-        seed=cfg.seed,
-    )
-    x = manifold.point(x0.data)
-    delta = cfg.delta0
-    delta_cap = cfg.radius_cap()
-    f_x = bundle.objective_value(x)
-    records: list[IterationRecord] = []
-    outcome = Outcome.MAX_ITERS
-    budget = cfg.iteration_budget()
-    small_grad = _small_gradient_threshold(cfg)
-
-    k = 0
-    while k < budget:
-        t_start = time.perf_counter()
-        bundle.begin_iteration(k)
-        hvp = partial(bundle.inexact_hvp, x)
-        grad = bundle.inexact_gradient(x)
-        grad_norm = manifold.norm(grad)
-
-        probe: MinEigResult | None = None
-        if cfg.eig_policy is EigPolicy.EVERY_ITERATION or grad_norm <= small_grad:
-            probe = min_eig_estimate(
-                manifold,
-                x,
-                hvp,
-                tol=cfg.lanczos_tol,
-                max_iters=cfg.lanczos_max_iters,
-                seed=np.random.default_rng([cfg.seed, k, _PURPOSE_LANCZOS]),
-            )
-        lambda_est = probe.value if probe is not None else None
-        if should_terminate(grad_norm, lambda_est, cfg):
-            outcome = Outcome.OPTIMALITY_REACHED
-            break
-
-        sub = tr_subproblem(grad, hvp, delta, manifold)
-        if not sub.model_val < -1e-16 * max(1.0, abs(f_x)):
-            outcome = Outcome.SUBSOLVER_FAILURE
-            break
-
-        x_trial = manifold.retract(x, sub.step)
-        f_trial = bundle.objective_value(x_trial)
-        if not (math.isfinite(f_trial) and math.isfinite(f_x)):
-            outcome = Outcome.NUMERICAL_FAILURE
-            break
-        rho = (f_x - f_trial) / (-sub.model_val)
-        success = rho >= cfg.rho_threshold
-
-        millis = (time.perf_counter() - t_start) * 1e3
-        records.append(
-            IterationRecord(
-                k=k,
-                f=f_x,
-                grad_norm=grad_norm,
-                sigma=delta,
-                model_val=sub.model_val,
-                rho=rho,
-                success=success,
-                lambda_min=lambda_est,
-                grad_evals=bundle.counters.grad_components,
-                hess_evals=bundle.counters.hess_components,
-                millis=millis,
-            )
-        )
-
-        if success:
-            x = x_trial
-            f_x = f_trial
-            delta = min(cfg.gamma * delta, delta_cap)
-        else:
-            delta = delta / cfg.gamma
-        k += 1
-
-    return RunTrace(
-        records=records,
-        outcome=outcome,
-        final_point=x,
-        final_f=f_x,
-        grad_evals=bundle.counters.grad_components,
-        hess_evals=bundle.counters.hess_components,
-        objective_evals=bundle.counters.objective_components,
-    )
+    return _drive(objective, x0, cfg, min_eig_estimate)

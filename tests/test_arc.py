@@ -15,7 +15,6 @@ from riemarc.arc import (
     RunTrace,
     SolverConfig,
     StopRule,
-    clone_config,
     run,
     should_terminate,
     write_trace_csv,
@@ -192,6 +191,14 @@ def test_config_validation():
         SolverConfig(max_iters=-1).validate()
 
 
+def test_refine_steps_bounds_validated():
+    SolverConfig(refine_steps=20).validate()
+    with pytest.raises(ContractError):
+        SolverConfig(refine_steps=21).validate()
+    with pytest.raises(ContractError):
+        SolverConfig(refine_steps=-1).validate()
+
+
 def test_iteration_budget_formula():
     assert SolverConfig(eps_g=1e-2, eps_h=1e-1).iteration_budget() == 500_000
     assert SolverConfig(eps_g=1e-2, eps_h=1e-2).iteration_budget() == 1_000_000
@@ -294,10 +301,3 @@ def test_trace_csv_sigma_column_renaming(tmp_path):
     header = path.read_text().splitlines()[0].split(",")
     assert "delta" in header and "sigma" not in header
 
-
-def test_clone_config_overrides():
-    cfg = SolverConfig(sigma0=1e-3, seed=1)
-    other = clone_config(cfg, sigma0=5.0, seed=2)
-    assert other.sigma0 == 5.0 and other.seed == 2
-    assert cfg.sigma0 == 1e-3 and cfg.seed == 1
-    assert other.eps_g == cfg.eps_g

@@ -1,10 +1,13 @@
 """Benchmark harness: plan parsing, artifacts, verification, determinism."""
 
+import dataclasses
 import json
 import shutil
 
+import numpy as np
 import pytest
 
+from riemarc.arc import EigPolicy, SolverConfig, StopRule, run, write_trace_csv
 from riemarc.bench import (
     BenchmarkPlan,
     SOLVERS,
@@ -21,6 +24,9 @@ from riemarc.bench import (
 )
 from riemarc.cli import main as cli_main
 from riemarc.errors import PlanError
+from riemarc.jointdiag import JointDiagObjective, generate_instance
+from riemarc.oracles import OracleMode
+from riemarc.trust_region import TrustRegionConfig, run_trust_region
 
 # Small but not tiny: protocol-style fractions at n below ~100 give
 # single-digit sample sizes whose noise stalls the sub-sampled solvers,
@@ -86,6 +92,17 @@ def test_parse_plan_errors():
         parse_plan("case 10 3 2\ngrad_frac = 2.0\n")
     with pytest.raises(PlanError):
         parse_plan("case 10 3 5\n")  # r > d
+
+
+def test_plan_validates_only_selected_solver_configs():
+    with pytest.raises(PlanError, match="gamma"):
+        parse_plan("case 10 3 2\ngamma = 0.5\n")
+    with pytest.raises(PlanError, match="refine_steps"):
+        parse_plan("case 10 3 2\nsolvers = sracr\nrefine_steps = 21\n")
+    # delta0 only reaches the trust-region config, refine_steps only the
+    # cubic ones.
+    parse_plan("case 10 3 2\nsolvers = racr\ndelta0 = 0\n")
+    parse_plan("case 10 3 2\nsolvers = ssrtr\nrefine_steps = 21\n")
 
 
 def test_default_plan_shape():
@@ -163,6 +180,49 @@ def test_meta_fields_by_solver(bench_dir):
     )
     assert ss_meta["grad_sample_size"] == 150
     assert ss_meta["hess_sample_size"] == 30
+
+
+def _config_from_sidecar(meta):
+    cls = TrustRegionConfig if meta["radius_column"] == "delta" else SolverConfig
+    kwargs = {f.name: meta[f.name] for f in dataclasses.fields(cls)}
+    kwargs["mode"] = OracleMode(meta["mode"])
+    kwargs["stop_rule"] = StopRule(meta["stop_rule"])
+    kwargs["eig_policy"] = EigPolicy(meta["eig_policy"])
+    return cls(**kwargs)
+
+
+def _rows_without_millis(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    col = rows[0].index("millis")
+    return [row[:col] + row[col + 1 :] for row in rows]
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_sidecar_is_enough_to_rerun(bench_dir, tmp_path, solver):
+    stem = run_name(_TINY_PLAN.cases[0], solver, 1)
+    meta = json.loads((bench_dir / f"{stem}.meta.json").read_text())
+    cfg = _config_from_sidecar(meta)
+    case = meta["case"]
+    instance = generate_instance(
+        case["n"], case["d"], case["r"], seed=meta["instance_seed"], noise=meta["noise"]
+    )
+    objective = JointDiagObjective(instance)
+    # run_plan draws the start point from the master seed and case index.
+    x0 = objective.manifold.random_point(
+        np.random.default_rng([_TINY_PLAN.master_seed, 0, meta["rep"], 13])
+    )
+    runner = run_trust_region if isinstance(cfg, TrustRegionConfig) else run
+    trace = runner(objective, x0, cfg)
+    rerun = tmp_path / "rerun.csv"
+    write_trace_csv(trace, rerun, sigma_name=meta["radius_column"])
+    assert _rows_without_millis(rerun) == _rows_without_millis(
+        bench_dir / f"{stem}.csv"
+    )
+    assert trace.outcome.value == meta["outcome"]
+    assert (trace.grad_evals, trace.hess_evals) == (
+        meta["grad_evals"],
+        meta["hess_evals"],
+    )
 
 
 def test_trace_radius_columns(bench_dir):
@@ -356,6 +416,26 @@ def test_cli_rejects_bad_inputs(tmp_path, capsys):
     )
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "gamma=0.5",
+        "tau=-1",
+        "delta0=0",
+        "sigma0=0",
+        "rho_threshold=1.5",
+        "refine_steps=25",
+    ],
+)
+def test_cli_rejects_bad_plan_values_before_running(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    argv = ["run", "--plan", str(_write_plan(tmp_path)), "--out", str(out)]
+    code = cli_main(argv + ["--set", override])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_set_overrides_apply(tmp_path, capsys):

@@ -13,7 +13,6 @@ from riemarc.subproblem import (
     SubsolverOptions,
     cauchy_point,
     eigen_point,
-    eval_model,
     min_eig_estimate,
     solve_subproblem,
 )
@@ -83,7 +82,7 @@ def test_cauchy_point_is_line_minimizer():
         direction = man.tangent(x, -g.reshape(-1, 1) / np.linalg.norm(g), check=False)
         grid = _grid_min_1d(model, direction, hi=max(3.0, 2.0 * man.norm(eta)))
         assert m_val <= grid + 1e-9
-        assert abs(eval_model(model, eta) - m_val) < 1e-10
+        assert abs(model.value(eta) - m_val) < 1e-10
 
 
 def test_cauchy_point_rejects_zero_gradient():
@@ -346,17 +345,13 @@ def test_refinement_never_worse_and_monotone():
             improved += 1
             assert polished.m_val < plain.m_val
         # Model value still reported faithfully after refinement.
-        assert eval_model(model, polished.step) == pytest.approx(
+        assert model.value(polished.step) == pytest.approx(
             polished.m_val, rel=1e-9, abs=1e-12
         )
     assert improved > 10  # refinement should usually find something
 
 
-def test_refine_steps_bounds_validated():
-    with pytest.raises(ContractError):
-        SubsolverOptions(refine_steps=21).validate()
-    with pytest.raises(ContractError):
-        SubsolverOptions(refine_steps=-1).validate()
+def test_lanczos_tol_validated():
     with pytest.raises(ContractError):
         SubsolverOptions(lanczos_tol=0.0).validate()
 
