@@ -38,13 +38,7 @@ from .errors import ContractError, MissingEigenEstimateError
 from .manifolds import Point, Tangent
 from .objectives import SeparableObjective
 from .oracles import OracleBundle, OracleMode
-from .subproblem import (
-    CubicModel,
-    MinEigResult,
-    SubsolverOptions,
-    min_eig_estimate,
-    solve_subproblem,
-)
+from .subproblem import CubicModel, MinEigResult, min_eig_estimate, solve_subproblem
 
 SIGMA_MIN = 1e-12
 
@@ -153,8 +147,14 @@ class DriverConfig:
             )
         if not self.gamma > 1.0:
             raise ContractError(f"gamma must exceed 1, got {self.gamma}")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ContractError(f"tau must be positive, got {self.tau}")
+        if not self.lanczos_tol > 0.0:
+            raise ContractError(f"lanczos_tol must be positive, got {self.lanczos_tol}")
+        if self.lanczos_max_iters is not None and self.lanczos_max_iters < 1:
+            raise ContractError(
+                f"lanczos_max_iters must be at least 1, got {self.lanczos_max_iters}"
+            )
         if self.max_iters is not None and self.max_iters < 0:
             raise ContractError("max_iters must be non-negative")
 
@@ -199,13 +199,7 @@ class SolverConfig(DriverConfig):
 
     def step(self, grad, hvp, weight, x, manifold, probe) -> TrialStep:
         model = CubicModel(grad, hvp, weight, x, manifold)
-        options = SubsolverOptions(
-            probe_curvature=probe is not None,
-            lanczos_tol=self.lanczos_tol,
-            lanczos_max_iters=self.lanczos_max_iters,
-            refine_steps=self.refine_steps,
-        )
-        result = solve_subproblem(model, options, probe=probe)
+        result = solve_subproblem(model, probe=probe, refine_steps=self.refine_steps)
         taylor = (result.g_eta, result.h_eta, result.step_norm)
         return result.step, result.m_val, taylor
 

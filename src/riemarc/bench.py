@@ -10,6 +10,9 @@ line per problem size:
     case 500 5 5
     case 2015 5 5
 
+``set_plan_value`` parses every scalar key by its ``BenchmarkPlan``
+annotation, for plan files and for ``riemarc run --set`` alike.
+
 Each (case, repetition) pair generates one joint-diagonalization
 instance shared by every solver, so solvers are compared on identical
 data. ``solver_config`` maps (plan, solver, n, run seed) to the
@@ -17,7 +20,8 @@ solver's config: plan keys named like config fields carry over, and the
 solver name fixes the step rule and oracle mode. Every run writes a
 trace CSV plus a sidecar ``.meta.json`` holding that config as
 ``dataclasses.asdict`` gives it, the step rule's resolved weight bound,
-and the run's outcome; ``summary.csv`` aggregates per (case, solver).
+the master seed and case index the start point is drawn from, and the
+run's outcome; ``summary.csv`` aggregates per (case, solver).
 Traces are deterministic for a fixed plan and master seed up to the
 wall-time column, which the content digest therefore excludes.
 """
@@ -26,11 +30,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -41,26 +47,13 @@ from .oracles import OracleMode
 from .trust_region import TrustRegionConfig, run_trust_region
 from . import arc
 
-# Step rule and oracle mode of each benchmark solver.
+# Step rule and oracle mode of each benchmark solver. The order fixes
+# each solver's index in its run seed.
 _SOLVER_KINDS = {
-    "racr": (SolverConfig, OracleMode.EXACT),
-    "sracr": (SolverConfig, OracleMode.SUBSAMPLED_HESSIAN),
-    "ssracr": (SolverConfig, OracleMode.SUBSAMPLED_BOTH),
+    **{name: (SolverConfig, mode) for name, mode in arc._VARIANT_MODES.items()},
     "ssrtr": (TrustRegionConfig, OracleMode.SUBSAMPLED_BOTH),
 }
 SOLVERS = tuple(_SOLVER_KINDS)
-
-_PLAN_FLOAT_KEYS = {
-    "noise",
-    "sigma0",
-    "delta0",
-    "rho_threshold",
-    "gamma",
-    "tau",
-    "grad_frac",
-    "hess_frac",
-}
-_PLAN_INT_KEYS = {"master_seed", "repetitions", "max_iters", "refine_steps"}
 
 SUMMARY_COLUMNS = (
     "case",
@@ -109,12 +102,33 @@ class BenchmarkPlan:
             raise PlanError("sample fractions must lie in (0, 1]")
         if self.max_iters < 1:
             raise PlanError("max_iters must be at least 1")
+        if not self.noise >= 0.0:
+            raise PlanError(f"noise must be non-negative, got {self.noise}")
         for n, _, _ in self.cases:
             for solver in self.solvers:
                 try:
                     solver_config(self, solver, n, 0).validate()
                 except ContractError as exc:
                     raise PlanError(f"{solver}: {exc}") from exc
+
+
+_PLAN_TYPES = get_type_hints(BenchmarkPlan)
+
+
+def set_plan_value(plan: BenchmarkPlan, key: str, text: str) -> None:
+    """Set the scalar plan field ``key`` from ``text``, parsed as the
+    field's annotated type. Rejects non-finite numbers."""
+    kind = _PLAN_TYPES.get(key)
+    if kind not in (int, float):
+        reason = "unknown key" if kind is None else "cannot override"
+        raise PlanError(f"{reason} {key!r}")
+    try:
+        value = kind(text)
+    except ValueError as exc:
+        raise PlanError(f"bad value for {key}: {exc}") from exc
+    if not math.isfinite(value):
+        raise PlanError(f"{key} must be finite, got {value}")
+    setattr(plan, key, value)
 
 
 def default_plan() -> BenchmarkPlan:
@@ -143,21 +157,13 @@ def parse_plan(text: str) -> BenchmarkPlan:
             raise PlanError(f"line {lineno}: expected 'key = value' or 'case n d r'")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key == "solvers":
             plan.solvers = [s for s in value.replace(",", " ").split() if s]
-        elif key in _PLAN_INT_KEYS:
-            try:
-                setattr(plan, key, int(value))
-            except ValueError as exc:
-                raise PlanError(f"line {lineno}: {exc}") from exc
-        elif key in _PLAN_FLOAT_KEYS:
-            try:
-                setattr(plan, key, float(value))
-            except ValueError as exc:
-                raise PlanError(f"line {lineno}: {exc}") from exc
-        else:
-            raise PlanError(f"line {lineno}: unknown key {key!r}")
+            continue
+        try:
+            set_plan_value(plan, key, value)
+        except PlanError as exc:
+            raise PlanError(f"line {lineno}: {exc}") from exc
     plan.validate()
     return plan
 
@@ -277,6 +283,8 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                     "case": {"n": n, "d": d, "r": r},
                     "solver": solver,
                     "rep": rep,
+                    "master_seed": plan.master_seed,
+                    "case_index": ci,
                     "instance_seed": instance_seed,
                     "noise": plan.noise,
                     **_config_sidecar(cfg, n),

@@ -15,43 +15,22 @@ flags, failed verification), 2 for runtime failures during solver runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from .bench import (
-    BenchmarkPlan,
     SOLVERS,
     default_plan,
     determinism_digest,
     format_summary,
     load_plan,
     run_plan,
+    set_plan_value,
     summarize_traces,
     verify_traces,
     write_summary,
 )
 from .errors import PlanError
-
-
-def _apply_overrides(plan: BenchmarkPlan, pairs: list[str]) -> BenchmarkPlan:
-    fields = {f.name: f for f in dataclasses.fields(BenchmarkPlan)}
-    for pair in pairs:
-        if "=" not in pair:
-            raise PlanError(f"--set expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        if key not in fields or key in ("cases", "solvers"):
-            raise PlanError(f"--set cannot override {key!r}")
-        kind = fields[key].type
-        try:
-            if kind is int or kind == "int":
-                setattr(plan, key, int(value))
-            else:
-                setattr(plan, key, float(value))
-        except ValueError as exc:
-            raise PlanError(f"bad value for {key}: {exc}") from exc
-    return plan
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -96,8 +75,11 @@ def main(argv: list[str] | None = None) -> int:
                 plan.master_seed = args.seed
             if args.solvers is not None:
                 plan.solvers = [s for s in args.solvers.split(",") if s]
-            _apply_overrides(plan, args.overrides)
-            plan.validate()
+            for pair in args.overrides:
+                key, sep, value = pair.partition("=")
+                if not sep:
+                    raise PlanError(f"--set expects key=value, got {pair!r}")
+                set_plan_value(plan, key.strip(), value)
             report = run_plan(plan, args.out)
             print(format_summary(report.rows))
             print(f"digest {determinism_digest(args.out)}")

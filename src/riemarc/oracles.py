@@ -94,10 +94,6 @@ class OracleBundle:
         self._grad_idx: np.ndarray | None = None
         self._hess_idx: np.ndarray | None = None
 
-    @property
-    def iteration(self) -> int | None:
-        return self._iteration
-
     def begin_iteration(self, k: int) -> None:
         """Fix the sample index sets used for iteration ``k``."""
         if k < 0:
@@ -177,24 +173,3 @@ def required_sample_sizes(params: SampleSizeParams) -> tuple[int, int]:
     nh = (32.0 * params.k_hess**2 * log_term + 0.25) / params.delta_h**2
     return int(math.ceil(ng)), int(math.ceil(nh))
 
-
-def concentration_trial(
-    objective: SeparableObjective,
-    x: Point,
-    bundle: OracleBundle,
-    trials: int,
-    delta_g: float,
-) -> float:
-    """Fraction of independent gradient draws within ``delta_g`` of the
-    exact gradient, each trial using a fresh iteration's sample."""
-    if trials < 1:
-        raise ContractError("need at least one trial")
-    exact = objective.gradient(x)
-    hits = 0
-    for t in range(trials):
-        bundle.begin_iteration(t)
-        g = bundle.inexact_gradient(x)
-        err = float(np.linalg.norm(g.data - exact.data))
-        if err <= delta_g:
-            hits += 1
-    return hits / trials

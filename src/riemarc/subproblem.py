@@ -16,8 +16,11 @@ polished by a bounded number of gradient steps on ``m``:
 
 By construction the returned value never exceeds the Cauchy value, and
 never exceeds the eigen value when negative curvature was detected. The
-curvature estimate comes from Lanczos iteration on the Hessian operator
-restricted to the tangent space, with full reorthogonalization.
+caller supplies the curvature estimate: ``min_eig_estimate`` runs
+Lanczos iteration on the Hessian operator restricted to the tangent
+space, with full reorthogonalization, and the outer driver passes the
+probe it already ran for its stop test. Without a probe only the Cauchy
+point is a candidate.
 """
 
 from __future__ import annotations
@@ -247,27 +250,6 @@ def eigen_point(
 
 
 @dataclass
-class SubsolverOptions:
-    """Knobs of ``solve_subproblem``.
-
-    ``probe_curvature`` controls whether a Lanczos probe runs when no
-    precomputed estimate is supplied. ``refine_steps`` bounds the number
-    of normalized gradient steps on ``m`` used to polish the winning
-    candidate (0 disables refinement).
-    """
-
-    probe_curvature: bool = True
-    lanczos_tol: float = 1e-6
-    lanczos_max_iters: int | None = None
-    refine_steps: int = 0
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.lanczos_tol <= 0.0:
-            raise ContractError("lanczos_tol must be positive")
-
-
-@dataclass
 class SubsolverResult:
     """Chosen step with the model values of every candidate.
 
@@ -282,8 +264,6 @@ class SubsolverResult:
     m_val: float
     cauchy_m: float
     eigen_m: float | None
-    lambda_min_est: float | None
-    eig_converged: bool | None
     g_eta: float
     h_eta: float
     step_norm: float
@@ -354,19 +334,20 @@ def _refine(
 
 def solve_subproblem(
     model: CubicModel,
-    options: SubsolverOptions | None = None,
     probe: MinEigResult | None = None,
+    *,
+    refine_steps: int = 0,
 ) -> SubsolverResult:
     """Approximately minimize the cubic model over the tangent space.
 
-    A precomputed ``probe`` (for example the one used by the outer
-    termination test) is reused instead of running a fresh Lanczos pass.
-    Raises ``ZeroGradientError`` when the gradient is zero and no
-    negative curvature is detected, since the caller should have
+    ``probe`` is a curvature estimate at ``model.base`` (for example the
+    one used by the outer termination test); without one, the eigen step
+    is not a candidate. ``refine_steps`` bounds the normalized gradient
+    steps on ``m`` that polish the winning candidate (0 disables
+    refinement). Raises ``ZeroGradientError`` when the gradient is zero
+    and no negative curvature is detected, since the caller should have
     terminated.
     """
-    options = options or SubsolverOptions()
-    options.validate()
     man = model.manifold
     gnorm = man.norm(model.gradient)
 
@@ -375,18 +356,7 @@ def solve_subproblem(
         cauchy = _cauchy_candidate(model)
     cauchy_m = cauchy[1] if cauchy is not None else 0.0
 
-    if probe is None and options.probe_curvature:
-        probe = min_eig_estimate(
-            man,
-            model.base,
-            model.hvp,
-            tol=options.lanczos_tol,
-            max_iters=options.lanczos_max_iters,
-            seed=options.seed,
-        )
-
     eigen: tuple[Tangent, float, float, float, float] | None = None
-    lambda_est = probe.value if probe is not None else None
     if probe is not None and probe.value < -NEGATIVE_CURVATURE_REL_TOL * max(
         1.0, probe.op_norm_est
     ):
@@ -406,11 +376,9 @@ def solve_subproblem(
         best, best_m, g_eta, h_eta, step_norm = eigen
 
     refined = False
-    if options.refine_steps > 0:
+    if refine_steps > 0:
         h_best = model.hvp(best)
-        eta, h_vec, g_ref, h_ref, m_ref = _refine(
-            model, best, h_best, options.refine_steps
-        )
+        eta, h_vec, g_ref, h_ref, m_ref = _refine(model, best, h_best, refine_steps)
         if m_ref < best_m:
             best, best_m, refined = eta, m_ref, True
             g_eta, h_eta = g_ref, h_ref
@@ -421,8 +389,6 @@ def solve_subproblem(
         m_val=best_m,
         cauchy_m=cauchy_m,
         eigen_m=eigen_m,
-        lambda_min_est=lambda_est,
-        eig_converged=probe.converged if probe is not None else None,
         g_eta=g_eta,
         h_eta=h_eta,
         step_norm=step_norm,

@@ -4,7 +4,9 @@ Solves the quadratic model ``q(eta) = <G, eta> + 0.5 <H[eta], eta>``
 inside the ball ``||eta|| <= delta`` with truncated conjugate gradients
 (Steihaug-Toint): negative curvature or leaving the ball exits through
 the boundary, and the residual test stops at
-``||r|| <= ||G|| min(0.1, sqrt(||G||))``. The radius grows to
+``||r|| <= ||G|| min(CG_KAPPA, ||G||^CG_THETA)`` with ``CG_KAPPA = 0.1``
+and ``CG_THETA = 0.5``. CG runs at most ``intrinsic_dim`` iterations,
+where exact arithmetic would have converged. The radius grows to
 ``min(gamma delta, delta_max)`` on success and shrinks to
 ``delta / gamma`` on rejection.
 
@@ -30,6 +32,9 @@ from .errors import ContractError
 from .manifolds import Manifold, Point, Tangent
 from .objectives import SeparableObjective
 from .subproblem import min_eig_estimate
+
+CG_KAPPA = 0.1
+CG_THETA = 0.5
 
 
 @dataclass
@@ -95,10 +100,6 @@ def tr_subproblem(
     hvp: Callable[[Tangent], Tangent],
     delta: float,
     manifold: Manifold,
-    *,
-    kappa: float = 0.1,
-    theta: float = 0.5,
-    max_iters: int | None = None,
 ) -> TrSubproblemResult:
     """Steihaug-Toint truncated CG on the quadratic model.
 
@@ -115,13 +116,12 @@ def tr_subproblem(
     r0_norm = math.sqrt(r_norm2)
     if r0_norm == 0.0:
         return TrSubproblemResult(eta, 0.0, 0.0, 0.0, False, 0)
-    tol = r0_norm * min(kappa, r0_norm**theta)
+    tol = r0_norm * min(CG_KAPPA, r0_norm**CG_THETA)
     p = manifold.tangent(base, -r.data, check=False)
-    budget = manifold.intrinsic_dim if max_iters is None else int(max_iters)
 
     boundary = False
     iterations = 0
-    for _ in range(budget):
+    for _ in range(manifold.intrinsic_dim):
         hp = hvp(p)
         php = manifold.inner(p, hp)
         iterations += 1

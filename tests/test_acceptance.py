@@ -21,17 +21,17 @@ from riemarc.oracles import (
     OracleBundle,
     OracleMode,
     SampleSizeParams,
-    concentration_trial,
     required_sample_sizes,
 )
 from riemarc.subproblem import (
     CubicModel,
-    SubsolverOptions,
     cauchy_point,
     eigen_point,
     min_eig_estimate,
     solve_subproblem,
 )
+
+from concentration import concentration_trial
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -180,7 +180,8 @@ def test_criterion_04_subsolver_grid_quality():
         h = (h + h.T) / 2.0
         sigma = float(rng.uniform(1.0, 2.0))
         model, man, x = _euclidean_model(g, h, sigma)
-        res = solve_subproblem(model, SubsolverOptions(seed=trial, refine_steps=20))
+        probe = min_eig_estimate(man, x, model.hvp, seed=trial)
+        res = solve_subproblem(model, probe=probe, refine_steps=20)
 
         best = np.inf
         arg = (0.0, 0.0)

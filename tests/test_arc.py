@@ -23,6 +23,7 @@ from riemarc.arc import (
 from riemarc.errors import ContractError, MissingEigenEstimateError
 from riemarc.objectives import QuadraticSum, SaddleQuartic
 from riemarc.oracles import OracleMode
+from riemarc.trust_region import TrustRegionConfig
 
 
 def _check_trace_laws(trace: RunTrace, cfg: SolverConfig, *, grad_size, hess_size):
@@ -188,6 +189,8 @@ def test_config_validation():
     with pytest.raises(ContractError):
         SolverConfig(tau=-1.0).validate()
     with pytest.raises(ContractError):
+        SolverConfig(tau=math.nan).validate()
+    with pytest.raises(ContractError):
         SolverConfig(max_iters=-1).validate()
 
 
@@ -197,6 +200,19 @@ def test_refine_steps_bounds_validated():
         SolverConfig(refine_steps=21).validate()
     with pytest.raises(ContractError):
         SolverConfig(refine_steps=-1).validate()
+
+
+@pytest.mark.parametrize("cls", [SolverConfig, TrustRegionConfig])
+@pytest.mark.parametrize(
+    "field, bad",
+    [("lanczos_tol", 0.0), ("lanczos_tol", math.nan), ("lanczos_max_iters", 0)],
+)
+def test_lanczos_settings_validated(cls, field, bad):
+    """Both step rules reject a probe setting before the run starts, not
+    at the first probe."""
+    cls(lanczos_tol=1e-3, lanczos_max_iters=1).validate()
+    with pytest.raises(ContractError, match=field):
+        cls(**{field: bad}).validate()
 
 
 def test_iteration_budget_formula():

@@ -207,10 +207,8 @@ def test_sidecar_is_enough_to_rerun(bench_dir, tmp_path, solver):
         case["n"], case["d"], case["r"], seed=meta["instance_seed"], noise=meta["noise"]
     )
     objective = JointDiagObjective(instance)
-    # run_plan draws the start point from the master seed and case index.
-    x0 = objective.manifold.random_point(
-        np.random.default_rng([_TINY_PLAN.master_seed, 0, meta["rep"], 13])
-    )
+    start_seed = [meta["master_seed"], meta["case_index"], meta["rep"], 13]
+    x0 = objective.manifold.random_point(np.random.default_rng(start_seed))
     runner = run_trust_region if isinstance(cfg, TrustRegionConfig) else run
     trace = runner(objective, x0, cfg)
     rerun = tmp_path / "rerun.csv"
@@ -427,6 +425,10 @@ def test_cli_rejects_bad_inputs(tmp_path, capsys):
         "sigma0=0",
         "rho_threshold=1.5",
         "refine_steps=25",
+        "noise=-1",
+        "noise=nan",
+        "tau=nan",
+        "sigma0=inf",
     ],
 )
 def test_cli_rejects_bad_plan_values_before_running(tmp_path, capsys, override):

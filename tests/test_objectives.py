@@ -12,9 +12,10 @@ from riemarc.oracles import (
     OracleBundle,
     OracleMode,
     SampleSizeParams,
-    concentration_trial,
     required_sample_sizes,
 )
+
+from concentration import concentration_trial
 
 
 def _fd_gradient(objective, x, h=1e-6):

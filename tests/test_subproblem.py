@@ -10,7 +10,6 @@ from riemarc.jointdiag import JointDiagObjective, generate_instance
 from riemarc.manifolds import Euclidean, Stiefel
 from riemarc.subproblem import (
     CubicModel,
-    SubsolverOptions,
     cauchy_point,
     eigen_point,
     min_eig_estimate,
@@ -28,6 +27,11 @@ def _euclidean_model(g_vec, h_mat, sigma):
         return man.tangent(x, h @ eta.data, check=False)
 
     return CubicModel(g, hvp, sigma, x, man), man, x
+
+
+def _probe(model, seed):
+    """The Lanczos probe a driver passes to ``solve_subproblem``."""
+    return min_eig_estimate(model.manifold, model.base, model.hvp, seed=seed)
 
 
 def _grid_min_1d(model, direction, lo=0.0, hi=3.0, step=1e-5):
@@ -239,7 +243,7 @@ def test_solve_subproblem_a4_invariant():
         h = (h + h.T) / 2.0
         sigma = float(rng.uniform(0.05, 4.0))
         model, man, x = _euclidean_model(g, h, sigma)
-        res = solve_subproblem(model, SubsolverOptions(seed=int(rng.integers(1_000_000))))
+        res = solve_subproblem(model, probe=_probe(model, int(rng.integers(1_000_000))))
         assert res.m_val <= res.cauchy_m + 1e-15
         if res.eigen_m is not None:
             assert res.m_val <= res.eigen_m + 1e-15
@@ -257,7 +261,7 @@ def test_solve_subproblem_grid_cross_check():
     """On a 2-D instance the chosen value must not be worse than a dense
     grid search by more than the grid resolution."""
     model, man, x = _euclidean_model([1.0, 0.0], np.diag([1.0, -2.0]), 1.0)
-    res = solve_subproblem(model, SubsolverOptions(seed=0, refine_steps=20))
+    res = solve_subproblem(model, probe=_probe(model, 0), refine_steps=20)
 
     xs = np.arange(-3.0, 3.0, 1e-3)
     ys = np.arange(-3.0, 3.0, 1e-3)
@@ -274,7 +278,7 @@ def test_solve_subproblem_grid_cross_check():
 
 def test_small_gradient_strong_curvature_prefers_eigen():
     model, man, x = _euclidean_model([1e-2, 0.0], np.diag([1.0, -2.0]), 1.0)
-    res = solve_subproblem(model, SubsolverOptions(seed=1))
+    res = solve_subproblem(model, probe=_probe(model, 1))
     assert res.eigen_m is not None
     assert res.eigen_m < res.cauchy_m
     assert res.m_val == res.eigen_m
@@ -284,23 +288,23 @@ def test_small_gradient_strong_curvature_prefers_eigen():
 
 def test_positive_definite_path_has_no_eigen_value():
     model, man, x = _euclidean_model([1.0, 0.5], np.eye(2) * 2.0, 0.5)
-    res = solve_subproblem(model, SubsolverOptions(seed=2))
+    probe = _probe(model, 2)
+    res = solve_subproblem(model, probe=probe)
     assert res.eigen_m is None
-    assert res.lambda_min_est is not None and res.lambda_min_est > 0.0
+    assert probe.value > 0.0
     assert res.m_val == res.cauchy_m
 
 
 def test_probe_disabled_skips_eigen():
     model, man, x = _euclidean_model([1.0, 0.0], np.diag([1.0, -2.0]), 1.0)
-    res = solve_subproblem(model, SubsolverOptions(probe_curvature=False))
+    res = solve_subproblem(model)
     assert res.eigen_m is None
-    assert res.lambda_min_est is None
     assert res.m_val == res.cauchy_m
 
 
 def test_zero_gradient_negative_curvature_takes_eigen_step():
     model, man, x = _euclidean_model([0.0, 0.0], np.diag([1.0, -1.0]), 1.0)
-    res = solve_subproblem(model, SubsolverOptions(seed=3))
+    res = solve_subproblem(model, probe=_probe(model, 3))
     assert res.cauchy_m == 0.0
     assert res.eigen_m is not None and res.m_val == res.eigen_m
     assert res.m_val == pytest.approx(-1.0 / 6.0, abs=1e-12)
@@ -309,7 +313,7 @@ def test_zero_gradient_negative_curvature_takes_eigen_step():
 def test_zero_gradient_psd_raises():
     model, man, x = _euclidean_model([0.0, 0.0], np.eye(2), 1.0)
     with pytest.raises(ZeroGradientError):
-        solve_subproblem(model, SubsolverOptions(seed=4))
+        solve_subproblem(model, probe=_probe(model, 4))
 
 
 def test_scale_covariance():
@@ -321,8 +325,8 @@ def test_scale_covariance():
     for c in (0.1, 7.0):
         m1, man, x = _euclidean_model(g, h, 1.3)
         m2, _, _ = _euclidean_model(c * g, c * h, c * 1.3)
-        r1 = solve_subproblem(m1, SubsolverOptions(seed=8))
-        r2 = solve_subproblem(m2, SubsolverOptions(seed=8))
+        r1 = solve_subproblem(m1, probe=_probe(m1, 8))
+        r2 = solve_subproblem(m2, probe=_probe(m2, 8))
         assert np.allclose(r1.step.data, r2.step.data, rtol=1e-10, atol=1e-12)
         assert r2.m_val == pytest.approx(c * r1.m_val, rel=1e-10)
 
@@ -337,8 +341,9 @@ def test_refinement_never_worse_and_monotone():
         h = (h + h.T) / 2.0
         sigma = float(rng.uniform(0.1, 2.0))
         model, man, x = _euclidean_model(g, h, sigma)
-        plain = solve_subproblem(model, SubsolverOptions(seed=10))
-        polished = solve_subproblem(model, SubsolverOptions(seed=10, refine_steps=20))
+        probe = _probe(model, 10)
+        plain = solve_subproblem(model, probe=probe)
+        polished = solve_subproblem(model, probe=probe, refine_steps=20)
         assert polished.m_val <= plain.m_val + 1e-15
         assert polished.m_val <= polished.cauchy_m + 1e-15
         if polished.refined:
@@ -349,11 +354,6 @@ def test_refinement_never_worse_and_monotone():
             polished.m_val, rel=1e-9, abs=1e-12
         )
     assert improved > 10  # refinement should usually find something
-
-
-def test_lanczos_tol_validated():
-    with pytest.raises(ContractError):
-        SubsolverOptions(lanczos_tol=0.0).validate()
 
 
 def test_lemma_estimate_bounds_hold():
