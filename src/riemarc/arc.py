@@ -1,13 +1,23 @@
 """Outer driver shared by adaptive cubic regularization and trust region.
 
 Each outer iteration fixes the oracle samples, forms the inexact
-gradient and Hessian operator, tests termination, asks the step rule
-for a trial step, and accepts or rejects the trial point by the ratio
+gradient and Hessian operator, probes the curvature with Lanczos when
+``EigPolicy`` asks for it, tests termination, asks the step rule for a
+trial step, and accepts or rejects the trial point by the ratio
 
     rho = (f(x) - f(retract(x, eta))) / (-m(eta))
 
 computed with the exact full objective in every oracle mode. Acceptance
 (``rho >= rho_threshold``) moves the iterate; rejection keeps it.
+
+The probe runs only where its estimate can be read. Under
+``StopRule.OPTIMALITY`` the stop test reads the estimate, so the probe
+runs first. Under ``StopRule.GRAD_SQUARED`` the stop test reads only the
+gradient norm, so it runs first and the terminating iteration runs no
+probe; every other iteration probes as ``eig_policy`` says and hands the
+estimate to the step rule. A run's oracle totals therefore exceed its
+last trace row only by the terminating iteration's gradient, plus its
+probe under ``OPTIMALITY``.
 
 Both methods run this one loop and differ only in the step rule their
 config supplies: the initial weight, the step from the local model, and
@@ -77,7 +87,9 @@ class EigPolicy(Enum):
 
     ``ON_SMALL_GRADIENT`` runs it only once the gradient norm falls to
     the level where the second-order test or an eigen step could matter.
-    ``EVERY_ITERATION`` runs it unconditionally.
+    ``EVERY_ITERATION`` runs it on every iteration. Under
+    ``StopRule.GRAD_SQUARED`` neither runs it on the terminating
+    iteration, whose stop test does not read it.
     """
 
     ON_SMALL_GRADIENT = "on_small_gradient"
@@ -145,8 +157,8 @@ class DriverConfig:
             raise ContractError(
                 f"rho_threshold must lie in (0, 1), got {self.rho_threshold}"
             )
-        if not self.gamma > 1.0:
-            raise ContractError(f"gamma must exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma < math.inf:
+            raise ContractError(f"gamma must be finite and exceed 1, got {self.gamma}")
         if not self.tau > 0.0:
             raise ContractError(f"tau must be positive, got {self.tau}")
         if not self.lanczos_tol > 0.0:
@@ -177,8 +189,8 @@ class SolverConfig(DriverConfig):
 
     def validate(self) -> None:
         super().validate()
-        if not self.sigma0 > 0.0:
-            raise ContractError(f"sigma0 must be positive, got {self.sigma0}")
+        if not 0.0 < self.sigma0 < math.inf:
+            raise ContractError(f"sigma0 must be positive and finite, got {self.sigma0}")
         if not 0 <= self.refine_steps <= 20:
             raise ContractError(
                 f"refine_steps must lie in [0, 20], got {self.refine_steps}"
@@ -316,6 +328,7 @@ def _drive(
     outcome = Outcome.MAX_ITERS
     budget = cfg.iteration_budget()
     small_grad = _small_gradient_threshold(cfg)
+    gradient_stop = cfg.stop_rule is StopRule.GRAD_SQUARED
 
     k = 0
     while k < budget:
@@ -324,6 +337,13 @@ def _drive(
         hvp = partial(bundle.inexact_hvp, x)
         grad = bundle.inexact_gradient(x)
         grad_norm = manifold.norm(grad)
+
+        # The squared-gradient test never reads the curvature estimate,
+        # so it runs before the probe and the terminating iteration runs
+        # no Lanczos.
+        if gradient_stop and should_terminate(grad_norm, None, cfg):
+            outcome = Outcome.OPTIMALITY_REACHED
+            break
 
         probe: MinEigResult | None = None
         if cfg.eig_policy is EigPolicy.EVERY_ITERATION or grad_norm <= small_grad:
@@ -337,7 +357,7 @@ def _drive(
             )
 
         lambda_est = probe.value if probe is not None else None
-        if should_terminate(grad_norm, lambda_est, cfg):
+        if not gradient_stop and should_terminate(grad_norm, lambda_est, cfg):
             outcome = Outcome.OPTIMALITY_REACHED
             break
 

@@ -21,7 +21,9 @@ solver name fixes the step rule and oracle mode. Every run writes a
 trace CSV plus a sidecar ``.meta.json`` holding that config as
 ``dataclasses.asdict`` gives it, the step rule's resolved weight bound,
 the master seed and case index the start point is drawn from, and the
-run's outcome; ``summary.csv`` aggregates per (case, solver).
+run's outcome and oracle totals; ``summary.csv`` aggregates per (case,
+solver). ``verify_traces`` checks those totals against the last trace
+row under the benchmark's squared-gradient stop rule.
 Traces are deterministic for a fixed plan and master seed up to the
 wall-time column, which the content digest therefore excludes.
 """
@@ -104,12 +106,14 @@ class BenchmarkPlan:
             raise PlanError("max_iters must be at least 1")
         if not self.noise >= 0.0:
             raise PlanError(f"noise must be non-negative, got {self.noise}")
-        for n, _, _ in self.cases:
-            for solver in self.solvers:
-                try:
-                    solver_config(self, solver, n, 0).validate()
-                except ContractError as exc:
-                    raise PlanError(f"{solver}: {exc}") from exc
+        # Configs differ by case only in sample sizes, which validation
+        # does not read, so one config per solver covers every case.
+        n = self.cases[0][0]
+        for solver in self.solvers:
+            try:
+                solver_config(self, solver, n, 0).validate()
+            except ContractError as exc:
+                raise PlanError(f"{solver}: {exc}") from exc
 
 
 _PLAN_TYPES = get_type_hints(BenchmarkPlan)
@@ -294,6 +298,7 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                     "wall_s": wall_s,
                     "grad_evals": trace.grad_evals,
                     "hess_evals": trace.hess_evals,
+                    "objective_evals": trace.objective_evals,
                 }
                 (out / f"{name}.meta.json").write_text(
                     json.dumps(meta, indent=1, sort_keys=True) + "\n", encoding="utf-8"
@@ -504,7 +509,41 @@ def verify_traces(directory) -> list[str]:
                 )
             prev_g, prev_h = g_c, h_c
 
+        if meta.get("stop_rule") == StopRule.GRAD_SQUARED.value:
+            _check_run_totals(name, meta, len(rows), prev_g, prev_h, violations)
+
     return violations
+
+
+def _check_run_totals(
+    name: str,
+    meta: dict,
+    n_rows: int,
+    last_g: int,
+    last_h: int,
+    violations: list[str],
+) -> None:
+    """Under the squared-gradient stop rule the sidecar's totals are the
+    last row's counters plus the terminating iteration's work: one
+    gradient batch when the run reached optimality, and never a probe.
+    The exact objective is taken once at the start and once per row."""
+    outcome = meta.get("outcome")
+    if outcome == Outcome.OPTIMALITY_REACHED.value:
+        tail_g = int(meta["grad_sample_size"])
+    elif outcome == Outcome.MAX_ITERS.value:
+        tail_g = 0
+    else:
+        return
+    expected = {
+        "grad_evals": last_g + tail_g,
+        "hess_evals": last_h,
+        "objective_evals": int(meta["case"]["n"]) * (n_rows + 1),
+    }
+    for key, value in expected.items():
+        if meta.get(key) != value:
+            violations.append(
+                f"{name}: sidecar {key} is {meta.get(key)!r}, expected {value}"
+            )
 
 
 # -- determinism digest -----------------------------------------------------

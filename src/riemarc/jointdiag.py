@@ -110,52 +110,102 @@ def load_instance(path) -> JDInstance:
         )
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _PointMemo:
+    """What ``value``, ``gradient`` and every ``hess_vec`` share at one
+    point ``U`` and index set: ``C[idx]``, ``C U`` and the diagonals of
+    ``U^T C U``, plus the Euclidean gradient and ``sym(U^T egrad)``,
+    computed on first use. Every cached array is read-only."""
+
+    def __init__(self, x: Point, idx: np.ndarray | None, c: np.ndarray):
+        self.x = x
+        self.idx = None if idx is None else _readonly(idx.copy())
+        self.c = _readonly(c)
+        self.cu = _readonly(c @ x.data)
+        self.diag = _readonly(np.einsum("pj,mpj->mj", x.data, self.cu))
+        self._egrad: np.ndarray | None = None
+        self._sym_u_egrad: np.ndarray | None = None
+
+    def matches(self, x: Point, idx) -> bool:
+        if self.x is not x:
+            return False
+        if self.idx is None or idx is None:
+            return self.idx is idx
+        return np.array_equal(self.idx, idx)
+
+    def egrad(self) -> np.ndarray:
+        if self._egrad is None:
+            self._egrad = _readonly(
+                -4.0 * np.einsum("mpj,mj->pj", self.cu, self.diag) / self.c.shape[0]
+            )
+        return self._egrad
+
+    def sym_u_egrad(self) -> np.ndarray:
+        if self._sym_u_egrad is None:
+            self._sym_u_egrad = _readonly(sym(self.x.data.T @ self.egrad()))
+        return self._sym_u_egrad
+
+    def egrad_derivative(self, xi: Tangent) -> np.ndarray:
+        """Directional derivative of the Euclidean gradient along ``xi``."""
+        u = self.x.data
+        v = xi.data
+        cu = self.cu
+        cv = self.c @ v
+        diag_vu = np.einsum("pj,mpj->mj", v, cu)
+        diag_uv = np.einsum("pj,mpj->mj", u, cv)
+        out = (
+            np.einsum("mpj,mj->pj", cv, self.diag)
+            + np.einsum("mpj,mj->pj", cu, diag_vu)
+            + np.einsum("mpj,mj->pj", cu, diag_uv)
+        )
+        return -4.0 * out / self.c.shape[0]
+
+
 class JointDiagObjective(SeparableObjective):
-    """Finite-sum diagonalization objective on ``Stiefel(d, r)``."""
+    """Finite-sum diagonalization objective on ``Stiefel(d, r)``.
+
+    The objective keeps a one-entry memo of ``_PointMemo``, keyed on the
+    ``Point`` object and a copy of the index set's contents, so the
+    gradient and the HVPs of one iteration, and the exact gradient at a
+    point whose objective value was just taken, reuse ``C U`` instead of
+    recomputing it. Each method evaluates the same expressions in the
+    same order as without the memo, so results are bit-identical to a
+    fresh objective's. The oracle bundle still charges every call its
+    full component count.
+    """
 
     def __init__(self, instance: JDInstance):
         self.instance = instance
         self.n = instance.n
         self.manifold = Stiefel(instance.d, instance.r)
+        self._memo: _PointMemo | None = None
 
-    def _c(self, idx: np.ndarray | None) -> np.ndarray:
-        return self.instance.c if idx is None else self.instance.c[idx]
+    def _at(self, x: Point, idx: np.ndarray | None) -> _PointMemo:
+        memo = self._memo
+        if memo is None or not memo.matches(x, idx):
+            idx = self._check_idx(idx)
+            c = self.instance.c if idx is None else self.instance.c[idx]
+            memo = self._memo = _PointMemo(x, idx, c)
+        return memo
 
     def value(self, x: Point, idx: np.ndarray | None = None) -> float:
-        idx = self._check_idx(idx)
-        c = self._c(idx)
-        cu = c @ x.data
-        diag = np.einsum("pj,mpj->mj", x.data, cu)
+        diag = self._at(x, idx).diag
         return float(-np.mean(np.sum(diag**2, axis=1)))
 
     def euclidean_gradient(self, x: Point, idx: np.ndarray | None = None) -> np.ndarray:
-        """Mean Euclidean gradient, an ambient ``d x r`` matrix."""
-        idx = self._check_idx(idx)
-        c = self._c(idx)
-        cu = c @ x.data
-        diag = np.einsum("pj,mpj->mj", x.data, cu)
-        return -4.0 * np.einsum("mpj,mj->pj", cu, diag) / c.shape[0]
+        """Mean Euclidean gradient, a read-only ambient ``d x r`` matrix."""
+        return self._at(x, idx).egrad()
 
     def euclidean_gradient_derivative(
         self, x: Point, xi: Tangent, idx: np.ndarray | None = None
     ) -> np.ndarray:
         """Directional derivative of the mean Euclidean gradient at ``x``
         along ``xi``, an ambient ``d x r`` matrix."""
-        idx = self._check_idx(idx)
-        c = self._c(idx)
-        u = x.data
-        v = xi.data
-        cu = c @ u
-        cv = c @ v
-        diag_uu = np.einsum("pj,mpj->mj", u, cu)
-        diag_vu = np.einsum("pj,mpj->mj", v, cu)
-        diag_uv = np.einsum("pj,mpj->mj", u, cv)
-        out = (
-            np.einsum("mpj,mj->pj", cv, diag_uu)
-            + np.einsum("mpj,mj->pj", cu, diag_vu)
-            + np.einsum("mpj,mj->pj", cu, diag_uv)
-        )
-        return -4.0 * out / c.shape[0]
+        return self._at(x, idx).egrad_derivative(xi)
 
     def gradient(self, x: Point, idx: np.ndarray | None = None) -> Tangent:
         return self.manifold.project(x, self.euclidean_gradient(x, idx))
@@ -167,14 +217,15 @@ class JointDiagObjective(SeparableObjective):
         ``U -> egrad(U) - U sym(U^T egrad(U))`` along ``xi`` and projects
         the result back onto the tangent space.
         """
-        idx = self._check_idx(idx)
+        memo = self._at(x, idx)
         u = x.data
-        eg = self.euclidean_gradient(x, idx)
-        deg = self.euclidean_gradient_derivative(x, xi, idx)
+        eg = memo.egrad()
+        deg = memo.egrad_derivative(xi)
         w = (
             deg
-            - xi.data @ sym(u.T @ eg)
+            - xi.data @ memo.sym_u_egrad()
             - u @ sym(xi.data.T @ eg)
             - u @ sym(u.T @ deg)
         )
         return self.manifold.project(x, w)
+

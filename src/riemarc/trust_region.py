@@ -48,10 +48,12 @@ class TrustRegionConfig(DriverConfig):
 
     def validate(self) -> None:
         super().validate()
-        if not self.delta0 > 0.0:
-            raise ContractError(f"delta0 must be positive, got {self.delta0}")
-        if self.delta_max is not None and self.delta_max < self.delta0:
-            raise ContractError("delta_max must be at least delta0")
+        if not 0.0 < self.delta0 < math.inf:
+            raise ContractError(f"delta0 must be positive and finite, got {self.delta0}")
+        if self.delta_max is not None and not self.delta0 <= self.delta_max < math.inf:
+            raise ContractError(
+                f"delta_max must be finite and at least delta0, got {self.delta_max}"
+            )
 
     def radius_cap(self) -> float:
         return 10.0 * self.delta0 if self.delta_max is None else self.delta_max

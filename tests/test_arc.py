@@ -23,7 +23,7 @@ from riemarc.arc import (
 from riemarc.errors import ContractError, MissingEigenEstimateError
 from riemarc.objectives import QuadraticSum, SaddleQuartic
 from riemarc.oracles import OracleMode
-from riemarc.trust_region import TrustRegionConfig
+from riemarc.trust_region import TrustRegionConfig, run_trust_region
 
 
 def _check_trace_laws(trace: RunTrace, cfg: SolverConfig, *, grad_size, hess_size):
@@ -51,9 +51,10 @@ def _check_trace_laws(trace: RunTrace, cfg: SolverConfig, *, grad_size, hess_siz
         else:
             assert rec.sigma == cfg.gamma * last.sigma
             assert rec.f == last.f
-    # The iteration that triggers termination evaluates its gradient (and
-    # possibly a curvature probe) before breaking, so the run totals may
-    # exceed the last record by exactly one batch.
+    # The iteration that triggers termination evaluates its gradient before
+    # breaking and writes no record. Under OPTIMALITY it also runs the
+    # curvature probe its stop test reads; under GRAD_SQUARED the stop test
+    # runs before the probe, so that iteration costs no Hessian batch.
     tail_grad = trace.grad_evals - prev_grad
     tail_hess = trace.hess_evals - prev_hess
     assert tail_grad in (0, grad_size)
@@ -62,6 +63,10 @@ def _check_trace_laws(trace: RunTrace, cfg: SolverConfig, *, grad_size, hess_siz
         assert tail_grad == 0 and tail_hess == 0
     if trace.outcome is Outcome.OPTIMALITY_REACHED:
         assert tail_grad == grad_size
+        if cfg.stop_rule is StopRule.GRAD_SQUARED:
+            assert tail_hess == 0
+        else:
+            assert tail_hess > 0
     assert trace.iterations == len(trace.records)
     assert trace.n_success + trace.n_fail == trace.iterations
 
@@ -91,7 +96,7 @@ def test_exact_run_on_quartic_saddle():
     _check_trace_laws(trace, cfg, grad_size=obj.n, hess_size=obj.n)
 
 
-def test_subsampled_runs_obey_counter_laws():
+def _low_dispersion_quadratic() -> QuadraticSum:
     # Low component dispersion keeps the sampled-gradient noise floor far
     # below sqrt(tau), so the sub-sampled runs still terminate cleanly.
     rng = np.random.default_rng(2)
@@ -99,7 +104,11 @@ def test_subsampled_runs_obey_counter_laws():
     base = m @ m.T + np.eye(4)
     a = np.tile(base, (60, 1, 1))
     b = rng.standard_normal(4) + 0.01 * rng.standard_normal((60, 4))
-    obj = QuadraticSum(a, b)
+    return QuadraticSum(a, b)
+
+
+def test_subsampled_runs_obey_counter_laws():
+    obj = _low_dispersion_quadratic()
     x0 = obj.manifold.random_point(2)
     for mode, g_size, h_size in (
         (OracleMode.SUBSAMPLED_HESSIAN, 60, 9),
@@ -118,6 +127,53 @@ def test_subsampled_runs_obey_counter_laws():
         assert trace.outcome is Outcome.OPTIMALITY_REACHED
         assert trace.l_hat is None
         _check_trace_laws(trace, cfg, grad_size=g_size, hess_size=h_size)
+
+
+@pytest.mark.parametrize("policy", list(EigPolicy))
+@pytest.mark.parametrize("solver", ["racr", "sracr", "ssracr", "ssrtr"])
+def test_gradient_stop_runs_no_terminal_probe(solver, policy):
+    """Under GRAD_SQUARED the run's Hessian total is the last row's: the
+    terminating iteration, which writes no row, runs no probe."""
+    obj = _low_dispersion_quadratic()
+    x0 = obj.manifold.random_point(2)
+    g_size, h_size = {
+        "racr": (None, None),
+        "sracr": (None, 9),
+        "ssracr": (15, 9),
+        "ssrtr": (15, 9),
+    }[solver]
+    common = dict(
+        grad_sample_size=g_size,
+        hess_sample_size=h_size,
+        seed=25,
+        stop_rule=StopRule.GRAD_SQUARED,
+        tau=1e-2,
+        eig_policy=policy,
+        max_iters=200,
+    )
+    if solver == "ssrtr":
+        cfg = TrustRegionConfig(mode=OracleMode.SUBSAMPLED_BOTH, **common)
+        trace = run_trust_region(obj, x0, cfg)
+    else:
+        trace = run(obj, x0, SolverConfig.for_variant(solver, **common))
+    assert trace.outcome is Outcome.OPTIMALITY_REACHED
+    assert trace.iterations > 0
+    assert trace.hess_evals == trace.records[-1].hess_evals
+    assert trace.grad_evals == trace.records[-1].grad_evals + (g_size or obj.n)
+    if policy is EigPolicy.EVERY_ITERATION:
+        assert all(rec.lambda_min is not None for rec in trace.records)
+
+
+def test_optimality_stop_charges_its_terminal_probe():
+    """Under OPTIMALITY the stop test reads the probe, so the terminating
+    iteration still runs it and the run total exceeds the last row."""
+    obj = QuadraticSum.random(30, 4, seed=0, definite=True)
+    x0 = obj.manifold.random_point(1)
+    trace = run(obj, x0, SolverConfig(seed=3))
+    assert trace.outcome is Outcome.OPTIMALITY_REACHED
+    assert trace.iterations > 0
+    tail = trace.hess_evals - trace.records[-1].hess_evals
+    assert tail > 0 and tail % obj.n == 0
 
 
 def test_run_is_deterministic():
@@ -192,6 +248,24 @@ def test_config_validation():
         SolverConfig(tau=math.nan).validate()
     with pytest.raises(ContractError):
         SolverConfig(max_iters=-1).validate()
+
+
+@pytest.mark.parametrize(
+    "cls, field, bad",
+    [
+        (SolverConfig, "sigma0", math.inf),
+        (SolverConfig, "gamma", math.inf),
+        (TrustRegionConfig, "gamma", math.inf),
+        (TrustRegionConfig, "delta0", math.inf),
+        (TrustRegionConfig, "delta_max", math.inf),
+        (TrustRegionConfig, "delta_max", math.nan),
+    ],
+)
+def test_infinite_weights_rejected(cls, field, bad):
+    """An infinite initial weight, weight factor or radius cap fails
+    validation instead of the first step or a clamp."""
+    with pytest.raises(ContractError, match=field):
+        cls(**{field: bad}).validate()
 
 
 def test_refine_steps_bounds_validated():

@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from riemarc.bench import (
     summarize_traces,
     verify_traces,
 )
+from riemarc import bench
 from riemarc.cli import main as cli_main
 from riemarc.errors import PlanError
 from riemarc.jointdiag import JointDiagObjective, generate_instance
@@ -103,6 +108,21 @@ def test_plan_validates_only_selected_solver_configs():
     # cubic ones.
     parse_plan("case 10 3 2\nsolvers = racr\ndelta0 = 0\n")
     parse_plan("case 10 3 2\nsolvers = ssrtr\nrefine_steps = 21\n")
+
+
+def test_plan_validation_builds_one_config_per_solver(monkeypatch):
+    built = []
+    real = bench.solver_config
+
+    def counting(plan, solver, n, run_seed):
+        built.append(solver)
+        return real(plan, solver, n, run_seed)
+
+    monkeypatch.setattr(bench, "solver_config", counting)
+    plan = default_plan()
+    assert len(plan.cases) > 1
+    plan.validate()
+    assert built == list(SOLVERS)
 
 
 def test_default_plan_shape():
@@ -217,9 +237,10 @@ def test_sidecar_is_enough_to_rerun(bench_dir, tmp_path, solver):
         bench_dir / f"{stem}.csv"
     )
     assert trace.outcome.value == meta["outcome"]
-    assert (trace.grad_evals, trace.hess_evals) == (
+    assert (trace.grad_evals, trace.hess_evals, trace.objective_evals) == (
         meta["grad_evals"],
         meta["hess_evals"],
+        meta["objective_evals"],
     )
 
 
@@ -316,6 +337,59 @@ def test_verify_flags_renamed_column(bench_dir, tmp_path):
 
     problems = _tampered(bench_dir, tmp_path, "columns", mutate)
     assert any("unexpected columns" in p for p in problems)
+
+
+def _bump_sidecar(path, counter, amount):
+    meta = json.loads(path.read_text())
+    meta[counter] += amount
+    path.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("counter", ["grad_evals", "hess_evals", "objective_evals"])
+def test_verify_flags_sidecar_totals_tampering(bench_dir, tmp_path, counter):
+    """A sidecar total moved by one whole batch still passes every row law;
+    only the run-totals check can catch it."""
+    stem = run_name(_TINY_PLAN.cases[0], "ssracr", 0)
+
+    def mutate(copy):
+        meta = json.loads((copy / f"{stem}.meta.json").read_text())
+        batch = {
+            "grad_evals": meta["grad_sample_size"],
+            "hess_evals": meta["hess_sample_size"],
+            "objective_evals": meta["case"]["n"],
+        }[counter]
+        _bump_sidecar(copy / f"{stem}.meta.json", counter, batch)
+
+    problems = _tampered(bench_dir, tmp_path, counter, mutate)
+    assert len(problems) == 1
+    assert problems[0].startswith(f"{stem}.csv: sidecar {counter} is ")
+
+
+def test_verify_checks_totals_of_runs_cut_by_max_iters(tmp_path):
+    out = tmp_path / "cut"
+    plan = dataclasses.replace(_TINY_PLAN, repetitions=1, max_iters=2)
+    assert run_plan(plan, out).failures == []
+    metas = sorted(out.glob("*.meta.json"))
+    assert {json.loads(p.read_text())["outcome"] for p in metas} == {"max_iters"}
+    assert verify_traces(out) == []
+    _bump_sidecar(metas[0], "grad_evals", json.loads(metas[0].read_text())["grad_sample_size"])
+    assert any("sidecar grad_evals" in p for p in verify_traces(out))
+
+
+def test_python_dash_m_riemarc_verifies(bench_dir, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "riemarc", "verify", str(bench_dir)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("ok, digest ")
 
 
 def test_verify_empty_directory(tmp_path):

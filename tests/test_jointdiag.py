@@ -3,6 +3,8 @@ planted optima, serialization."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemarc.errors import ContractError
 from riemarc.jointdiag import (
@@ -199,3 +201,63 @@ def test_generation_validation():
         JDInstance(c=np.zeros((2, 3, 3)), r=4, seed=0, noise=0.0)
     with pytest.raises(ContractError):
         JDInstance(c=np.zeros((2, 3, 2)), r=1, seed=0, noise=0.0)
+
+
+# -- the per-point memo ------------------------------------------------------
+
+_MEMO_INSTANCE = generate_instance(40, 5, 3, seed=21, noise=0.3)
+
+_MEMO_CALLS = st.tuples(
+    st.sampled_from(["value", "gradient", "hess_vec", "mutate"]),
+    st.integers(0, 1),
+    st.sampled_from(["full", "fixed", "mutable"]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_MEMO_CALLS, min_size=1, max_size=30))
+def test_memo_matches_a_fresh_objective_bit_for_bit(calls):
+    """Any interleaving of value, gradient and HVP calls over two points,
+    the full set and two sampled sets, one of them overwritten in place
+    between calls, returns exactly what a memo-free objective returns."""
+    obj = JointDiagObjective(_MEMO_INSTANCE)
+    man = obj.manifold
+    points = [man.random_point(22), man.random_point(23)]
+    sets = {"full": None, "fixed": np.array([3, 3, 17, 0, 39]), "mutable": np.arange(5)}
+    for method, which_point, which_set, seed in calls:
+        if method == "mutate":
+            sets["mutable"][:] = np.random.default_rng(seed).integers(0, 40, size=5)
+            continue
+        x = points[which_point]
+        idx = sets[which_set]
+        args = (x, man.random_tangent(x, seed)) if method == "hess_vec" else (x,)
+        got = getattr(obj, method)(*args, idx)
+        fresh = JointDiagObjective(_MEMO_INSTANCE)
+        want = getattr(fresh, method)(*args, None if idx is None else idx.copy())
+        if method != "value":
+            got, want = got.data, want.data
+        assert np.array_equal(got, want)
+
+
+def test_memo_sees_an_index_set_overwritten_in_place():
+    obj = JointDiagObjective(_MEMO_INSTANCE)
+    x = obj.manifold.random_point(24)
+    idx = np.array([1, 2, 3])
+    before = obj.gradient(x, idx).data
+    idx[:] = [4, 5, 6]
+    after = obj.gradient(x, idx).data
+    assert not np.array_equal(before, after)
+    fresh = JointDiagObjective(_MEMO_INSTANCE)
+    assert np.array_equal(after, fresh.gradient(x, np.array([4, 5, 6])).data)
+
+
+def test_memo_hands_out_read_only_arrays():
+    obj = JointDiagObjective(_MEMO_INSTANCE)
+    x = obj.manifold.random_point(25)
+    eg = obj.euclidean_gradient(x, np.array([0, 7]))
+    with pytest.raises(ValueError):
+        eg += 1.0
+    # The failed write left the memo intact.
+    fresh = JointDiagObjective(_MEMO_INSTANCE)
+    assert np.array_equal(eg, fresh.euclidean_gradient(x, np.array([0, 7])))
