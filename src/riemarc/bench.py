@@ -67,6 +67,7 @@ SUMMARY_COLUMNS = (
     "success_rate",
     "grad_evals_total",
     "hess_evals_total",
+    "objective_evals_total",
 )
 
 
@@ -240,6 +241,7 @@ class SummaryRow:
     success_rate: float
     grad_evals_total: int
     hess_evals_total: int
+    objective_evals_total: int
 
 
 @dataclass
@@ -327,20 +329,61 @@ def iter_run_files(directory) -> list[Path]:
     return sorted(p for p in directory.glob("*.csv") if p.name != "summary.csv")
 
 
-def summarize_traces(directory) -> list[SummaryRow]:
-    """Rebuild summary rows from the stored traces and sidecars."""
-    groups: dict[tuple[str, str], list[dict]] = {}
-    for trace_path in iter_run_files(directory):
+# The sidecar keys that verify and summarize read, by type; the step
+# rule's radius column adds its initial value and bound.
+_SIDECAR_TYPES = {
+    "case": dict,
+    "solver": str,
+    "outcome": str,
+    "gamma": (int, float),
+    "rho_threshold": (int, float),
+    "grad_sample_size": int,
+    "hess_sample_size": int,
+    "grad_evals": int,
+    "hess_evals": int,
+    "objective_evals": int,
+}
+_RADIUS_KEYS = {"sigma": ("sigma0", "sigma_min"), "delta": ("delta0", "delta_max")}
+
+
+def _read_sidecar(trace_path: Path) -> dict:
+    """The run's sidecar. Raises ``PlanError`` naming the run when the
+    file cannot be read, is not a JSON object, or lacks a key that
+    verify or summarize reads."""
+    try:
         meta = json.loads(_meta_path(trace_path).read_text(encoding="utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
+        radius = meta.get("radius_column")
+        if radius not in _RADIUS_KEYS:
+            raise ValueError(f"radius_column is {radius!r}")
+        types = {**_SIDECAR_TYPES, **dict.fromkeys(_RADIUS_KEYS[radius], (int, float))}
+        for key, kind in types.items():
+            if key not in meta:
+                raise ValueError(f"missing key {key!r}")
+            if not isinstance(meta[key], kind):
+                raise ValueError(f"{key!r} is {meta[key]!r}")
+        if not all(isinstance(meta["case"].get(k), int) for k in "ndr"):
+            raise ValueError(f"'case' is {meta['case']!r}")
+    except (OSError, ValueError) as exc:
+        raise PlanError(f"{trace_path.name}: unreadable sidecar: {exc}") from exc
+    return meta
+
+
+def summarize_traces(directory) -> list[SummaryRow]:
+    """Rebuild summary rows from the stored traces and sidecars. Oracle
+    totals are the sidecars', which include the terminating iteration.
+    Raises ``PlanError`` listing every unreadable sidecar."""
+    groups: dict[tuple[str, str], list[dict]] = {}
+    problems: list[str] = []
+    for trace_path in iter_run_files(directory):
+        try:
+            meta = _read_sidecar(trace_path)
+        except PlanError as exc:
+            problems.append(str(exc))
+            continue
         header, rows = _read_trace(trace_path)
         idx = {name: i for i, name in enumerate(header)}
-        if rows:
-            last = rows[-1]
-            grad_total = int(last[idx["grad_evals"]])
-            hess_total = int(last[idx["hess_evals"]])
-        else:
-            grad_total = 0
-            hess_total = 0
         case = meta["case"]
         key = (_case_id((case["n"], case["d"], case["r"])), meta["solver"])
         groups.setdefault(key, []).append(
@@ -348,10 +391,13 @@ def summarize_traces(directory) -> list[SummaryRow]:
                 "iters": len(rows),
                 "time_s": sum(float(row[idx["millis"]]) for row in rows) / 1e3,
                 "success": meta["outcome"] == Outcome.OPTIMALITY_REACHED.value,
-                "grad": grad_total,
-                "hess": hess_total,
+                "grad": meta["grad_evals"],
+                "hess": meta["hess_evals"],
+                "objective": meta["objective_evals"],
             }
         )
+    if problems:
+        raise PlanError("; ".join(problems))
 
     rows_out: list[SummaryRow] = []
     for (case_id, solver), runs in sorted(groups.items()):
@@ -368,6 +414,7 @@ def summarize_traces(directory) -> list[SummaryRow]:
                 ),
                 grad_evals_total=sum(r["grad"] for r in runs),
                 hess_evals_total=sum(r["hess"] for r in runs),
+                objective_evals_total=sum(r["objective"] for r in runs),
             )
         )
     return rows_out
@@ -402,8 +449,8 @@ def _check_recurrence(
     violations: list[str],
 ) -> None:
     gamma = float(meta["gamma"])
-    is_tr = meta.get("radius_column") == "delta"
-    radius_col = "delta" if is_tr else "sigma"
+    radius_col = meta["radius_column"]
+    is_tr = radius_col == "delta"
     col = idx[radius_col]
     values = [float(row[col]) for row in rows]
     succ = [row[idx["success"]] == "1" for row in rows]
@@ -444,14 +491,14 @@ def verify_traces(directory) -> list[str]:
         if not meta_path.exists():
             violations.append(f"{name}: missing sidecar {meta_path.name}")
             continue
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
         try:
+            meta = _read_sidecar(trace_path)
             header, rows = _read_trace(trace_path)
         except PlanError as exc:
             violations.append(str(exc))
             continue
 
-        radius_name = meta.get("radius_column", "sigma")
+        radius_name = meta["radius_column"]
         expected_header = [
             c if c != "sigma" else radius_name for c in arc.TRACE_COLUMNS
         ]

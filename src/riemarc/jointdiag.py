@@ -16,6 +16,15 @@ the Riemannian gradient is the tangent projection of their mean, and
 the Riemannian Hessian follows from differentiating the projected
 gradient field and projecting again.
 
+The full average depends on the data only through the ``d^2 x d^2``
+moment matrix ``M = (1/n) sum_i vec(C_i) vec(C_i)^T``. Writing
+``A_j = (1/n) sum_i (u_j^T C_i u_j) C_i``, the row ``vec(u_j u_j^T)^T M``
+reshaped to ``d x d``, the value is ``-sum_j u_j^T A_j u_j`` and column
+``j`` of the mean Euclidean gradient is ``-4 A_j u_j``. Its derivative
+along ``V`` is ``-4 (A_j v_j + 2 B_j u_j)``, where ``B_j`` contracts
+``M`` with ``vec(u_j v_j^T)``. The objective takes this route for the
+full batch when ``d^2 < n`` and the direct one otherwise.
+
 ``generate_instance`` draws a family sharing one random orthogonal
 congruence, ``C_i = Q D_i Q^T + noise * sym(E_i)`` with positive
 diagonal ``D_i`` and Gaussian ``E_i``. At ``noise = 0`` every component
@@ -115,18 +124,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _columnwise(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The ``d x r`` matrix whose column ``j`` is ``a[j] @ w[:, j]``."""
+    return np.einsum("jpq,qj->pj", a, w)
+
+
 class _PointMemo:
     """What ``value``, ``gradient`` and every ``hess_vec`` share at one
-    point ``U`` and index set: ``C[idx]``, ``C U`` and the diagonals of
-    ``U^T C U``, plus the Euclidean gradient and ``sym(U^T egrad)``,
-    computed on first use. Every cached array is read-only."""
+    point ``U`` and index set: the kernel's per-point arrays, plus the
+    Euclidean gradient and ``sym(U^T egrad)``, computed on first use.
+    Subclasses supply the kernel. Every cached array is read-only."""
 
-    def __init__(self, x: Point, idx: np.ndarray | None, c: np.ndarray):
+    def __init__(self, x: Point, idx: np.ndarray | None):
         self.x = x
         self.idx = None if idx is None else _readonly(idx.copy())
-        self.c = _readonly(c)
-        self.cu = _readonly(c @ x.data)
-        self.diag = _readonly(np.einsum("pj,mpj->mj", x.data, self.cu))
         self._egrad: np.ndarray | None = None
         self._sym_u_egrad: np.ndarray | None = None
 
@@ -139,9 +150,7 @@ class _PointMemo:
 
     def egrad(self) -> np.ndarray:
         if self._egrad is None:
-            self._egrad = _readonly(
-                -4.0 * np.einsum("mpj,mj->pj", self.cu, self.diag) / self.c.shape[0]
-            )
+            self._egrad = _readonly(self._mean_egrad())
         return self._egrad
 
     def sym_u_egrad(self) -> np.ndarray:
@@ -149,33 +158,82 @@ class _PointMemo:
             self._sym_u_egrad = _readonly(sym(self.x.data.T @ self.egrad()))
         return self._sym_u_egrad
 
+
+class _DirectMemo(_PointMemo):
+    """Kernel over the matrices themselves, ``C`` or ``C[idx]``: it keeps
+    ``C U`` and the diagonals of ``U^T C U``."""
+
+    def __init__(self, x: Point, idx: np.ndarray | None, c: np.ndarray):
+        super().__init__(x, idx)
+        self.c = _readonly(c)
+        self.cu = _readonly(c @ x.data)
+        self.diag = _readonly(np.einsum("pj,mpj->mj", x.data, self.cu))
+
+    def value(self) -> float:
+        return float(-np.mean(np.sum(self.diag**2, axis=1)))
+
+    def _mean_egrad(self) -> np.ndarray:
+        return -4.0 * np.einsum("mpj,mj->pj", self.cu, self.diag) / self.c.shape[0]
+
     def egrad_derivative(self, xi: Tangent) -> np.ndarray:
         """Directional derivative of the Euclidean gradient along ``xi``."""
-        u = self.x.data
-        v = xi.data
-        cu = self.cu
-        cv = self.c @ v
-        diag_vu = np.einsum("pj,mpj->mj", v, cu)
-        diag_uv = np.einsum("pj,mpj->mj", u, cv)
-        out = (
-            np.einsum("mpj,mj->pj", cv, self.diag)
-            + np.einsum("mpj,mj->pj", cu, diag_vu)
-            + np.einsum("mpj,mj->pj", cu, diag_uv)
+        cv = self.c @ xi.data
+        # ddiag(U^T C V) = ddiag(V^T C U) for symmetric C.
+        diag_vu = np.einsum("pj,mpj->mj", xi.data, self.cu)
+        out = np.einsum("mpj,mj->pj", cv, self.diag) + 2.0 * np.einsum(
+            "mpj,mj->pj", self.cu, diag_vu
         )
         return -4.0 * out / self.c.shape[0]
+
+
+class _MomentMemo(_PointMemo):
+    """Full-batch kernel through the moment matrix
+    ``M = (1/n) sum_m vec(C_m) vec(C_m)^T``. It keeps
+    ``A_j = (1/n) sum_m (u_j^T C_m u_j) C_m``, the row
+    ``vec(u_j u_j^T)^T M`` reshaped to ``d x d``, for every column ``j``."""
+
+    def __init__(self, x: Point, moments: np.ndarray):
+        super().__init__(x, None)
+        self.moments = moments
+        self.a = _readonly(self._contract(x.data))
+
+    def _contract(self, w: np.ndarray) -> np.ndarray:
+        """``vec(u_j w_j^T)^T M`` reshaped to ``d x d``, for every ``j``."""
+        d, r = w.shape
+        outer = np.einsum("pj,qj->jpq", self.x.data, w).reshape(r, d * d)
+        return (outer @ self.moments).reshape(r, d, d)
+
+    def value(self) -> float:
+        u = self.x.data
+        return float(-np.sum(u * _columnwise(self.a, u)))
+
+    def _mean_egrad(self) -> np.ndarray:
+        return -4.0 * _columnwise(self.a, self.x.data)
+
+    def egrad_derivative(self, xi: Tangent) -> np.ndarray:
+        """Directional derivative of the Euclidean gradient along ``xi``:
+        column ``j`` is ``-4 (A_j v_j + 2 B_j u_j)``, where ``B_j`` is the
+        contraction of ``M`` with ``vec(u_j v_j^T)``."""
+        b = self._contract(xi.data)
+        return -4.0 * (_columnwise(self.a, xi.data) + 2.0 * _columnwise(b, self.x.data))
 
 
 class JointDiagObjective(SeparableObjective):
     """Finite-sum diagonalization objective on ``Stiefel(d, r)``.
 
-    The objective keeps a one-entry memo of ``_PointMemo``, keyed on the
-    ``Point`` object and a copy of the index set's contents, so the
-    gradient and the HVPs of one iteration, and the exact gradient at a
-    point whose objective value was just taken, reuse ``C U`` instead of
-    recomputing it. Each method evaluates the same expressions in the
-    same order as without the memo, so results are bit-identical to a
-    fresh objective's. The oracle bundle still charges every call its
-    full component count.
+    Full-batch calls read the data only through the ``d^2 x d^2`` moment
+    matrix ``M = (1/n) sum_m vec(C_m) vec(C_m)^T`` when ``d^2 < n``, that
+    is, when ``M`` is smaller than the matrices it summarizes; a call then
+    costs ``r d^4`` flops instead of ``n d^2 r``. ``M`` is built on the
+    first such call and kept. Other instances, and every sampled index
+    set, take the direct kernel over ``C`` or ``C[idx]``.
+
+    The objective keeps a one-entry memo, keyed on the ``Point`` object
+    and a copy of the index set's contents, so the gradient and the HVPs
+    of one iteration, and the exact gradient at a point whose objective
+    value was just taken, reuse the kernel's per-point arrays instead of
+    recomputing them. Results are bit-identical to a fresh objective's.
+    The oracle bundle still charges every call its full component count.
     """
 
     def __init__(self, instance: JDInstance):
@@ -183,18 +241,28 @@ class JointDiagObjective(SeparableObjective):
         self.n = instance.n
         self.manifold = Stiefel(instance.d, instance.r)
         self._memo: _PointMemo | None = None
+        self._moments: np.ndarray | None = None
+
+    def _moment_matrix(self) -> np.ndarray:
+        if self._moments is None:
+            cf = self.instance.c.reshape(self.n, -1)
+            self._moments = _readonly(cf.T @ cf / self.n)
+        return self._moments
 
     def _at(self, x: Point, idx: np.ndarray | None) -> _PointMemo:
         memo = self._memo
         if memo is None or not memo.matches(x, idx):
             idx = self._check_idx(idx)
-            c = self.instance.c if idx is None else self.instance.c[idx]
-            memo = self._memo = _PointMemo(x, idx, c)
+            if idx is None and self.instance.d**2 < self.n:
+                memo = _MomentMemo(x, self._moment_matrix())
+            else:
+                c = self.instance.c if idx is None else self.instance.c[idx]
+                memo = _DirectMemo(x, idx, c)
+            self._memo = memo
         return memo
 
     def value(self, x: Point, idx: np.ndarray | None = None) -> float:
-        diag = self._at(x, idx).diag
-        return float(-np.mean(np.sum(diag**2, axis=1)))
+        return self._at(x, idx).value()
 
     def euclidean_gradient(self, x: Point, idx: np.ndarray | None = None) -> np.ndarray:
         """Mean Euclidean gradient, a read-only ambient ``d x r`` matrix."""

@@ -365,6 +365,57 @@ def test_verify_flags_sidecar_totals_tampering(bench_dir, tmp_path, counter):
     assert problems[0].startswith(f"{stem}.csv: sidecar {counter} is ")
 
 
+def _drop_rho_threshold(path):
+    meta = json.loads(path.read_text())
+    del meta["rho_threshold"]
+    path.write_text(json.dumps(meta))
+
+
+_BROKEN_SIDECARS = {
+    "not_json": lambda path: path.write_text("{not json"),
+    "no_rho_threshold": _drop_rho_threshold,
+}
+
+
+@pytest.mark.parametrize("breakage", sorted(_BROKEN_SIDECARS))
+def test_unreadable_sidecar_is_a_violation(bench_dir, tmp_path, capsys, breakage):
+    """A sidecar that is not JSON or lacks a key is reported by run name,
+    the other runs are still checked, and verify and summarize exit 1."""
+    copy = tmp_path / breakage
+    shutil.copytree(bench_dir, copy)
+    case = _TINY_PLAN.cases[0]
+    broken, other = run_name(case, "racr", 0), run_name(case, "ssracr", 1)
+    _BROKEN_SIDECARS[breakage](copy / f"{broken}.meta.json")
+    _bump_sidecar(copy / f"{other}.meta.json", "objective_evals", case[0])
+
+    problems = verify_traces(copy)
+    assert len(problems) == 2
+    assert problems[0].startswith(f"{broken}.csv: unreadable sidecar: ")
+    assert problems[1].startswith(f"{other}.csv: sidecar objective_evals is ")
+    assert cli_main(["verify", str(copy)]) == 1
+    assert f"violation: {broken}.csv: unreadable sidecar: " in capsys.readouterr().err
+    assert cli_main(["summarize", str(copy)]) == 1
+    assert f"{broken}.csv: unreadable sidecar: " in capsys.readouterr().err
+
+
+def test_summary_totals_equal_sidecar_sums(bench_dir):
+    """Every oracle total in summary.csv is the sum of its runs' sidecar
+    counters, the terminating iteration included."""
+    lines = (bench_dir / "summary.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    counters = ("grad_evals", "hess_evals", "objective_evals")
+    assert header[-3:] == [f"{counter}_total" for counter in counters]
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        stems = [
+            run_name(_TINY_PLAN.cases[0], row["solver"], rep)
+            for rep in range(_TINY_PLAN.repetitions)
+        ]
+        metas = [json.loads((bench_dir / f"{s}.meta.json").read_text()) for s in stems]
+        for counter in counters:
+            assert int(row[f"{counter}_total"]) == sum(m[counter] for m in metas)
+
+
 def test_verify_checks_totals_of_runs_cut_by_max_iters(tmp_path):
     out = tmp_path / "cut"
     plan = dataclasses.replace(_TINY_PLAN, repetitions=1, max_iters=2)

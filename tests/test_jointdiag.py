@@ -83,15 +83,24 @@ def test_gradient_scaling_is_quadratic_in_data():
     assert obj3.value(x) == pytest.approx(9.0 * obj.value(x), rel=1e-13)
 
 
-def test_riemannian_gradient_matches_finite_differences():
-    inst = generate_instance(8, 5, 3, seed=9, noise=0.3)
+# One instance per full-batch kernel: d^2 >= n takes the direct kernel,
+# d^2 < n the moment matrix.
+_KERNELS = pytest.mark.parametrize("kernel", ["direct", "moment"])
+
+
+@_KERNELS
+def test_riemannian_gradient_matches_finite_differences(kernel):
+    n = {"direct": 8, "moment": 60}[kernel]
+    inst = generate_instance(n, 5, 3, seed=9, noise=0.3)
     obj = JointDiagObjective(inst)
     x = obj.manifold.random_point(10)
     _fd_riemannian_gradient(obj, x)
 
 
-def test_hessian_matches_finite_differences():
-    inst = generate_instance(7, 5, 3, seed=11, noise=0.4)
+@_KERNELS
+def test_hessian_matches_finite_differences(kernel):
+    n = {"direct": 7, "moment": 50}[kernel]
+    inst = generate_instance(n, 5, 3, seed=11, noise=0.4)
     obj = JointDiagObjective(inst)
     man = obj.manifold
     rng = np.random.default_rng(12)
@@ -201,6 +210,55 @@ def test_generation_validation():
         JDInstance(c=np.zeros((2, 3, 3)), r=4, seed=0, noise=0.0)
     with pytest.raises(ContractError):
         JDInstance(c=np.zeros((2, 3, 2)), r=1, seed=0, noise=0.0)
+
+
+# -- the moment-matrix kernel ----------------------------------------------
+
+
+@st.composite
+def _moment_instances(draw):
+    d = draw(st.integers(2, 6))
+    r = draw(st.integers(1, d))
+    n = draw(st.integers(d * d + 1, d * d + 60))
+    noise = draw(st.sampled_from([0.0, 1e-3, 0.3, 2.0]))
+    return generate_instance(n, d, r, seed=draw(st.integers(0, 2**16)), noise=noise)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_moment_instances(), st.integers(0, 2**16))
+def test_moment_kernel_matches_the_direct_kernel(inst, seed):
+    """With d^2 < n the full batch goes through the moment matrix, and the
+    index set ``arange(n)`` through the direct kernel. They agree to 1e-11
+    of the largest Euclidean entry; the projected results can be orders
+    of magnitude smaller than the ambient ones they come from, so the
+    tolerance scales with the latter."""
+    obj = JointDiagObjective(inst)
+    x = obj.manifold.random_point(seed)
+    xi = obj.manifold.random_tangent(x, seed + 1)
+    every = np.arange(obj.n)
+    assert obj.value(x) == pytest.approx(obj.value(x, every), rel=1e-11, abs=0.0)
+    eg = obj.euclidean_gradient(x, every)
+    deg = obj.euclidean_gradient_derivative(x, xi, every)
+    scale = max(np.abs(eg).max(), np.abs(deg).max())
+    pairs = [
+        (obj.euclidean_gradient(x), eg),
+        (obj.euclidean_gradient_derivative(x, xi), deg),
+        (obj.gradient(x).data, obj.gradient(x, every).data),
+        (obj.hess_vec(x, xi).data, obj.hess_vec(x, xi, every).data),
+    ]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("n, d", [(6, 4), (25, 5)])
+def test_direct_kernel_serves_the_full_batch_when_d_squared_reaches_n(n, d):
+    obj = JointDiagObjective(generate_instance(n, d, 3, seed=26, noise=0.3))
+    x = obj.manifold.random_point(27)
+    xi = obj.manifold.random_tangent(x, 28)
+    every = np.arange(n)
+    assert obj.value(x) == obj.value(x, every)
+    assert np.array_equal(obj.gradient(x).data, obj.gradient(x, every).data)
+    assert np.array_equal(obj.hess_vec(x, xi).data, obj.hess_vec(x, xi, every).data)
 
 
 # -- the per-point memo ------------------------------------------------------
