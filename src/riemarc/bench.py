@@ -49,8 +49,10 @@ from .oracles import OracleMode
 from .trust_region import TrustRegionConfig, run_trust_region
 from . import arc
 
-# Step rule and oracle mode of each benchmark solver. The order fixes
-# each solver's index in its run seed.
+# Step rule and oracle mode of each benchmark solver. A run seed takes
+# the solver's index in ``plan.solvers``, not in this table, so a run
+# of a selected subset draws other samples than the same run in the
+# full plan.
 _SOLVER_KINDS = {
     **{name: (SolverConfig, mode) for name, mode in arc._VARIANT_MODES.items()},
     "ssrtr": (TrustRegionConfig, OracleMode.SUBSAMPLED_BOTH),

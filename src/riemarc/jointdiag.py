@@ -30,7 +30,13 @@ congruence, ``C_i = Q D_i Q^T + noise * sym(E_i)`` with positive
 diagonal ``D_i`` and Gaussian ``E_i``. At ``noise = 0`` every component
 is exactly diagonalized by ``Q``, so all component gradients vanish at
 the optimum; the noise level controls how far the family is from being
-jointly diagonalizable.
+jointly diagonalizable. It draws ``Q``, then every ``D_i``, then every
+``E_i``, and builds the noiseless family as one matrix product: row
+``i`` of ``D W``, where ``D`` stacks the diagonals and row ``j`` of ``W``
+is ``vec(q_j q_j^T)``, is ``vec(Q D_i Q^T)``. The columns ``(p, q)`` and
+``(q, p)`` of ``W`` are equal, and so is ``E_i + E_i^T`` to its
+transpose, so every ``C_i`` comes out exactly symmetric and
+``JDInstance`` keeps it without a symmetrizing copy.
 """
 
 from __future__ import annotations
@@ -48,7 +54,12 @@ SYMMETRY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class JDInstance:
-    """A problem instance: the matrix family and its generation record."""
+    """A problem instance: the matrix family and its generation record.
+
+    ``c`` is stored read-only and exactly symmetric. An exactly symmetric
+    input passes one comparison with its transpose; one asymmetric only
+    by roundoff is symmetrized. The caller's array is never frozen or
+    written to."""
 
     c: np.ndarray  # (n, d, d), symmetric
     r: int
@@ -61,13 +72,20 @@ class JDInstance:
             raise ContractError(f"expected (n, d, d) matrices, got {c.shape}")
         if not 1 <= self.r <= c.shape[1]:
             raise ContractError(f"need 1 <= r <= d, got r={self.r}, d={c.shape[1]}")
-        asym = np.abs(c - np.transpose(c, (0, 2, 1))).max(initial=0.0)
-        if asym > SYMMETRY_TOL:
-            raise ContractError(
-                f"input matrices are asymmetric beyond tolerance, {asym:.3e}"
-            )
-        # Symmetrize exactly so downstream identities hold to the bit.
-        c = (c + np.transpose(c, (0, 2, 1))) / 2.0
+        ct = np.transpose(c, (0, 2, 1))
+        if np.array_equal(c, ct):
+            # Keep a read-only array that owns its memory, since nothing
+            # else can write to it; copy any other.
+            if c.flags.writeable or not c.flags.owndata:
+                c = c.copy()
+        else:
+            asym = np.abs(c - ct).max(initial=0.0)
+            if asym > SYMMETRY_TOL:
+                raise ContractError(
+                    f"input matrices are asymmetric beyond tolerance, {asym:.3e}"
+                )
+            # Symmetrize exactly so downstream identities hold to the bit.
+            c = (c + ct) / 2.0
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
@@ -92,8 +110,16 @@ def generate_instance(
     q = qr_orthonormal_factor(rng.standard_normal((d, d)))
     diags = rng.uniform(1.0, 2.0, size=(n, d))
     e = rng.standard_normal((n, d, d))
-    c = np.einsum("pj,mj,qj->mpq", q, diags, q)
-    c += noise * (e + np.transpose(e, (0, 2, 1))) / 2.0
+    # Row j of w is vec(q_j q_j^T), so C_m is row m of diags @ w. The
+    # product fills an array of its own, frozen below, which JDInstance
+    # then keeps without a copy.
+    w = np.einsum("pj,qj->jpq", q, q).reshape(d, d * d)
+    c = np.empty((n, d, d))
+    np.matmul(diags, w, out=c.reshape(n, d * d))
+    noise_part = e + np.transpose(e, (0, 2, 1))
+    noise_part *= noise / 2.0
+    c += noise_part
+    c.setflags(write=False)
     return JDInstance(c=c, r=r, seed=seed, noise=noise)
 
 

@@ -282,16 +282,26 @@ class Stiefel(Manifold):
 
         The zero tangent returns ``x`` unchanged. If the orthonormal
         factor drifts off the manifold beyond ``REORTH_DRIFT_TOL`` it is
-        re-orthonormalized once before being returned.
+        re-orthonormalized once before being returned. The result passes
+        the checks of ``point``, with its feasibility residual computed
+        once.
         """
         if not np.array_equal(xi.base.data, x.data):
             raise ContractError("tangent vector is not based at x")
         if not np.any(xi.data):
             return x
         q = qr_orthonormal_factor(x.data + xi.data)
-        if self.feasibility_residual(q) > REORTH_DRIFT_TOL:
+        res = self.feasibility_residual(q)
+        if res > REORTH_DRIFT_TOL:
             q = qr_orthonormal_factor(q)
-        return self.point(q)
+            res = self.feasibility_residual(q)
+        if not np.all(np.isfinite(q)):
+            raise ContractError("point contains non-finite entries")
+        if res > FEASIBILITY_TOL:
+            raise ContractError(
+                f"point is off the manifold, feasibility residual {res:.3e}"
+            )
+        return Point(q)
 
     def _random_point_data(self, rng: np.random.Generator) -> np.ndarray:
         return qr_orthonormal_factor(rng.standard_normal((self.d, self.r)))

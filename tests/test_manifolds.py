@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from riemarc import manifolds
 from riemarc.errors import ContractError, SingularRetractionError
 from riemarc.manifolds import (
     FEASIBILITY_TOL,
@@ -184,6 +185,31 @@ def test_stiefel_retract_rejects_foreign_tangent():
     z = man.random_point(1)
     xi = man.random_tangent(z, 2)
     with pytest.raises(ContractError):
+        man.retract(x, xi)
+
+
+def test_stiefel_retract_returns_the_read_only_qr_factor():
+    man = Stiefel(10, 10)
+    x = man.random_point(5)
+    xi = man.tangent(x, 0.1 * man.random_tangent(x, 6).data)
+    y = man.retract(x, xi)
+    assert np.array_equal(y.data, qr_orthonormal_factor(x.data + xi.data))
+    assert not y.data.flags.writeable
+
+
+def test_stiefel_retract_rechecks_its_factor(monkeypatch):
+    """A factor that stays off the manifold after the one
+    re-orthonormalization, or is not finite, is rejected."""
+    man = Stiefel(4, 2)
+    x = man.random_point(7)
+    xi = man.random_tangent(x, 8)
+    monkeypatch.setattr(manifolds, "qr_orthonormal_factor", lambda y: 2.0 * y)
+    with pytest.raises(ContractError, match="off the manifold"):
+        man.retract(x, xi)
+    monkeypatch.setattr(
+        manifolds, "qr_orthonormal_factor", lambda y: np.full_like(y, np.nan)
+    )
+    with pytest.raises(ContractError, match="non-finite"):
         man.retract(x, xi)
 
 
