@@ -344,6 +344,8 @@ _SIDECAR_TYPES = {
     "grad_evals": int,
     "hess_evals": int,
     "objective_evals": int,
+    "iterations": int,
+    "wall_s": (int, float),
 }
 _RADIUS_KEYS = {"sigma": ("sigma0", "sigma_min"), "delta": ("delta0", "delta_max")}
 
@@ -373,9 +375,10 @@ def _read_sidecar(trace_path: Path) -> dict:
 
 
 def summarize_traces(directory) -> list[SummaryRow]:
-    """Rebuild summary rows from the stored traces and sidecars. Oracle
-    totals are the sidecars', which include the terminating iteration.
-    Raises ``PlanError`` listing every unreadable sidecar."""
+    """Rebuild summary rows from the run sidecars alone. Iteration
+    counts, times and oracle totals are the sidecars', which include the
+    start-point objective and the terminating iteration. Raises
+    ``PlanError`` listing every unreadable sidecar."""
     groups: dict[tuple[str, str], list[dict]] = {}
     problems: list[str] = []
     for trace_path in iter_run_files(directory):
@@ -384,14 +387,12 @@ def summarize_traces(directory) -> list[SummaryRow]:
         except PlanError as exc:
             problems.append(str(exc))
             continue
-        header, rows = _read_trace(trace_path)
-        idx = {name: i for i, name in enumerate(header)}
         case = meta["case"]
         key = (_case_id((case["n"], case["d"], case["r"])), meta["solver"])
         groups.setdefault(key, []).append(
             {
-                "iters": len(rows),
-                "time_s": sum(float(row[idx["millis"]]) for row in rows) / 1e3,
+                "iters": meta["iterations"],
+                "time_s": meta["wall_s"],
                 "success": meta["outcome"] == Outcome.OPTIMALITY_REACHED.value,
                 "grad": meta["grad_evals"],
                 "hess": meta["hess_evals"],

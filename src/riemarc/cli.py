@@ -6,7 +6,7 @@ Subcommands:
   given) and write traces plus a summary.
 * ``verify``: recheck the stored traces against the update laws and
   bookkeeping invariants.
-* ``summarize``: rebuild and print the summary from stored traces.
+* ``summarize``: rebuild and print the summary from the run sidecars.
 
 Exit codes: 0 on success, 1 for validation problems (bad plan, bad
 flags, failed verification), 2 for runtime failures during solver runs.
@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     p_verify = sub.add_parser("verify", help="recheck stored traces")
     p_verify.add_argument("traces", type=Path, help="directory of trace files")
 
-    p_summ = sub.add_parser("summarize", help="rebuild the summary from traces")
+    p_summ = sub.add_parser("summarize", help="rebuild the summary from sidecars")
     p_summ.add_argument("traces", type=Path, help="directory of trace files")
     p_summ.add_argument("--out", type=Path, default=None, help="write CSV here")
 

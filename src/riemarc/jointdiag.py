@@ -16,14 +16,23 @@ the Riemannian gradient is the tangent projection of their mean, and
 the Riemannian Hessian follows from differentiating the projected
 gradient field and projecting again.
 
-The full average depends on the data only through the ``d^2 x d^2``
-moment matrix ``M = (1/n) sum_i vec(C_i) vec(C_i)^T``. Writing
-``A_j = (1/n) sum_i (u_j^T C_i u_j) C_i``, the row ``vec(u_j u_j^T)^T M``
-reshaped to ``d x d``, the value is ``-sum_j u_j^T A_j u_j`` and column
-``j`` of the mean Euclidean gradient is ``-4 A_j u_j``. Its derivative
-along ``V`` is ``-4 (A_j v_j + 2 B_j u_j)``, where ``B_j`` contracts
-``M`` with ``vec(u_j v_j^T)``. The objective takes this route for the
-full batch when ``d^2 < n`` and the direct one otherwise.
+Writing ``A_j = (1/|S|) sum_{i in S} (u_j^T C_i u_j) C_i`` for an index
+set ``S``, the value is ``-sum_j u_j^T A_j u_j`` and column ``j`` of the
+mean Euclidean gradient is ``-4 A_j u_j``. Its derivative along ``V`` is
+``-4 (A_j v_j + 2 B_j u_j)``, where ``B_j`` is formed like ``A_j`` with
+``u_j^T C_i v_j`` in place of ``u_j^T C_i u_j``. The Hessian-vector
+product is ``P_U(D egrad[xi] - xi sym(U^T egrad))``.
+
+One kernel forms every ``A_j`` and ``B_j`` from the rows
+``vec(u_j w_j^T)``. Since each ``C_i`` is symmetric, it reads the
+family as packed rows of its ``d(d+1)/2`` upper-triangle entries,
+gathered once on first use, and contracts the rows ``C_S`` of a sampled
+set as ``((W C_S^T) C_S) / |S|``, two matrix products, with ``W`` the
+packed form of the rows ``vec(u_j w_j^T)``. The full average depends on
+the data only through the ``d^2 x d^2`` moment matrix
+``M = (1/n) sum_i vec(C_i) vec(C_i)^T``; when ``d^2 < n`` the full batch
+reads ``A_j`` as the row ``vec(u_j u_j^T)^T M``, one product, and
+otherwise contracts all packed rows like a sampled set.
 
 ``generate_instance`` draws a family sharing one random orthogonal
 congruence, ``C_i = Q D_i Q^T + noise * sym(E_i)`` with positive
@@ -123,28 +132,6 @@ def generate_instance(
     return JDInstance(c=c, r=r, seed=seed, noise=noise)
 
 
-def save_instance(instance: JDInstance, path) -> None:
-    """Serialize an instance to a compressed numpy archive."""
-    np.savez_compressed(
-        path,
-        c=instance.c,
-        r=np.array(instance.r),
-        seed=np.array(instance.seed),
-        noise=np.array(instance.noise),
-    )
-
-
-def load_instance(path) -> JDInstance:
-    """Load an instance, revalidating symmetry."""
-    with np.load(path) as data:
-        return JDInstance(
-            c=data["c"],
-            r=int(data["r"]),
-            seed=int(data["seed"]),
-            noise=float(data["noise"]),
-        )
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -155,16 +142,54 @@ def _columnwise(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("jpq,qj->pj", a, w)
 
 
+class _PackedFamily:
+    """The family in packed-symmetric form: row ``m`` of ``rows`` holds
+    the ``t = d(d+1)/2`` upper-triangle entries of ``C_m``. Entry
+    ``(p, q)`` of a vec'd ``d x d`` matrix has packed position
+    ``expand[p d + q]``, shared with ``(q, p)``, and ``fold`` adds the two
+    entries of every such pair, so that ``(vec(X) @ fold) . packed(C)``
+    equals ``vec(X) . vec(C)`` for every symmetric ``C``."""
+
+    def __init__(self, c: np.ndarray):
+        n, d, _ = c.shape
+        p, q = np.triu_indices(d)
+        t = p.size
+        expand = np.empty((d, d), dtype=np.intp)
+        expand[p, q] = expand[q, p] = np.arange(t)
+        self.expand = _readonly(expand.reshape(-1))
+        self.fold = _readonly((self.expand[:, None] == np.arange(t)).astype(float))
+        self.rows = _readonly(c.reshape(n, d * d).take(p * d + q, axis=1))
+        self._moments: np.ndarray | None = None
+
+    def moments(self) -> np.ndarray:
+        """``M = (1/n) sum_m vec(C_m) vec(C_m)^T``, formed as the ``t x t``
+        product of the packed rows and expanded to ``d^2 x d^2`` once."""
+        if self._moments is None:
+            packed = self.rows.T @ self.rows / len(self.rows)
+            self._moments = _readonly(packed[np.ix_(self.expand, self.expand)])
+        return self._moments
+
+
 class _PointMemo:
     """What ``value``, ``gradient`` and every ``hess_vec`` share at one
-    point ``U`` and index set: the kernel's per-point arrays, plus the
-    Euclidean gradient and ``sym(U^T egrad)``, computed on first use.
-    Subclasses supply the kernel. Every cached array is read-only."""
+    point ``U`` and index set ``S``: ``A_j`` for every column ``j``, the
+    Euclidean gradient, and ``sym(U^T egrad)`` on first use. ``rows`` are
+    the packed rows of ``C[S]``, or ``None`` for the full batch through
+    the moment matrix. Every cached array is read-only."""
 
-    def __init__(self, x: Point, idx: np.ndarray | None):
+    def __init__(
+        self,
+        x: Point,
+        idx: np.ndarray | None,
+        family: _PackedFamily,
+        rows: np.ndarray | None,
+    ):
         self.x = x
         self.idx = None if idx is None else _readonly(idx.copy())
-        self._egrad: np.ndarray | None = None
+        self.family = family
+        self.rows = rows
+        self.a = _readonly(self.contract(x.data))
+        self.egrad = _readonly(-4.0 * _columnwise(self.a, x.data))
         self._sym_u_egrad: np.ndarray | None = None
 
     def matches(self, x: Point, idx) -> bool:
@@ -174,90 +199,51 @@ class _PointMemo:
             return self.idx is idx
         return np.array_equal(self.idx, idx)
 
-    def egrad(self) -> np.ndarray:
-        if self._egrad is None:
-            self._egrad = _readonly(self._mean_egrad())
-        return self._egrad
+    def contract(self, w: np.ndarray) -> np.ndarray:
+        """``(1/|S|) sum_{i in S} (u_j^T C_i w_j) C_i`` for every column
+        ``j``, an ``(r, d, d)`` stack, from the rows ``vec(u_j w_j^T)``."""
+        u = self.x.data
+        d, r = u.shape
+        outer = (u.T[:, :, None] * w.T[:, None, :]).reshape(r, d * d)
+        if self.rows is None:
+            flat = outer @ self.family.moments()
+        else:
+            packed = ((outer @ self.family.fold) @ self.rows.T) @ self.rows
+            packed /= len(self.rows)
+            flat = packed[:, self.family.expand]
+        return flat.reshape(r, d, d)
+
+    def value(self) -> float:
+        # Column j of egrad is -4 A_j u_j, so the value
+        # -sum_j u_j^T A_j u_j is a quarter of <U, egrad>.
+        return float(np.vdot(self.x.data, self.egrad)) / 4.0
 
     def sym_u_egrad(self) -> np.ndarray:
         if self._sym_u_egrad is None:
-            self._sym_u_egrad = _readonly(sym(self.x.data.T @ self.egrad()))
+            self._sym_u_egrad = _readonly(sym(self.x.data.T @ self.egrad))
         return self._sym_u_egrad
-
-
-class _DirectMemo(_PointMemo):
-    """Kernel over the matrices themselves, ``C`` or ``C[idx]``: it keeps
-    ``C U`` and the diagonals of ``U^T C U``."""
-
-    def __init__(self, x: Point, idx: np.ndarray | None, c: np.ndarray):
-        super().__init__(x, idx)
-        self.c = _readonly(c)
-        self.cu = _readonly(c @ x.data)
-        self.diag = _readonly(np.einsum("pj,mpj->mj", x.data, self.cu))
-
-    def value(self) -> float:
-        return float(-np.mean(np.sum(self.diag**2, axis=1)))
-
-    def _mean_egrad(self) -> np.ndarray:
-        return -4.0 * np.einsum("mpj,mj->pj", self.cu, self.diag) / self.c.shape[0]
-
-    def egrad_derivative(self, xi: Tangent) -> np.ndarray:
-        """Directional derivative of the Euclidean gradient along ``xi``."""
-        cv = self.c @ xi.data
-        # ddiag(U^T C V) = ddiag(V^T C U) for symmetric C.
-        diag_vu = np.einsum("pj,mpj->mj", xi.data, self.cu)
-        out = np.einsum("mpj,mj->pj", cv, self.diag) + 2.0 * np.einsum(
-            "mpj,mj->pj", self.cu, diag_vu
-        )
-        return -4.0 * out / self.c.shape[0]
-
-
-class _MomentMemo(_PointMemo):
-    """Full-batch kernel through the moment matrix
-    ``M = (1/n) sum_m vec(C_m) vec(C_m)^T``. It keeps
-    ``A_j = (1/n) sum_m (u_j^T C_m u_j) C_m``, the row
-    ``vec(u_j u_j^T)^T M`` reshaped to ``d x d``, for every column ``j``."""
-
-    def __init__(self, x: Point, moments: np.ndarray):
-        super().__init__(x, None)
-        self.moments = moments
-        self.a = _readonly(self._contract(x.data))
-
-    def _contract(self, w: np.ndarray) -> np.ndarray:
-        """``vec(u_j w_j^T)^T M`` reshaped to ``d x d``, for every ``j``."""
-        d, r = w.shape
-        outer = np.einsum("pj,qj->jpq", self.x.data, w).reshape(r, d * d)
-        return (outer @ self.moments).reshape(r, d, d)
-
-    def value(self) -> float:
-        u = self.x.data
-        return float(-np.sum(u * _columnwise(self.a, u)))
-
-    def _mean_egrad(self) -> np.ndarray:
-        return -4.0 * _columnwise(self.a, self.x.data)
 
     def egrad_derivative(self, xi: Tangent) -> np.ndarray:
         """Directional derivative of the Euclidean gradient along ``xi``:
         column ``j`` is ``-4 (A_j v_j + 2 B_j u_j)``, where ``B_j`` is the
-        contraction of ``M`` with ``vec(u_j v_j^T)``."""
-        b = self._contract(xi.data)
+        contraction with ``vec(u_j v_j^T)``."""
+        b = self.contract(xi.data)
         return -4.0 * (_columnwise(self.a, xi.data) + 2.0 * _columnwise(b, self.x.data))
 
 
 class JointDiagObjective(SeparableObjective):
     """Finite-sum diagonalization objective on ``Stiefel(d, r)``.
 
-    Full-batch calls read the data only through the ``d^2 x d^2`` moment
-    matrix ``M = (1/n) sum_m vec(C_m) vec(C_m)^T`` when ``d^2 < n``, that
-    is, when ``M`` is smaller than the matrices it summarizes; a call then
-    costs ``r d^4`` flops instead of ``n d^2 r``. ``M`` is built on the
-    first such call and kept. Other instances, and every sampled index
-    set, take the direct kernel over ``C`` or ``C[idx]``.
+    Construction reads nothing of the family: its packed rows are
+    gathered on the first oracle call, and the moment matrix ``M`` on the
+    first full-batch call with ``d^2 < n``, when ``M`` is smaller than
+    the family and a call costs ``r d^4`` flops instead of about
+    ``n d^2 r``. Both are kept.
 
     The objective keeps a one-entry memo, keyed on the ``Point`` object
     and a copy of the index set's contents, so the gradient and the HVPs
     of one iteration, and the exact gradient at a point whose objective
-    value was just taken, reuse the kernel's per-point arrays instead of
+    value was just taken, reuse the per-point arrays instead of
     recomputing them. Results are bit-identical to a fresh objective's.
     The oracle bundle still charges every call its full component count.
     """
@@ -267,23 +253,22 @@ class JointDiagObjective(SeparableObjective):
         self.n = instance.n
         self.manifold = Stiefel(instance.d, instance.r)
         self._memo: _PointMemo | None = None
-        self._moments: np.ndarray | None = None
-
-    def _moment_matrix(self) -> np.ndarray:
-        if self._moments is None:
-            cf = self.instance.c.reshape(self.n, -1)
-            self._moments = _readonly(cf.T @ cf / self.n)
-        return self._moments
+        self._family: _PackedFamily | None = None
 
     def _at(self, x: Point, idx: np.ndarray | None) -> _PointMemo:
         memo = self._memo
         if memo is None or not memo.matches(x, idx):
             idx = self._check_idx(idx)
-            if idx is None and self.instance.d**2 < self.n:
-                memo = _MomentMemo(x, self._moment_matrix())
+            if self._family is None:
+                self._family = _PackedFamily(self.instance.c)
+            family = self._family
+            if idx is not None:
+                rows = _readonly(family.rows[idx])
+            elif self.instance.d**2 < self.n:
+                rows = None
             else:
-                c = self.instance.c if idx is None else self.instance.c[idx]
-                memo = _DirectMemo(x, idx, c)
+                rows = family.rows
+            memo = _PointMemo(x, idx, family, rows)
             self._memo = memo
         return memo
 
@@ -292,7 +277,7 @@ class JointDiagObjective(SeparableObjective):
 
     def euclidean_gradient(self, x: Point, idx: np.ndarray | None = None) -> np.ndarray:
         """Mean Euclidean gradient, a read-only ambient ``d x r`` matrix."""
-        return self._at(x, idx).egrad()
+        return self._at(x, idx).egrad
 
     def euclidean_gradient_derivative(
         self, x: Point, xi: Tangent, idx: np.ndarray | None = None
@@ -305,21 +290,15 @@ class JointDiagObjective(SeparableObjective):
         return self.manifold.project(x, self.euclidean_gradient(x, idx))
 
     def hess_vec(self, x: Point, xi: Tangent, idx: np.ndarray | None = None) -> Tangent:
-        """Riemannian Hessian-vector product.
+        """Riemannian Hessian-vector product
+        ``P_U(D egrad(U)[xi] - xi sym(U^T egrad(U)))``.
 
-        Differentiates the projected gradient field
-        ``U -> egrad(U) - U sym(U^T egrad(U))`` along ``xi`` and projects
-        the result back onto the tangent space.
+        This is the derivative of the projected gradient field
+        ``U -> egrad(U) - U sym(U^T egrad(U))`` along ``xi``, projected
+        onto the tangent space. Its two terms of the form ``U S`` with
+        ``S`` symmetric are left out, because the projection
+        ``P_U(W) = W - U sym(U^T W)`` maps them to zero.
         """
         memo = self._at(x, idx)
-        u = x.data
-        eg = memo.egrad()
-        deg = memo.egrad_derivative(xi)
-        w = (
-            deg
-            - xi.data @ memo.sym_u_egrad()
-            - u @ sym(xi.data.T @ eg)
-            - u @ sym(u.T @ deg)
-        )
+        w = memo.egrad_derivative(xi) - xi.data @ memo.sym_u_egrad()
         return self.manifold.project(x, w)
-

@@ -170,7 +170,7 @@ class Manifold(ABC):
             raise ContractError(
                 f"tangent shapes {eta.shape} and {xi.shape} do not match"
             )
-        return float(np.tensordot(eta.data, xi.data))
+        return float(np.vdot(eta.data, xi.data))
 
     def norm(self, xi: Tangent) -> float:
         return float(np.linalg.norm(xi.data))

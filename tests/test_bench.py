@@ -416,6 +416,31 @@ def test_summary_totals_equal_sidecar_sums(bench_dir):
             assert int(row[f"{counter}_total"]) == sum(m[counter] for m in metas)
 
 
+def test_summary_reads_iterations_and_times_from_the_sidecars(bench_dir, tmp_path):
+    """``summarize`` opens no trace file: with every trace emptied it
+    still gives each row the mean sidecar ``wall_s`` and the mean and
+    median sidecar ``iterations``."""
+    copy = tmp_path / "sidecars_only"
+    shutil.copytree(bench_dir, copy)
+    for path in iter_run_files(copy):
+        path.write_text("")
+        meta_path = path.with_suffix(".meta.json")
+        meta = json.loads(meta_path.read_text())
+        meta["wall_s"] = 0.25 * (meta["rep"] + 1)
+        meta["iterations"] += meta["rep"]
+        meta_path.write_text(json.dumps(meta))
+    for row in summarize_traces(copy):
+        stems = [
+            run_name(_TINY_PLAN.cases[0], row.solver, rep)
+            for rep in range(_TINY_PLAN.repetitions)
+        ]
+        metas = [json.loads((copy / f"{s}.meta.json").read_text()) for s in stems]
+        iterations = [m["iterations"] for m in metas]
+        assert row.time_s_mean == 0.375
+        assert row.iters_mean == sum(iterations) / len(iterations)
+        assert row.iters_median == float(np.median(iterations))
+
+
 def test_verify_checks_totals_of_runs_cut_by_max_iters(tmp_path):
     out = tmp_path / "cut"
     plan = dataclasses.replace(_TINY_PLAN, repetitions=1, max_iters=2)

@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riemarc.errors import ContractError
-from riemarc.jointdiag import (
-    JDInstance,
-    JointDiagObjective,
-    generate_instance,
-    load_instance,
-    save_instance,
-)
+from riemarc.jointdiag import JDInstance, JointDiagObjective, generate_instance
 from riemarc.manifolds import qr_orthonormal_factor, sym
 
 EPS = np.finfo(float).eps
@@ -87,8 +81,8 @@ def test_gradient_scaling_is_quadratic_in_data():
     assert obj3.value(x) == pytest.approx(9.0 * obj.value(x), rel=1e-13)
 
 
-# One instance per full-batch kernel: d^2 >= n takes the direct kernel,
-# d^2 < n the moment matrix.
+# One instance per full-batch route: with d^2 >= n the kernel contracts
+# the packed rows directly, with d^2 < n it reads the moment matrix.
 _KERNELS = pytest.mark.parametrize("kernel", ["direct", "moment"])
 
 
@@ -182,6 +176,28 @@ def test_asymmetric_input_rejected_but_roundoff_accepted():
     inst = JDInstance(c=slightly, r=2, seed=0, noise=0.0)
     assert np.array_equal(inst.c, np.transpose(inst.c, (0, 2, 1)))
     assert not inst.c.flags.writeable
+
+
+def save_instance(instance: JDInstance, path) -> None:
+    """Serialize an instance to a compressed numpy archive."""
+    np.savez_compressed(
+        path,
+        c=instance.c,
+        r=np.array(instance.r),
+        seed=np.array(instance.seed),
+        noise=np.array(instance.noise),
+    )
+
+
+def load_instance(path) -> JDInstance:
+    """Load an instance, revalidating symmetry."""
+    with np.load(path) as data:
+        return JDInstance(
+            c=data["c"],
+            r=int(data["r"]),
+            seed=int(data["seed"]),
+            noise=float(data["noise"]),
+        )
 
 
 def test_instance_roundtrip(tmp_path):
@@ -300,7 +316,7 @@ def _moment_instances(draw):
 @given(_moment_instances(), st.integers(0, 2**16))
 def test_moment_kernel_matches_the_direct_kernel(inst, seed):
     """With d^2 < n the full batch goes through the moment matrix, and the
-    index set ``arange(n)`` through the direct kernel. They agree to 1e-11
+    index set ``arange(n)`` through the packed rows. They agree to 1e-11
     of the largest Euclidean entry; the projected results can be orders
     of magnitude smaller than the ambient ones they come from, so the
     tolerance scales with the latter."""
@@ -320,6 +336,93 @@ def test_moment_kernel_matches_the_direct_kernel(inst, seed):
     ]
     for got, want in pairs:
         assert np.abs(got - want).max() <= 1e-11 * scale
+
+
+def _dense_reference(c, u, v):
+    """Value, Euclidean gradient, its derivative along ``v`` and the
+    Riemannian HVP, averaged over the stack ``c``, from the per-component
+    products ``C_i U`` and ``C_i V`` and the four-term HVP."""
+    n = len(c)
+    cu = c @ u
+    diag = np.einsum("pj,mpj->mj", u, cu)
+    value = float(-np.mean(np.sum(diag**2, axis=1)))
+    eg = -4.0 * np.einsum("mpj,mj->pj", cu, diag) / n
+    # ddiag(U^T C V) = ddiag(V^T C U) for symmetric C.
+    diag_vu = np.einsum("pj,mpj->mj", v, cu)
+    deg = (
+        -4.0
+        * (np.einsum("mpj,mj->pj", c @ v, diag) + 2.0 * np.einsum("mpj,mj->pj", cu, diag_vu))
+        / n
+    )
+    w = deg - v @ sym(u.T @ eg) - u @ sym(v.T @ eg) - u @ sym(u.T @ deg)
+    return value, eg, deg, w - u @ sym(u.T @ w)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """An instance, a point, a tangent and an index set: the full batch on
+    either side of the moment rule, or a sampled set with a repeat.
+    Stiefel(1, 1) has no tangent vectors, so ``d >= 2``."""
+    d = draw(st.integers(2, 6))
+    r = draw(st.integers(1, d))
+    route = draw(st.sampled_from(["rows", "moments", "sampled"]))
+    if route == "rows":
+        n = draw(st.integers(1, d * d))
+    else:
+        n = draw(st.integers(d * d + 1, d * d + 40))
+    noise = draw(st.sampled_from([0.0, 1e-3, 0.3, 2.0]))
+    inst = generate_instance(n, d, r, seed=draw(st.integers(0, 2**16)), noise=noise)
+    idx = None
+    if route == "sampled":
+        drawn = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+        idx = np.array(drawn + drawn[:1])
+    return inst, draw(st.integers(0, 2**16)), idx
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_cases())
+def test_kernel_matches_the_dense_per_component_reference(case):
+    """The packed kernel and the moment route agree with the formulas
+    over ``C[idx]`` to 1e-11 of the largest Euclidean entry, and the
+    two-term projected HVP with the four-term one."""
+    inst, seed, idx = case
+    obj = JointDiagObjective(inst)
+    x = obj.manifold.random_point(seed)
+    xi = obj.manifold.random_tangent(x, seed + 1)
+    c = inst.c if idx is None else inst.c[idx]
+    value, eg, deg, hv = _dense_reference(c, x.data, xi.data)
+    assert obj.value(x, idx) == pytest.approx(value, rel=1e-11, abs=0.0)
+    scale = max(np.abs(eg).max(), np.abs(deg).max())
+    pairs = [
+        (obj.euclidean_gradient(x, idx), eg),
+        (obj.euclidean_gradient_derivative(x, xi, idx), deg),
+        (obj.gradient(x, idx).data, obj.manifold.project(x, eg).data),
+        (obj.hess_vec(x, xi, idx).data, hv),
+    ]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-11 * scale
+
+
+class _ShapeOnly:
+    """Stands in for a family's array with nothing but its shape."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+
+def test_constructing_the_objective_does_not_touch_the_family():
+    """The objective reads the matrices first on its first oracle call,
+    so construction costs nothing beyond the instance itself."""
+    inst = generate_instance(30, 4, 2, seed=40, noise=0.3)
+    c = inst.c
+    object.__setattr__(inst, "c", _ShapeOnly(c.shape))
+    obj = JointDiagObjective(inst)
+    x = obj.manifold.random_point(41)
+    with pytest.raises(AttributeError):
+        obj.value(x)
+    object.__setattr__(inst, "c", c)
+    fresh = JointDiagObjective(generate_instance(30, 4, 2, seed=40, noise=0.3))
+    assert obj.value(x) == fresh.value(x)
 
 
 @pytest.mark.parametrize("n, d", [(6, 4), (25, 5)])
