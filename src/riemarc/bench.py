@@ -24,8 +24,8 @@ the master seed and case index the start point is drawn from, and the
 run's outcome and oracle totals; ``summary.csv`` aggregates per (case,
 solver). ``verify_traces`` checks those totals against the last trace
 row under the benchmark's squared-gradient stop rule.
-Traces are deterministic for a fixed plan and master seed up to the
-wall-time column, which the content digest therefore excludes.
+Traces and sidecars are deterministic for a fixed plan and master seed
+up to their wall times, which the content digest therefore excludes.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ from .trust_region import TrustRegionConfig, run_trust_region
 from . import arc
 
 # Step rule and oracle mode of each benchmark solver. A run seed takes
-# the solver's index in ``plan.solvers``, not in this table, so a run
-# of a selected subset draws other samples than the same run in the
-# full plan.
+# the solver's index in this table, so a run of a selected subset draws
+# the same samples as the same run in the full plan.
 _SOLVER_KINDS = {
     **{name: (SolverConfig, mode) for name, mode in arc._VARIANT_MODES.items()},
     "ssrtr": (TrustRegionConfig, OracleMode.SUBSAMPLED_BOTH),
@@ -269,7 +268,8 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
             x0 = objective.manifold.random_point(
                 np.random.default_rng([plan.master_seed, ci, rep, 13])
             )
-            for si, solver in enumerate(plan.solvers):
+            for solver in plan.solvers:
+                si = SOLVERS.index(solver)
                 run_seed = _derived_seed([plan.master_seed, ci, rep, 17, si])
                 cfg = solver_config(plan, solver, n, run_seed)
                 runner = (
@@ -605,13 +605,17 @@ def _strip_columns(header: list[str], rows: list[list[str]], drop: set[str]):
 
 
 def determinism_digest(directory) -> str:
-    """Hash of all trace and summary content excluding wall-time columns."""
+    """Hash of all trace, sidecar and summary content excluding wall
+    times: the traces' ``millis``, the sidecars' ``wall_s`` and the
+    summary's ``time_s_mean``."""
     digest = hashlib.sha256()
     for trace_path in iter_run_files(directory):
         header, rows = _read_trace(trace_path)
         header, rows = _strip_columns(header, rows, {"millis"})
         digest.update(trace_path.name.encode())
         digest.update("\n".join(",".join(r) for r in [header, *rows]).encode())
+        meta = {k: v for k, v in _read_sidecar(trace_path).items() if k != "wall_s"}
+        digest.update(json.dumps(meta, sort_keys=True).encode())
     summary = Path(directory) / "summary.csv"
     if summary.exists():
         header, rows = _read_trace(summary)

@@ -24,12 +24,12 @@ mean Euclidean gradient is ``-4 A_j u_j``. Its derivative along ``V`` is
 product is ``P_U(D egrad[xi] - xi sym(U^T egrad))``.
 
 One kernel forms every ``A_j`` and ``B_j`` from the rows
-``vec(u_j w_j^T)``. Since each ``C_i`` is symmetric, it reads the
-family as packed rows of its ``d(d+1)/2`` upper-triangle entries,
-gathered once on first use, and contracts the rows ``C_S`` of a sampled
-set as ``((W C_S^T) C_S) / |S|``, two matrix products, with ``W`` the
-packed form of the rows ``vec(u_j w_j^T)``. The full average depends on
-the data only through the ``d^2 x d^2`` moment matrix
+``vec(u_j w_j^T)``. Since each ``C_i`` is symmetric, an instance stores
+the family only as packed rows of its ``t = d(d+1)/2`` upper-triangle
+entries, and the kernel contracts the rows ``C_S`` of a sampled set as
+``((W C_S^T) C_S) / |S|``, two matrix products, with ``W`` the packed
+form of the rows ``vec(u_j w_j^T)``. The full average depends on the
+data only through the ``d^2 x d^2`` moment matrix
 ``M = (1/n) sum_i vec(C_i) vec(C_i)^T``; when ``d^2 < n`` the full batch
 reads ``A_j`` as the row ``vec(u_j u_j^T)^T M``, one product, and
 otherwise contracts all packed rows like a sampled set.
@@ -39,17 +39,18 @@ congruence, ``C_i = Q D_i Q^T + noise * sym(E_i)`` with positive
 diagonal ``D_i`` and Gaussian ``E_i``. At ``noise = 0`` every component
 is exactly diagonalized by ``Q``, so all component gradients vanish at
 the optimum; the noise level controls how far the family is from being
-jointly diagonalizable. It draws ``Q``, then every ``D_i``, then every
-``E_i``, and builds the noiseless family as one matrix product: row
-``i`` of ``D W``, where ``D`` stacks the diagonals and row ``j`` of ``W``
-is ``vec(q_j q_j^T)``, is ``vec(Q D_i Q^T)``. The columns ``(p, q)`` and
-``(q, p)`` of ``W`` are equal, and so is ``E_i + E_i^T`` to its
-transpose, so every ``C_i`` comes out exactly symmetric and
-``JDInstance`` keeps it without a symmetrizing copy.
+jointly diagonalizable. It draws ``Q``, then every ``D_i``, then the
+``t`` independent entries of every ``sym(E_i)`` as packed rows ``Z``,
+and returns ``D W + Z S``: row ``j`` of ``W`` holds the packed entries
+``q_pj q_qj`` of ``q_j q_j^T``, and ``S`` scales a diagonal entry by
+``noise`` and an off-diagonal one by ``noise / sqrt(2)``, the standard
+deviations of ``noise * (E_i + E_i^T) / 2``. Matrices from elsewhere
+enter through ``JDInstance.from_matrices``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,46 +66,54 @@ SYMMETRY_TOL = 1e-8
 class JDInstance:
     """A problem instance: the matrix family and its generation record.
 
-    ``c`` is stored read-only and exactly symmetric. An exactly symmetric
-    input passes one comparison with its transpose; one asymmetric only
-    by roundoff is symmetrized. The caller's array is never frozen or
-    written to."""
+    ``rows`` holds the family as read-only ``(n, d(d+1)/2)`` packed
+    rows, the upper-triangle entries of each ``C_m`` in
+    ``np.triu_indices(d)`` order. A read-only array that owns its memory
+    is kept as it is; any other is copied, so the caller's array is never
+    frozen or shared."""
 
-    c: np.ndarray  # (n, d, d), symmetric
+    rows: np.ndarray  # (n, d(d+1)/2)
+    d: int
     r: int
     seed: int
     noise: float
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=float)
+        rows = np.asarray(self.rows, dtype=float)
+        t = self.d * (self.d + 1) // 2
+        if rows.ndim != 2 or rows.shape[1] != t:
+            raise ContractError(f"expected (n, {t}) rows, d={self.d}, got {rows.shape}")
+        if not 1 <= self.r <= self.d:
+            raise ContractError(f"need 1 <= r <= d, got r={self.r}, d={self.d}")
+        if rows.flags.writeable or not rows.flags.owndata:
+            rows = rows.copy()
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def from_matrices(cls, c, r: int, seed: int, noise: float) -> JDInstance:
+        """An instance of the symmetric ``(n, d, d)`` stack ``c``. Entries
+        must be finite; a stack asymmetric only by roundoff, up to
+        ``SYMMETRY_TOL``, is symmetrized exactly."""
+        c = np.asarray(c, dtype=float)
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise ContractError(f"expected (n, d, d) matrices, got {c.shape}")
-        if not 1 <= self.r <= c.shape[1]:
-            raise ContractError(f"need 1 <= r <= d, got r={self.r}, d={c.shape[1]}")
-        ct = np.transpose(c, (0, 2, 1))
-        if np.array_equal(c, ct):
-            # Keep a read-only array that owns its memory, since nothing
-            # else can write to it; copy any other.
-            if c.flags.writeable or not c.flags.owndata:
-                c = c.copy()
-        else:
-            asym = np.abs(c - ct).max(initial=0.0)
-            if asym > SYMMETRY_TOL:
-                raise ContractError(
-                    f"input matrices are asymmetric beyond tolerance, {asym:.3e}"
-                )
-            # Symmetrize exactly so downstream identities hold to the bit.
-            c = (c + ct) / 2.0
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
+        if not np.isfinite(c).all():
+            raise ContractError("input matrices have non-finite entries")
+        n, d, _ = c.shape
+        p, q = np.triu_indices(d)
+        upper = c.reshape(n, d * d).take(p * d + q, axis=1)
+        lower = c.reshape(n, d * d).take(q * d + p, axis=1)
+        asym = np.abs(upper - lower).max(initial=0.0)
+        if asym > SYMMETRY_TOL:
+            raise ContractError(f"input matrices are asymmetric by {asym:.3e}")
+        rows = upper if asym == 0.0 else (upper + lower) / 2.0
+        rows.setflags(write=False)
+        return cls(rows=rows, d=d, r=r, seed=seed, noise=noise)
 
     @property
     def n(self) -> int:
-        return self.c.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.c.shape[1]
+        return self.rows.shape[0]
 
 
 def generate_instance(
@@ -113,23 +122,19 @@ def generate_instance(
     """Draw an instance with a shared planted congruence."""
     if n < 1:
         raise ContractError(f"need at least one matrix, got n={n}")
-    if noise < 0.0:
-        raise ContractError(f"noise must be non-negative, got {noise}")
+    if not 0.0 <= noise < math.inf:
+        raise ContractError(f"noise must be finite and non-negative, got {noise}")
     rng = np.random.default_rng([seed, 3])
     q = qr_orthonormal_factor(rng.standard_normal((d, d)))
     diags = rng.uniform(1.0, 2.0, size=(n, d))
-    e = rng.standard_normal((n, d, d))
-    # Row j of w is vec(q_j q_j^T), so C_m is row m of diags @ w. The
-    # product fills an array of its own, frozen below, which JDInstance
-    # then keeps without a copy.
-    w = np.einsum("pj,qj->jpq", q, q).reshape(d, d * d)
-    c = np.empty((n, d, d))
-    np.matmul(diags, w, out=c.reshape(n, d * d))
-    noise_part = e + np.transpose(e, (0, 2, 1))
-    noise_part *= noise / 2.0
-    c += noise_part
-    c.setflags(write=False)
-    return JDInstance(c=c, r=r, seed=seed, noise=noise)
+    # The packed noise Z S, then the noiseless D W added in place. The
+    # array is the builder's own, so JDInstance keeps it without a copy.
+    rows = rng.standard_normal((n, d * (d + 1) // 2))
+    i, j = np.triu_indices(d)
+    rows *= np.where(i == j, noise, noise / math.sqrt(2.0))
+    rows += diags @ (q[i] * q[j]).T
+    rows.setflags(write=False)
+    return JDInstance(rows=rows, d=d, r=r, seed=seed, noise=noise)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -143,22 +148,20 @@ def _columnwise(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _PackedFamily:
-    """The family in packed-symmetric form: row ``m`` of ``rows`` holds
-    the ``t = d(d+1)/2`` upper-triangle entries of ``C_m``. Entry
-    ``(p, q)`` of a vec'd ``d x d`` matrix has packed position
-    ``expand[p d + q]``, shared with ``(q, p)``, and ``fold`` adds the two
-    entries of every such pair, so that ``(vec(X) @ fold) . packed(C)``
-    equals ``vec(X) . vec(C)`` for every symmetric ``C``."""
+    """The instance's packed rows with their index maps. Entry ``(p, q)``
+    of a vec'd ``d x d`` matrix has packed position ``expand[p d + q]``,
+    shared with ``(q, p)``, and ``fold`` adds the two entries of every
+    such pair, so that ``(vec(X) @ fold) . packed(C)`` equals
+    ``vec(X) . vec(C)`` for every symmetric ``C``."""
 
-    def __init__(self, c: np.ndarray):
-        n, d, _ = c.shape
+    def __init__(self, rows: np.ndarray, d: int):
         p, q = np.triu_indices(d)
         t = p.size
         expand = np.empty((d, d), dtype=np.intp)
         expand[p, q] = expand[q, p] = np.arange(t)
         self.expand = _readonly(expand.reshape(-1))
         self.fold = _readonly((self.expand[:, None] == np.arange(t)).astype(float))
-        self.rows = _readonly(c.reshape(n, d * d).take(p * d + q, axis=1))
+        self.rows = rows
         self._moments: np.ndarray | None = None
 
     def moments(self) -> np.ndarray:
@@ -234,11 +237,10 @@ class _PointMemo:
 class JointDiagObjective(SeparableObjective):
     """Finite-sum diagonalization objective on ``Stiefel(d, r)``.
 
-    Construction reads nothing of the family: its packed rows are
-    gathered on the first oracle call, and the moment matrix ``M`` on the
-    first full-batch call with ``d^2 < n``, when ``M`` is smaller than
-    the family and a call costs ``r d^4`` flops instead of about
-    ``n d^2 r``. Both are kept.
+    Construction reads nothing of the family's rows. The moment matrix
+    ``M`` is formed on the first full-batch call with ``d^2 < n``, when
+    ``M`` is smaller than the family and a call costs ``r d^4`` flops
+    instead of about ``n d^2 r``, and kept.
 
     The objective keeps a one-entry memo, keyed on the ``Point`` object
     and a copy of the index set's contents, so the gradient and the HVPs
@@ -253,14 +255,12 @@ class JointDiagObjective(SeparableObjective):
         self.n = instance.n
         self.manifold = Stiefel(instance.d, instance.r)
         self._memo: _PointMemo | None = None
-        self._family: _PackedFamily | None = None
+        self._family = _PackedFamily(instance.rows, instance.d)
 
     def _at(self, x: Point, idx: np.ndarray | None) -> _PointMemo:
         memo = self._memo
         if memo is None or not memo.matches(x, idx):
             idx = self._check_idx(idx)
-            if self._family is None:
-                self._family = _PackedFamily(self.instance.c)
             family = self._family
             if idx is not None:
                 rows = _readonly(family.rows[idx])

