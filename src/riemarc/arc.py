@@ -42,12 +42,10 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, TextIO
 
-import numpy as np
-
 from .errors import ContractError, MissingEigenEstimateError
 from .manifolds import Point, Tangent
 from .objectives import SeparableObjective
-from .oracles import OracleBundle, OracleMode
+from .oracles import KeyedStream, OracleBundle, OracleMode
 from .subproblem import CubicModel, MinEigResult, min_eig_estimate, solve_subproblem
 
 SIGMA_MIN = 1e-12
@@ -318,6 +316,7 @@ def _drive(
         hess_sample_size=cfg.hess_sample_size,
         seed=cfg.seed,
     )
+    lanczos_stream = KeyedStream(cfg.seed, _PURPOSE_LANCZOS)
     x = manifold.point(x0.data)
     weight = cfg.initial_weight()
     f_x = bundle.objective_value(x)
@@ -353,7 +352,7 @@ def _drive(
                 hvp,
                 tol=cfg.lanczos_tol,
                 max_iters=cfg.lanczos_max_iters,
-                seed=np.random.default_rng([cfg.seed, k, _PURPOSE_LANCZOS]),
+                seed=lanczos_stream.at(k),
             )
 
         lambda_est = probe.value if probe is not None else None

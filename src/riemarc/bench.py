@@ -37,6 +37,7 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import get_type_hints
 
@@ -249,7 +250,7 @@ class SummaryRow:
 class PlanReport:
     rows: list[SummaryRow]
     failures: list[str]
-    out_dir: Path
+    runs: list[RunFiles]
 
 
 def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
@@ -308,9 +309,10 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                     json.dumps(meta, indent=1, sort_keys=True) + "\n", encoding="utf-8"
                 )
 
-    rows = summarize_traces(out)
+    runs = load_runs(out)
+    rows = summarize_traces(out, runs)
     write_summary(rows, out / "summary.csv")
-    return PlanReport(rows=rows, failures=failures, out_dir=out)
+    return PlanReport(rows=rows, failures=failures, runs=runs)
 
 
 def _read_trace(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -331,6 +333,28 @@ def iter_run_files(directory) -> list[Path]:
     return sorted(p for p in directory.glob("*.csv") if p.name != "summary.csv")
 
 
+@dataclass
+class RunFiles:
+    """One run's trace and sidecar, each parsed on first use and kept. A
+    file that cannot be read raises ``PlanError`` and is not kept."""
+
+    path: Path
+
+    @cached_property
+    def trace(self) -> tuple[list[str], list[list[str]]]:
+        return _read_trace(self.path)
+
+    @cached_property
+    def meta(self) -> dict:
+        return _read_sidecar(self.path)
+
+
+def load_runs(directory) -> list[RunFiles]:
+    """The runs in ``directory``. ``summarize_traces``, ``verify_traces``
+    and ``determinism_digest`` take them as ``runs`` to share the reads."""
+    return [RunFiles(path) for path in iter_run_files(directory)]
+
+
 # The sidecar keys that verify and summarize read, by type; the step
 # rule's radius column adds its initial value and bound.
 _SIDECAR_TYPES = {
@@ -345,6 +369,7 @@ _SIDECAR_TYPES = {
     "hess_evals": int,
     "objective_evals": int,
     "iterations": int,
+    "final_f": (int, float),
     "wall_s": (int, float),
 }
 _RADIUS_KEYS = {"sigma": ("sigma0", "sigma_min"), "delta": ("delta0", "delta_max")}
@@ -374,53 +399,43 @@ def _read_sidecar(trace_path: Path) -> dict:
     return meta
 
 
-def summarize_traces(directory) -> list[SummaryRow]:
+def summarize_traces(directory, runs: list[RunFiles] | None = None) -> list[SummaryRow]:
     """Rebuild summary rows from the run sidecars alone. Iteration
     counts, times and oracle totals are the sidecars', which include the
     start-point objective and the terminating iteration. Raises
     ``PlanError`` listing every unreadable sidecar."""
     groups: dict[tuple[str, str], list[dict]] = {}
     problems: list[str] = []
-    for trace_path in iter_run_files(directory):
+    for run in load_runs(directory) if runs is None else runs:
         try:
-            meta = _read_sidecar(trace_path)
+            meta = run.meta
         except PlanError as exc:
             problems.append(str(exc))
             continue
         case = meta["case"]
         key = (_case_id((case["n"], case["d"], case["r"])), meta["solver"])
-        groups.setdefault(key, []).append(
-            {
-                "iters": meta["iterations"],
-                "time_s": meta["wall_s"],
-                "success": meta["outcome"] == Outcome.OPTIMALITY_REACHED.value,
-                "grad": meta["grad_evals"],
-                "hess": meta["hess_evals"],
-                "objective": meta["objective_evals"],
-            }
-        )
+        groups.setdefault(key, []).append(meta)
     if problems:
         raise PlanError("; ".join(problems))
 
-    rows_out: list[SummaryRow] = []
-    for (case_id, solver), runs in sorted(groups.items()):
-        rows_out.append(
-            SummaryRow(
-                case=case_id,
-                solver=solver,
-                reps=len(runs),
-                iters_mean=statistics.fmean(r["iters"] for r in runs),
-                iters_median=float(statistics.median(r["iters"] for r in runs)),
-                time_s_mean=statistics.fmean(r["time_s"] for r in runs),
-                success_rate=statistics.fmean(
-                    1.0 if r["success"] else 0.0 for r in runs
-                ),
-                grad_evals_total=sum(r["grad"] for r in runs),
-                hess_evals_total=sum(r["hess"] for r in runs),
-                objective_evals_total=sum(r["objective"] for r in runs),
-            )
+    success = Outcome.OPTIMALITY_REACHED.value
+    return [
+        SummaryRow(
+            case=case_id,
+            solver=solver,
+            reps=len(metas),
+            iters_mean=statistics.fmean(m["iterations"] for m in metas),
+            iters_median=float(statistics.median(m["iterations"] for m in metas)),
+            time_s_mean=statistics.fmean(m["wall_s"] for m in metas),
+            success_rate=statistics.fmean(
+                1.0 if m["outcome"] == success else 0.0 for m in metas
+            ),
+            grad_evals_total=sum(m["grad_evals"] for m in metas),
+            hess_evals_total=sum(m["hess_evals"] for m in metas),
+            objective_evals_total=sum(m["objective_evals"] for m in metas),
         )
-    return rows_out
+        for (case_id, solver), metas in sorted(groups.items())
+    ]
 
 
 def format_summary(rows: list[SummaryRow]) -> str:
@@ -479,24 +494,24 @@ def _check_recurrence(
             )
 
 
-def verify_traces(directory) -> list[str]:
+def verify_traces(directory, runs: list[RunFiles] | None = None) -> list[str]:
     """Recompute every checkable law from the stored artifacts. Returns a
     list of violation messages, empty when everything holds."""
     violations: list[str] = []
-    paths = iter_run_files(directory)
-    if not paths:
+    runs = load_runs(directory) if runs is None else runs
+    if not runs:
         violations.append("no trace files found")
         return violations
 
-    for trace_path in paths:
-        name = trace_path.name
-        meta_path = _meta_path(trace_path)
+    for run in runs:
+        name = run.path.name
+        meta_path = _meta_path(run.path)
         if not meta_path.exists():
             violations.append(f"{name}: missing sidecar {meta_path.name}")
             continue
         try:
-            meta = _read_sidecar(trace_path)
-            header, rows = _read_trace(trace_path)
+            meta = run.meta
+            header, rows = run.trace
         except PlanError as exc:
             violations.append(str(exc))
             continue
@@ -520,16 +535,22 @@ def verify_traces(directory) -> list[str]:
 
         _check_recurrence(name, rows, idx, meta, violations)
 
-        # Objective bookkeeping: rejected iterations keep f, accepted ones
-        # never increase it.
-        for k in range(len(rows) - 1):
-            f_k = float(rows[k][idx["f"]])
-            f_next = float(rows[k + 1][idx["f"]])
-            if rows[k][idx["success"]] == "1":
-                if f_next > f_k:
-                    violations.append(f"{name}: f increased after accepted row {k}")
-            elif f_next != f_k:
-                violations.append(f"{name}: f changed after rejected row {k}")
+        # Objective bookkeeping, with the sidecar's final_f after the last
+        # row: rejected iterations keep f, accepted ones never increase it
+        # and store rho_k = (f_k - f_{k+1}) / -m_k.
+        f_vals = [float(row[idx["f"]]) for row in rows] + [float(meta["final_f"])]
+        for k, row in enumerate(rows):
+            f_k, f_next = f_vals[k], f_vals[k + 1]
+            if row[idx["success"]] != "1":
+                if f_next != f_k:
+                    violations.append(f"{name}: f changed after rejected row {k}")
+                continue
+            if f_next > f_k:
+                violations.append(f"{name}: f increased after accepted row {k}")
+            m_k = float(row[idx["model_val"]])
+            rho = (f_k - f_next) / -m_k if m_k else math.nan
+            if float(row[idx["rho"]]) != rho:
+                violations.append(f"{name}: rho at accepted row {k} is not {rho!r}")
 
         # Acceptance flags must match the stored ratio.
         rho_th = float(meta["rho_threshold"])
@@ -604,17 +625,16 @@ def _strip_columns(header: list[str], rows: list[list[str]], drop: set[str]):
     return [header[i] for i in keep], [[row[i] for i in keep] for row in rows]
 
 
-def determinism_digest(directory) -> str:
+def determinism_digest(directory, runs: list[RunFiles] | None = None) -> str:
     """Hash of all trace, sidecar and summary content excluding wall
     times: the traces' ``millis``, the sidecars' ``wall_s`` and the
     summary's ``time_s_mean``."""
     digest = hashlib.sha256()
-    for trace_path in iter_run_files(directory):
-        header, rows = _read_trace(trace_path)
-        header, rows = _strip_columns(header, rows, {"millis"})
-        digest.update(trace_path.name.encode())
+    for run in load_runs(directory) if runs is None else runs:
+        header, rows = _strip_columns(*run.trace, {"millis"})
+        digest.update(run.path.name.encode())
         digest.update("\n".join(",".join(r) for r in [header, *rows]).encode())
-        meta = {k: v for k, v in _read_sidecar(trace_path).items() if k != "wall_s"}
+        meta = {k: v for k, v in run.meta.items() if k != "wall_s"}
         digest.update(json.dumps(meta, sort_keys=True).encode())
     summary = Path(directory) / "summary.csv"
     if summary.exists():

@@ -24,6 +24,7 @@ from .bench import (
     determinism_digest,
     format_summary,
     load_plan,
+    load_runs,
     run_plan,
     set_plan_value,
     summarize_traces,
@@ -82,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
                 set_plan_value(plan, key.strip(), value)
             report = run_plan(plan, args.out)
             print(format_summary(report.rows))
-            print(f"digest {determinism_digest(args.out)}")
+            print(f"digest {determinism_digest(args.out, report.runs)}")
             if report.failures:
                 for failure in report.failures:
                     print(f"failure: {failure}", file=sys.stderr)
@@ -90,12 +91,13 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "verify":
-            violations = verify_traces(args.traces)
+            runs = load_runs(args.traces)
+            violations = verify_traces(args.traces, runs)
             if violations:
                 for v in violations:
                     print(f"violation: {v}", file=sys.stderr)
                 return 1
-            print(f"ok, digest {determinism_digest(args.traces)}")
+            print(f"ok, digest {determinism_digest(args.traces, runs)}")
             return 0
 
         if args.command == "summarize":

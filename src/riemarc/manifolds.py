@@ -14,7 +14,8 @@ Two concrete geometries are provided:
   ``{X in R^{d x r} : X^T X = I}``. The tangent space at ``U`` is
   ``{xi : xi^T U + U^T xi = 0}``, the projection is
   ``W - U sym(U^T W)``, and the retraction is the orthogonal factor of
-  the thin QR decomposition with the sign convention ``diag(R) >= 0``.
+  the thin QR decomposition with the sign convention ``diag(R) >= 0``,
+  by Cholesky-QR, since the Gram ``(U + xi)^T (U + xi) = I + xi^T xi``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ FEASIBILITY_TOL = 1e-10
 TANGENCY_TOL = 1e-10
 
 # Feasibility drift beyond this bound after a retraction triggers one
-# re-orthonormalization pass.
-REORTH_DRIFT_TOL = 1e-8
+# re-orthonormalization pass. Cholesky-QR drifts by about
+# ``(1 + ||xi||_2^2) eps``, which passes FEASIBILITY_TOL near
+# ``||xi||_2 = 700``, so steps longer than about 70 take the second pass.
+REORTH_DRIFT_TOL = 1e-12
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -248,6 +251,22 @@ def qr_orthonormal_factor(y: np.ndarray) -> np.ndarray:
     return q * signs
 
 
+def cholesky_qr_factor(y: np.ndarray) -> np.ndarray:
+    """``qr_orthonormal_factor(y)`` as ``y R^{-1}`` with ``R^T R = y^T y``,
+    accurate to about ``cond(y)^2 eps``. Raises when the Gram is not
+    numerically positive definite."""
+    gram = y.T @ y
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise SingularRetractionError("Gram matrix is not positive definite") from exc
+    if lower.diagonal().min() ** 2 <= 1e-14 * gram.trace():
+        raise SingularRetractionError(
+            "matrix is numerically rank deficient, no unique orthonormal factor"
+        )
+    return np.linalg.solve(lower, y.T).T
+
+
 class Stiefel(Manifold):
     """Stiefel manifold of ``d x r`` matrices with orthonormal columns."""
 
@@ -278,7 +297,7 @@ class Stiefel(Manifold):
         return self.tangent(x, data, check=False)
 
     def retract(self, x: Point, xi: Tangent) -> Point:
-        """QR retraction ``qf(U + xi)``.
+        """QR retraction ``qf(U + xi)``, by Cholesky-QR.
 
         The zero tangent returns ``x`` unchanged. If the orthonormal
         factor drifts off the manifold beyond ``REORTH_DRIFT_TOL`` it is
@@ -286,16 +305,16 @@ class Stiefel(Manifold):
         the checks of ``point``, with its feasibility residual computed
         once.
         """
-        if not np.array_equal(xi.base.data, x.data):
+        if xi.base is not x and not np.array_equal(xi.base.data, x.data):
             raise ContractError("tangent vector is not based at x")
-        if not np.any(xi.data):
+        if not xi.data.any():
             return x
-        q = qr_orthonormal_factor(x.data + xi.data)
+        q = cholesky_qr_factor(x.data + xi.data)
         res = self.feasibility_residual(q)
         if res > REORTH_DRIFT_TOL:
-            q = qr_orthonormal_factor(q)
+            q = cholesky_qr_factor(q)
             res = self.feasibility_residual(q)
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ContractError("point contains non-finite entries")
         if res > FEASIBILITY_TOL:
             raise ContractError(

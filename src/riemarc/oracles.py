@@ -12,7 +12,8 @@ Both index sets are drawn once per outer iteration via
 Sampling streams are keyed by ``(seed, iteration, purpose)`` so that
 replaying an iteration reproduces its samples bit for bit regardless of
 evaluation order, and so that the Hessian stream does not depend on
-whether the gradient was sampled.
+whether the gradient was sampled. Each purpose's ``KeyedStream`` jumps
+to iteration ``k`` in place, so no iteration builds a generator.
 
 ``required_sample_sizes`` computes sizes under which the sample averages
 match the exact quantities to accuracy ``delta_g`` and ``delta_h`` with
@@ -53,8 +54,24 @@ class OracleCounters:
     objective_components: int = 0
 
 
-def _sample_rng(seed: int, iteration: int, purpose: int) -> np.random.Generator:
-    return np.random.default_rng([seed, iteration, purpose])
+# ``PCG64.jumped(k)`` advances the state by ``k`` times this step.
+_PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+
+class KeyedStream:
+    """Draws keyed on ``(seed, k, purpose)``: ``at(k)`` resets one shared
+    generator to ``PCG64(SeedSequence([seed, purpose])).jumped(k)``, so
+    any ``k`` replays in any order."""
+
+    def __init__(self, seed: int, purpose: int):
+        self._bits = np.random.PCG64(np.random.SeedSequence([seed, purpose]))
+        self._start = self._bits.state
+        self._generator = np.random.Generator(self._bits)
+
+    def at(self, k: int) -> np.random.Generator:
+        self._bits.state = self._start
+        self._bits.advance(k * _PCG64_JUMP % 2**128)
+        return self._generator
 
 
 class OracleBundle:
@@ -90,6 +107,8 @@ class OracleBundle:
         self.hess_sample_size = hess_sample_size
         self.seed = int(seed)
         self.counters = OracleCounters()
+        self._grad_stream = KeyedStream(self.seed, _PURPOSE_GRADIENT)
+        self._hess_stream = KeyedStream(self.seed, _PURPOSE_HESSIAN)
         self._iteration: int | None = None
         self._grad_idx: np.ndarray | None = None
         self._hess_idx: np.ndarray | None = None
@@ -101,12 +120,12 @@ class OracleBundle:
         n = self.objective.n
         self._iteration = int(k)
         if self.mode is OracleMode.SUBSAMPLED_BOTH:
-            rng = _sample_rng(self.seed, k, _PURPOSE_GRADIENT)
+            rng = self._grad_stream.at(k)
             self._grad_idx = rng.integers(0, n, size=self.grad_sample_size)
         else:
             self._grad_idx = None
         if self.mode is not OracleMode.EXACT:
-            rng = _sample_rng(self.seed, k, _PURPOSE_HESSIAN)
+            rng = self._hess_stream.at(k)
             self._hess_idx = rng.integers(0, n, size=self.hess_sample_size)
         else:
             self._hess_idx = None

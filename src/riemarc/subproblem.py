@@ -58,14 +58,6 @@ class CubicModel:
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ContractError(f"sigma must be positive and finite, got {self.sigma}")
 
-    def value(self, eta: Tangent) -> float:
-        """Evaluate ``m`` at a tangent vector (one Hessian product)."""
-        g_eta = self.manifold.inner(self.gradient, eta)
-        h_eta = self.manifold.inner(self.hvp(eta), eta)
-        nrm = self.manifold.norm(eta)
-        return g_eta + 0.5 * h_eta + (self.sigma / 3.0) * nrm**3
-
-
 
 def _positive_quadratic_root(a: float, b: float, c: float) -> float:
     """Positive root of ``a t^2 + b t - c = 0`` with ``a > 0``, ``c > 0``,
@@ -96,16 +88,6 @@ def _cauchy_candidate(model: CubicModel) -> tuple[Tangent, float, float, float, 
     step_norm = alpha * gnorm
     m_val = g_eta + 0.5 * h_eta + (model.sigma / 3.0) * step_norm**3
     return eta, m_val, g_eta, h_eta, step_norm
-
-
-def cauchy_point(model: CubicModel) -> tuple[Tangent, float]:
-    """Exact minimizer of ``m`` along ``-G`` and its model value.
-
-    Uses a single Hessian product. Raises ``ZeroGradientError`` when the
-    gradient vanishes, since no gradient direction exists.
-    """
-    eta, m_val, _, _, _ = _cauchy_candidate(model)
-    return eta, m_val
 
 
 @dataclass
@@ -232,21 +214,6 @@ def _eigen_candidate(
     h_eta = beta**2 * curvature
     m_val = g_eta + 0.5 * h_eta + (model.sigma / 3.0) * beta**3
     return eta, m_val, g_eta, h_eta, beta
-
-
-def eigen_point(
-    model: CubicModel, v: Tangent, curvature: float
-) -> tuple[Tangent, float]:
-    """Exact minimizer of ``m`` along a negative-curvature direction.
-
-    ``v`` must be unit norm with Rayleigh quotient ``curvature < 0``. The
-    step is ``beta* s v`` where ``s`` flips ``v`` against the gradient
-    (``+1`` on a perpendicular gradient) and ``beta*`` is the positive
-    root of ``sigma b^2 + curvature b + s <G, v> = 0``, which satisfies
-    ``beta* >= |curvature| / sigma``.
-    """
-    eta, m_val, _, _, _ = _eigen_candidate(model, v, curvature)
-    return eta, m_val
 
 
 @dataclass

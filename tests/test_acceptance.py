@@ -23,15 +23,10 @@ from riemarc.oracles import (
     SampleSizeParams,
     required_sample_sizes,
 )
-from riemarc.subproblem import (
-    CubicModel,
-    cauchy_point,
-    eigen_point,
-    min_eig_estimate,
-    solve_subproblem,
-)
+from riemarc.subproblem import CubicModel, min_eig_estimate, solve_subproblem
 
 from concentration import concentration_trial
+from model_points import cauchy_point, eigen_point
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

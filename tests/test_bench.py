@@ -1,6 +1,10 @@
 """Benchmark harness: plan parsing, artifacts, verification, determinism."""
 
+import builtins
+import collections
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import shutil
@@ -338,6 +342,111 @@ def test_verify_flags_renamed_column(bench_dir, tmp_path):
 
     problems = _tampered(bench_dir, tmp_path, "columns", mutate)
     assert any("unexpected columns" in p for p in problems)
+
+
+def _success_flags(path):
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index("success")
+    return [line.split(",")[col] == "1" for line in lines[1:]]
+
+
+def _scale_model_val(path, row, factor):
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index("model_val")
+    fields = lines[row + 1].split(",")
+    fields[col] = repr(float(fields[col]) * factor)
+    lines[row + 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_verify_recomputes_rho_of_accepted_rows(bench_dir, tmp_path):
+    """A 1% edit of an accepted row's model value keeps its stored rho
+    above the threshold and every other law intact; only the recomputed
+    ratio ``(f_k - f_{k+1}) / -m_k`` catches it."""
+    path = next(p for p in iter_run_files(bench_dir) if any(_success_flags(p)[:-1]))
+    row = _success_flags(path).index(True)
+
+    def mutate(copy):
+        _scale_model_val(copy / path.name, row, 1.01)
+
+    problems = _tampered(bench_dir, tmp_path, "model_val", mutate)
+    assert len(problems) == 1
+    assert problems[0].startswith(f"{path.name}: rho at accepted row {row} is ")
+
+
+def test_verify_reads_final_f_after_the_last_row(bench_dir, tmp_path):
+    """The last row's successor value is the sidecar's ``final_f``: an
+    edit of it contradicts the last row's rho when that row was accepted,
+    or its unchanged f when it was rejected."""
+
+    def mutate(copy):
+        for meta_path in copy.glob("*.meta.json"):
+            meta = json.loads(meta_path.read_text())
+            meta["final_f"] *= 1.0 - 1e-9
+            meta_path.write_text(json.dumps(meta))
+
+    problems = _tampered(bench_dir, tmp_path, "final_f", mutate)
+    expected = []
+    for path in iter_run_files(bench_dir):
+        flags = _success_flags(path)
+        law = "rho at accepted" if flags[-1] else "f changed after rejected"
+        expected.append(f"{path.name}: {law} row {len(flags) - 1}")
+    assert [p[: len(e)] for p, e in zip(problems, expected)] == expected
+    assert len(problems) == len(expected)
+
+
+def _two_pass_digest(directory):
+    """The content digest computed the way it was before runs were parsed
+    once: each trace, sidecar and summary read and split on its own."""
+
+    def csv_without(path, column):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        table = [line.split(",") for line in lines if line]
+        keep = [i for i, name in enumerate(table[0]) if name != column]
+        return "\n".join(",".join(r[i] for i in keep) for r in table).encode()
+
+    digest = hashlib.sha256()
+    for path in iter_run_files(directory):
+        digest.update(path.name.encode())
+        digest.update(csv_without(path, "millis"))
+        meta = json.loads(path.with_suffix(".meta.json").read_text(encoding="utf-8"))
+        del meta["wall_s"]
+        digest.update(json.dumps(meta, sort_keys=True).encode())
+    digest.update(csv_without(Path(directory) / "summary.csv", "time_s_mean"))
+    return digest.hexdigest()
+
+
+def test_digest_equals_the_two_pass_reference(tmp_path, capsys):
+    """``riemarc run`` and ``riemarc verify`` print, from their one parse
+    of each file, the digest a separate read of every file gives."""
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("case 60 4 4\nrepetitions = 1\nmax_iters = 40\n")
+    out = tmp_path / "runs"
+    assert cli_main(["run", "--plan", str(plan_file), "--out", str(out)]) == 0
+    printed_by_run = capsys.readouterr().out.splitlines()[-1]
+    assert cli_main(["verify", str(out)]) == 0
+    printed_by_verify = capsys.readouterr().out.strip()
+    reference = _two_pass_digest(out)
+    assert printed_by_run == f"digest {reference}"
+    assert printed_by_verify == f"ok, digest {reference}"
+    assert determinism_digest(out) == reference
+
+
+def test_verify_reads_each_artifact_once(bench_dir, monkeypatch, capsys):
+    opened = collections.Counter()
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and "r" in mode:
+            opened[Path(file)] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert cli_main(["verify", str(bench_dir)]) == 0
+    assert capsys.readouterr().out.startswith("ok, digest ")
+    reads = {path: n for path, n in opened.items() if path.parent == bench_dir}
+    assert reads == dict.fromkeys(bench_dir.iterdir(), 1)
 
 
 def _bump_sidecar(path, counter, amount):

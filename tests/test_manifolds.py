@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemarc import manifolds
 from riemarc.errors import ContractError, SingularRetractionError
@@ -12,6 +14,7 @@ from riemarc.manifolds import (
     Point,
     Stiefel,
     Tangent,
+    cholesky_qr_factor,
     qr_orthonormal_factor,
     sym,
 )
@@ -193,7 +196,7 @@ def test_stiefel_retract_returns_the_read_only_qr_factor():
     x = man.random_point(5)
     xi = man.tangent(x, 0.1 * man.random_tangent(x, 6).data)
     y = man.retract(x, xi)
-    assert np.array_equal(y.data, qr_orthonormal_factor(x.data + xi.data))
+    assert np.array_equal(y.data, cholesky_qr_factor(x.data + xi.data))
     assert not y.data.flags.writeable
 
 
@@ -203,14 +206,76 @@ def test_stiefel_retract_rechecks_its_factor(monkeypatch):
     man = Stiefel(4, 2)
     x = man.random_point(7)
     xi = man.random_tangent(x, 8)
-    monkeypatch.setattr(manifolds, "qr_orthonormal_factor", lambda y: 2.0 * y)
+    monkeypatch.setattr(manifolds, "cholesky_qr_factor", lambda y: 2.0 * y)
     with pytest.raises(ContractError, match="off the manifold"):
         man.retract(x, xi)
     monkeypatch.setattr(
-        manifolds, "qr_orthonormal_factor", lambda y: np.full_like(y, np.nan)
+        manifolds, "cholesky_qr_factor", lambda y: np.full_like(y, np.nan)
     )
     with pytest.raises(ContractError, match="non-finite"):
         man.retract(x, xi)
+
+
+@st.composite
+def _tangent_steps(draw):
+    """A Stiefel point and a tangent step of 2-norm between 1e-8 and 1e3,
+    either a projected Gaussian or a projected rank-one matrix, whose
+    2-norm equals its Frobenius norm and so drifts the most."""
+    d = draw(st.integers(1, 12))
+    r = draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    man = Stiefel(d, r)
+    x = man.random_point(rng)
+    if draw(st.booleans()):
+        w = rng.standard_normal((d, r))
+    else:
+        w = np.outer(rng.standard_normal(d), rng.standard_normal(r))
+    xi = man.project(x, w).data
+    norm = np.linalg.norm(xi, 2)
+    if norm < 1e-8:
+        xi, norm = np.zeros((d, r)), 0.0
+    else:
+        xi = xi * (10.0 ** draw(st.floats(-8.0, 3.0)) / norm)
+        norm = np.linalg.norm(xi, 2)
+    return man, x, man.tangent(x, xi, check=False), norm
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tangent_steps())
+def test_retraction_is_feasible_and_matches_householder(case):
+    """Cholesky-QR of ``U + xi`` lands on the manifold within
+    ``FEASIBILITY_TOL`` and matches the sign-fixed Householder factor to
+    ``16 (1 + ||xi||_2^2) eps``, the rounding bound of a Gram
+    ``I + xi^T xi``."""
+    man, x, xi, norm = case
+    y = man.retract(x, xi)
+    assert man.feasibility_residual(y.data) <= FEASIBILITY_TOL
+    reference = qr_orthonormal_factor(x.data + xi.data)
+    bound = 16.0 * (1.0 + norm**2) * np.finfo(float).eps
+    assert np.max(np.abs(y.data - reference)) <= bound
+
+
+@pytest.mark.parametrize("kind", ["zero column", "repeated column", "rank one"])
+def test_cholesky_factor_rejects_rank_deficient(kind):
+    y = np.random.default_rng(11).standard_normal((6, 3))
+    if kind == "zero column":
+        y[:, 1] = 0.0
+    elif kind == "repeated column":
+        y[:, 2] = y[:, 0]
+    else:
+        y = np.outer(y[:, 0], [1.0, -2.0, 0.5])
+    with pytest.raises(SingularRetractionError):
+        cholesky_qr_factor(y)
+
+
+def test_stiefel_retract_raises_on_a_rank_deficient_argument():
+    """A step that is not tangent can cancel a column of ``U``."""
+    man = Stiefel(5, 2)
+    x = man.random_point(3)
+    step = np.zeros((5, 2))
+    step[:, 0] = -x.data[:, 0]
+    with pytest.raises(SingularRetractionError):
+        man.retract(x, Tangent(step, x))
 
 
 def test_random_tangent_unit_norm():

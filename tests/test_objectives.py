@@ -229,6 +229,51 @@ def test_gradient_call_autostarts_iteration_zero():
     )
 
 
+def _jumped_indices(seed, purpose, k, n, size):
+    bits = np.random.PCG64(np.random.SeedSequence([seed, purpose])).jumped(k)
+    return np.random.Generator(bits).integers(0, n, size=size)
+
+
+def test_samples_are_the_jumped_stream_of_each_purpose():
+    """Iteration ``k`` draws its gradient sample (purpose 0) and Hessian
+    sample (purpose 1) from ``PCG64(SeedSequence([seed, purpose]))``
+    jumped ``k`` times, and replays exactly in any order."""
+    obj = CosineSum.random(70, 3, seed=39)
+    x = obj.manifold.random_point(40)
+    xi = obj.manifold.random_tangent(x, 41)
+    bundle = OracleBundle(
+        obj, OracleMode.SUBSAMPLED_BOTH, grad_sample_size=9, hess_sample_size=4, seed=43
+    )
+    seen = {}
+    for k in (5, 2, 5, 0):
+        bundle.begin_iteration(k)
+        grad_idx = _jumped_indices(43, 0, k, 70, 9)
+        hess_idx = _jumped_indices(43, 1, k, 70, 4)
+        g = bundle.inexact_gradient(x).data
+        h = bundle.inexact_hvp(x, xi).data
+        assert np.array_equal(g, obj.gradient(x, grad_idx).data)
+        assert np.array_equal(h, obj.hess_vec(x, xi, hess_idx).data)
+        if k in seen:
+            assert np.array_equal(g, seen[k][0]) and np.array_equal(h, seen[k][1])
+        seen[k] = (g, h)
+    assert not np.array_equal(seen[5][0], seen[2][0])
+
+
+def test_begin_iteration_builds_no_generator(monkeypatch):
+    obj = CosineSum.random(30, 3, seed=45)
+    bundle = OracleBundle(
+        obj, OracleMode.SUBSAMPLED_BOTH, grad_sample_size=6, hess_sample_size=3, seed=47
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("begin_iteration built a generator")
+
+    for name in ("default_rng", "Generator", "PCG64", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, refuse)
+    for k in (0, 1, 7, 1):
+        bundle.begin_iteration(k)
+
+
 def test_hvp_before_begin_iteration_raises():
     obj = CosineSum.random(20, 3, seed=35)
     x = obj.manifold.random_point(36)
