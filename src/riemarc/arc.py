@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, TextIO
+from typing import Callable
 
 from .errors import ContractError, MissingEigenEstimateError
 from .manifolds import Point, Tangent
@@ -52,21 +52,6 @@ SIGMA_MIN = 1e-12
 
 # Seed stream purposes 0 and 1 belong to the oracle bundle.
 _PURPOSE_LANCZOS = 2
-
-TRACE_COLUMNS = (
-    "k",
-    "f",
-    "grad_norm",
-    "sigma",
-    "model_val",
-    "rho",
-    "success",
-    "lambda_min",
-    "grad_evals",
-    "hess_evals",
-    "millis",
-)
-
 
 class StopRule(Enum):
     """Outer termination test.
@@ -124,7 +109,7 @@ class DriverConfig:
 
     * ``initial_weight()``: sigma0 or delta0;
     * ``step(grad, hvp, weight, x, manifold, probe) -> TrialStep``;
-    * ``next_weight(weight, success) -> (weight, clamped)``;
+    * ``next_weight(weight, success) -> weight``;
     * ``weight_bounds()``: the resolved bound of the weight update,
       keyed as the run sidecar records it.
     """
@@ -142,8 +127,6 @@ class DriverConfig:
     stop_rule: StopRule = StopRule.OPTIMALITY
     tau: float = 1e-3
     eig_policy: EigPolicy = EigPolicy.ON_SMALL_GRADIENT
-    lanczos_tol: float = 1e-6
-    lanczos_max_iters: int | None = None
     max_iters: int | None = None
 
     def validate(self) -> None:
@@ -159,12 +142,6 @@ class DriverConfig:
             raise ContractError(f"gamma must be finite and exceed 1, got {self.gamma}")
         if not self.tau > 0.0:
             raise ContractError(f"tau must be positive, got {self.tau}")
-        if not self.lanczos_tol > 0.0:
-            raise ContractError(f"lanczos_tol must be positive, got {self.lanczos_tol}")
-        if self.lanczos_max_iters is not None and self.lanczos_max_iters < 1:
-            raise ContractError(
-                f"lanczos_max_iters must be at least 1, got {self.lanczos_max_iters}"
-            )
         if self.max_iters is not None and self.max_iters < 0:
             raise ContractError("max_iters must be non-negative")
 
@@ -213,13 +190,10 @@ class SolverConfig(DriverConfig):
         taylor = (result.g_eta, result.h_eta, result.step_norm)
         return result.step, result.m_val, taylor
 
-    def next_weight(self, weight: float, success: bool) -> tuple[float, bool]:
+    def next_weight(self, weight: float, success: bool) -> float:
         if not success:
-            return self.gamma * weight, False
-        next_sigma = weight / self.gamma
-        if next_sigma < SIGMA_MIN:
-            return SIGMA_MIN, True
-        return next_sigma, False
+            return self.gamma * weight
+        return max(weight / self.gamma, SIGMA_MIN)
 
     def weight_bounds(self) -> dict[str, float]:
         return {"sigma_min": SIGMA_MIN}
@@ -242,6 +216,10 @@ class IterationRecord:
     millis: float
 
 
+# The trace CSV's columns, in ``IterationRecord`` field order.
+TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
+
+
 @dataclass
 class RunTrace:
     """Full record of one solver run."""
@@ -254,7 +232,6 @@ class RunTrace:
     hess_evals: int
     objective_evals: int
     l_hat: float | None = None
-    sigma_clamped_iterations: list[int] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -323,7 +300,6 @@ def _drive(
     exact_hessian = cfg.mode is OracleMode.EXACT
     l_hat: float | None = None
     records: list[IterationRecord] = []
-    clamped: list[int] = []
     outcome = Outcome.MAX_ITERS
     budget = cfg.iteration_budget()
     small_grad = _small_gradient_threshold(cfg)
@@ -346,14 +322,7 @@ def _drive(
 
         probe: MinEigResult | None = None
         if cfg.eig_policy is EigPolicy.EVERY_ITERATION or grad_norm <= small_grad:
-            probe = probe_curvature(
-                manifold,
-                x,
-                hvp,
-                tol=cfg.lanczos_tol,
-                max_iters=cfg.lanczos_max_iters,
-                seed=lanczos_stream.at(k),
-            )
+            probe = probe_curvature(manifold, x, hvp, seed=lanczos_stream.at(k))
 
         lambda_est = probe.value if probe is not None else None
         if not gradient_stop and should_terminate(grad_norm, lambda_est, cfg):
@@ -401,9 +370,7 @@ def _drive(
         if success:
             x = x_trial
             f_x = f_trial
-        weight, was_clamped = cfg.next_weight(weight, success)
-        if was_clamped:
-            clamped.append(k)
+        weight = cfg.next_weight(weight, success)
         k += 1
 
     return RunTrace(
@@ -415,7 +382,6 @@ def _drive(
         hess_evals=bundle.counters.hess_components,
         objective_evals=bundle.counters.objective_components,
         l_hat=l_hat,
-        sigma_clamped_iterations=clamped,
     )
 
 
@@ -429,18 +395,13 @@ def _format_value(value: float | int | bool | None) -> str:
     return repr(float(value))
 
 
-def write_trace_rows(
-    records: Iterable[IterationRecord], stream: TextIO, *, sigma_name: str = "sigma"
-) -> None:
-    """Write records as CSV with the fixed column order. ``sigma_name``
-    lets trust-region traces label the radius column ``delta``."""
-    header = [c if c != "sigma" else sigma_name for c in TRACE_COLUMNS]
-    stream.write(",".join(header) + "\n")
-    for rec in records:
-        row = [_format_value(getattr(rec, c)) for c in TRACE_COLUMNS]
-        stream.write(",".join(row) + "\n")
-
-
 def write_trace_csv(trace: RunTrace, path, *, sigma_name: str = "sigma") -> None:
+    """Write the trace's records as CSV in ``TRACE_COLUMNS`` order.
+    ``sigma_name`` lets trust-region traces label the radius column
+    ``delta``."""
+    header = [c if c != "sigma" else sigma_name for c in TRACE_COLUMNS]
     with open(path, "w", encoding="utf-8") as stream:
-        write_trace_rows(trace.records, stream, sigma_name=sigma_name)
+        stream.write(",".join(header) + "\n")
+        for rec in trace.records:
+            row = [_format_value(getattr(rec, c)) for c in TRACE_COLUMNS]
+            stream.write(",".join(row) + "\n")

@@ -101,6 +101,10 @@ class BenchmarkPlan:
         for s in self.solvers:
             if s not in SOLVERS:
                 raise PlanError(f"unknown solver {s!r}, expected one of {SOLVERS}")
+            if self.solvers.count(s) > 1:
+                raise PlanError(f"solver {s!r} is listed more than once")
+        if self.master_seed < 0:
+            raise PlanError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.repetitions < 1:
             raise PlanError("repetitions must be at least 1")
         if not 0.0 < self.grad_frac <= 1.0 or not 0.0 < self.hess_frac <= 1.0:
@@ -459,26 +463,54 @@ def write_summary(rows: list[SummaryRow], path) -> None:
 # -- verification ---------------------------------------------------------
 
 
+def _parse_columns(
+    header: list[str], rows: list[list[str]], radius_col: str
+) -> dict[str, list]:
+    """The trace columns verify reads, parsed. Raises ``ValueError``
+    naming the first row with the wrong cell count or a cell that does
+    not parse."""
+    parsers = {
+        "k": int,
+        "f": float,
+        radius_col: float,
+        "model_val": float,
+        "rho": float,
+        "success": {"0": False, "1": True}.__getitem__,
+        "grad_evals": int,
+        "hess_evals": int,
+    }
+    readers = [(header.index(col), col, parse) for col, parse in parsers.items()]
+    columns: dict[str, list] = {col: [] for col in parsers}
+    for k, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(
+                f"unreadable row {k}: {len(row)} cells, expected {len(header)}"
+            )
+        for i, col, parse in readers:
+            try:
+                columns[col].append(parse(row[i]))
+            except (KeyError, ValueError):
+                raise ValueError(f"unreadable row {k}: {col} is {row[i]!r}") from None
+    return columns
+
+
 def _check_recurrence(
     name: str,
-    rows: list[list[str]],
-    idx: dict[str, int],
+    values: list[float],
+    succ: list[bool],
     meta: dict,
     violations: list[str],
 ) -> None:
     gamma = float(meta["gamma"])
     radius_col = meta["radius_column"]
     is_tr = radius_col == "delta"
-    col = idx[radius_col]
-    values = [float(row[col]) for row in rows]
-    succ = [row[idx["success"]] == "1" for row in rows]
-    if rows:
+    if values:
         expected0 = float(meta["delta0"] if is_tr else meta["sigma0"])
         if values[0] != expected0:
             violations.append(
                 f"{name}: row 0 {radius_col} is {values[0]!r}, expected {expected0!r}"
             )
-    for k in range(len(rows) - 1):
+    for k in range(len(values) - 1):
         if is_tr:
             cap = float(meta["delta_max"])
             expected = min(gamma * values[k], cap) if succ[k] else values[k] / gamma
@@ -523,9 +555,14 @@ def verify_traces(directory, runs: list[RunFiles] | None = None) -> list[str]:
         if header != expected_header:
             violations.append(f"{name}: unexpected columns {header}")
             continue
-        idx = {name_: i for i, name_ in enumerate(header)}
+        try:
+            cols = _parse_columns(header, rows, radius_name)
+        except ValueError as exc:
+            violations.append(f"{name}: {exc}")
+            continue
+        succ = cols["success"]
 
-        if [int(row[idx["k"]]) for row in rows] != list(range(len(rows))):
+        if cols["k"] != list(range(len(rows))):
             violations.append(f"{name}: iteration indices are not 0..{len(rows) - 1}")
         if meta.get("iterations") != len(rows):
             violations.append(
@@ -533,30 +570,28 @@ def verify_traces(directory, runs: list[RunFiles] | None = None) -> list[str]:
                 f"trace has {len(rows)}"
             )
 
-        _check_recurrence(name, rows, idx, meta, violations)
+        _check_recurrence(name, cols[radius_name], succ, meta, violations)
 
         # Objective bookkeeping, with the sidecar's final_f after the last
         # row: rejected iterations keep f, accepted ones never increase it
         # and store rho_k = (f_k - f_{k+1}) / -m_k.
-        f_vals = [float(row[idx["f"]]) for row in rows] + [float(meta["final_f"])]
-        for k, row in enumerate(rows):
+        f_vals = cols["f"] + [float(meta["final_f"])]
+        for k, m_k in enumerate(cols["model_val"]):
             f_k, f_next = f_vals[k], f_vals[k + 1]
-            if row[idx["success"]] != "1":
+            if not succ[k]:
                 if f_next != f_k:
                     violations.append(f"{name}: f changed after rejected row {k}")
                 continue
             if f_next > f_k:
                 violations.append(f"{name}: f increased after accepted row {k}")
-            m_k = float(row[idx["model_val"]])
             rho = (f_k - f_next) / -m_k if m_k else math.nan
-            if float(row[idx["rho"]]) != rho:
+            if cols["rho"][k] != rho:
                 violations.append(f"{name}: rho at accepted row {k} is not {rho!r}")
 
         # Acceptance flags must match the stored ratio.
         rho_th = float(meta["rho_threshold"])
-        for k, row in enumerate(rows):
-            flag = row[idx["success"]] == "1"
-            if flag != (float(row[idx["rho"]]) >= rho_th):
+        for k, (flag, rho) in enumerate(zip(succ, cols["rho"])):
+            if flag != (rho >= rho_th):
                 violations.append(f"{name}: success flag contradicts rho at row {k}")
 
         # Oracle counters: cumulative, one gradient batch per iteration,
@@ -564,9 +599,7 @@ def verify_traces(directory, runs: list[RunFiles] | None = None) -> list[str]:
         g_size = int(meta["grad_sample_size"])
         h_size = int(meta["hess_sample_size"])
         prev_g, prev_h = 0, 0
-        for k, row in enumerate(rows):
-            g_c = int(row[idx["grad_evals"]])
-            h_c = int(row[idx["hess_evals"]])
+        for k, (g_c, h_c) in enumerate(zip(cols["grad_evals"], cols["hess_evals"])):
             if g_c - prev_g != g_size:
                 violations.append(
                     f"{name}: gradient counter step {g_c - prev_g} at row {k}, "

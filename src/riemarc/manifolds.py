@@ -5,17 +5,12 @@ small immutable records so that the two roles cannot be confused. Every
 manifold here is a Riemannian submanifold of a matrix space equipped with
 the trace inner product ``<eta, xi> = trace(eta^T xi)``.
 
-Two concrete geometries are provided:
-
-* ``Euclidean(d)``: column vectors (``r = 1``), identity projection and
-  additive retraction. Used mainly to exercise solvers against dense
-  reference computations.
-* ``Stiefel(d, r)``: matrices with orthonormal columns,
-  ``{X in R^{d x r} : X^T X = I}``. The tangent space at ``U`` is
-  ``{xi : xi^T U + U^T xi = 0}``, the projection is
-  ``W - U sym(U^T W)``, and the retraction is the orthogonal factor of
-  the thin QR decomposition with the sign convention ``diag(R) >= 0``,
-  by Cholesky-QR, since the Gram ``(U + xi)^T (U + xi) = I + xi^T xi``.
+The concrete geometry is ``Stiefel(d, r)``: matrices with orthonormal
+columns, ``{X in R^{d x r} : X^T X = I}``. The tangent space at ``U`` is
+``{xi : xi^T U + U^T xi = 0}``, the projection is ``W - U sym(U^T W)``,
+and the retraction is the orthogonal factor of the thin QR decomposition
+with the sign convention ``diag(R) >= 0``, by Cholesky-QR, since the Gram
+``(U + xi)^T (U + xi) = I + xi^T xi``.
 """
 
 from __future__ import annotations
@@ -201,40 +196,6 @@ class Manifold(ABC):
 
     @abstractmethod
     def _random_point_data(self, rng: np.random.Generator) -> np.ndarray: ...
-
-
-class Euclidean(Manifold):
-    """Flat space of ``d x 1`` column vectors under the trace metric."""
-
-    def __init__(self, d: int):
-        if d < 1:
-            raise ContractError(f"dimension must be positive, got {d}")
-        self.d = int(d)
-        self.r = 1
-
-    @property
-    def intrinsic_dim(self) -> int:
-        return self.d
-
-    def feasibility_residual(self, data: np.ndarray) -> float:
-        return 0.0
-
-    def tangency_residual(self, base: np.ndarray, data: np.ndarray) -> float:
-        return 0.0
-
-    def project(self, x: Point, w: np.ndarray) -> Tangent:
-        return self.tangent(x, w, check=False)
-
-    def retract(self, x: Point, xi: Tangent) -> Point:
-        if not np.array_equal(xi.base.data, x.data):
-            raise ContractError("tangent vector is not based at x")
-        return Point(x.data + xi.data)
-
-    def _random_point_data(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal((self.d, 1))
-
-    def __repr__(self) -> str:
-        return f"Euclidean(d={self.d})"
 
 
 def qr_orthonormal_factor(y: np.ndarray) -> np.ndarray:

@@ -18,9 +18,10 @@ By construction the returned value never exceeds the Cauchy value, and
 never exceeds the eigen value when negative curvature was detected. The
 caller supplies the curvature estimate: ``min_eig_estimate`` runs
 Lanczos iteration on the Hessian operator restricted to the tangent
-space, with full reorthogonalization, and the outer driver passes the
-probe it already ran for its stop test. Without a probe only the Cauchy
-point is a candidate.
+space, with full reorthogonalization, to the fixed relative residual
+tolerance ``LANCZOS_TOL`` within a budget of one iteration per tangent
+dimension, and the outer driver passes the probe it already ran for its
+stop test. Without a probe only the Cauchy point is a candidate.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from .manifolds import Manifold, Point, Tangent
 # Curvature counts as negative only below this relative threshold, so
 # roundoff-scale negative Ritz values do not trigger eigen steps.
 NEGATIVE_CURVATURE_REL_TOL = 1e-10
+
+# Lanczos stops once the Ritz residual is below this fraction of
+# max(1, largest Ritz value magnitude).
+LANCZOS_TOL = 1e-6
 
 
 @dataclass
@@ -97,7 +102,8 @@ class MinEigResult:
     ``value`` is the Rayleigh quotient of the returned unit vector, so it
     upper-bounds the true smallest eigenvalue. ``op_norm_est`` is the
     largest Ritz value magnitude seen, a lower bound on the operator
-    norm used for relative thresholds.
+    norm used for relative thresholds. ``converged`` is always true,
+    since the iteration budget is the tangent dimension.
     """
 
     value: float
@@ -112,36 +118,28 @@ def min_eig_estimate(
     base: Point,
     hvp: Callable[[Tangent], Tangent],
     *,
-    tol: float = 1e-6,
-    max_iters: int | None = None,
     seed: int | np.random.Generator = 0,
 ) -> MinEigResult:
     """Lanczos estimate of the smallest eigenvalue of ``hvp`` restricted
     to the tangent space at ``base``.
 
     Iterates with full reorthogonalization until the Ritz residual drops
-    below ``tol * max(1, |ritz|_max)``, the Krylov space exhausts the
-    tangent space (the estimate is then exact up to roundoff), or the
-    iteration budget runs out (the result is flagged unconverged).
+    below ``LANCZOS_TOL * max(1, |ritz|_max)``, or until the Krylov space
+    becomes invariant or spans the tangent space (the estimate is then
+    exact up to roundoff), so at most ``intrinsic_dim`` times.
     """
     dim = manifold.intrinsic_dim
     if dim < 1:
         raise ContractError("tangent space must have dimension >= 1")
-    budget = dim if max_iters is None else int(max_iters)
-    if budget < 1:
-        raise ContractError("iteration budget must be positive")
-    budget = min(budget, dim)
 
     q0 = manifold.random_tangent(base, seed)
     basis: list[Tangent] = [q0]
     alphas: list[float] = []
     betas: list[float] = []
-    converged = False
-    theta = 0.0
     ritz_weights: np.ndarray | None = None
     op_norm = 0.0
 
-    for j in range(budget):
+    for j in range(dim):
         w = hvp(basis[j]).data.copy()
         a_j = float(np.tensordot(basis[j].data, w))
         alphas.append(a_j)
@@ -160,17 +158,17 @@ def min_eig_estimate(
             off = np.array(betas)
             tri += np.diag(off, 1) + np.diag(off, -1)
         evals, evecs = np.linalg.eigh(tri)
-        theta = float(evals[0])
         ritz_weights = evecs[:, 0]
         op_norm = max(op_norm, float(np.max(np.abs(evals))))
         residual = beta_j * abs(float(ritz_weights[-1]))
 
-        if residual <= tol * max(1.0, op_norm):
-            converged = True
-            break
-        if beta_j <= 1e-12 * max(1.0, op_norm) or j + 1 == dim:
-            # Krylov space is invariant or spans the tangent space.
-            converged = True
+        # Stop on a small residual, or once the Krylov space is invariant
+        # or spans the tangent space.
+        if (
+            residual <= LANCZOS_TOL * max(1.0, op_norm)
+            or beta_j <= 1e-12 * max(1.0, op_norm)
+            or j + 1 == dim
+        ):
             break
         betas.append(beta_j)
         basis.append(manifold.tangent(base, w / beta_j, check=False))
@@ -188,7 +186,7 @@ def min_eig_estimate(
     return MinEigResult(
         value=rayleigh,
         vector=v,
-        converged=converged,
+        converged=True,
         iterations=len(alphas),
         op_norm_est=max(op_norm, abs(rayleigh)),
     )

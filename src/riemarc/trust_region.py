@@ -7,8 +7,9 @@ the boundary, and the residual test stops at
 ``||r|| <= ||G|| min(CG_KAPPA, ||G||^CG_THETA)`` with ``CG_KAPPA = 0.1``
 and ``CG_THETA = 0.5``. CG runs at most ``intrinsic_dim`` iterations,
 where exact arithmetic would have converged. The radius grows to
-``min(gamma delta, delta_max)`` on success and shrinks to
-``delta / gamma`` on rejection.
+``min(gamma delta, 10 delta0)`` on success and shrinks to
+``delta / gamma`` on rejection; the run sidecar records the cap
+``10 delta0`` as ``delta_max``.
 
 ``TrustRegionConfig`` is this step rule; ``run_trust_region`` runs it in
 the cubic driver's outer loop (``arc._drive``), so sampling, the
@@ -44,19 +45,14 @@ class TrustRegionConfig(DriverConfig):
     radius_column = "delta"
 
     delta0: float = 1.0
-    delta_max: float | None = None  # defaults to 10 * delta0
 
     def validate(self) -> None:
         super().validate()
         if not 0.0 < self.delta0 < math.inf:
             raise ContractError(f"delta0 must be positive and finite, got {self.delta0}")
-        if self.delta_max is not None and not self.delta0 <= self.delta_max < math.inf:
-            raise ContractError(
-                f"delta_max must be finite and at least delta0, got {self.delta_max}"
-            )
 
     def radius_cap(self) -> float:
-        return 10.0 * self.delta0 if self.delta_max is None else self.delta_max
+        return 10.0 * self.delta0
 
     def initial_weight(self) -> float:
         return self.delta0
@@ -65,10 +61,10 @@ class TrustRegionConfig(DriverConfig):
         sub = tr_subproblem(grad, hvp, weight, manifold)
         return sub.step, sub.model_val, None
 
-    def next_weight(self, weight: float, success: bool) -> tuple[float, bool]:
+    def next_weight(self, weight: float, success: bool) -> float:
         if success:
-            return min(self.gamma * weight, self.radius_cap()), False
-        return weight / self.gamma, False
+            return min(self.gamma * weight, self.radius_cap())
+        return weight / self.gamma
 
     def weight_bounds(self) -> dict[str, float]:
         return {"delta_max": self.radius_cap()}

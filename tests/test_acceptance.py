@@ -15,8 +15,7 @@ import numpy as np
 from riemarc.arc import Outcome, SolverConfig, StopRule, run
 from riemarc.bench import BenchmarkPlan, iter_run_files, run_plan, verify_traces
 from riemarc.jointdiag import JointDiagObjective, generate_instance
-from riemarc.manifolds import Euclidean, Stiefel, sym
-from riemarc.objectives import CosineSum, SaddleQuartic
+from riemarc.manifolds import Stiefel, sym
 from riemarc.oracles import (
     OracleBundle,
     OracleMode,
@@ -26,6 +25,7 @@ from riemarc.oracles import (
 from riemarc.subproblem import CubicModel, min_eig_estimate, solve_subproblem
 
 from concentration import concentration_trial
+from euclidean import CosineSum, Euclidean, SaddleQuartic
 from model_points import cauchy_point, eigen_point
 
 

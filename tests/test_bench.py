@@ -2,6 +2,7 @@
 
 import builtins
 import collections
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemarc.arc import EigPolicy, SolverConfig, StopRule, run, write_trace_csv
 from riemarc.bench import (
@@ -102,6 +105,10 @@ def test_parse_plan_errors():
         parse_plan("case 10 3 2\ngrad_frac = 2.0\n")
     with pytest.raises(PlanError):
         parse_plan("case 10 3 5\n")  # r > d
+    with pytest.raises(PlanError, match="master_seed"):
+        parse_plan("case 10 3 2\nmaster_seed = -1\n")
+    with pytest.raises(PlanError, match="more than once"):
+        parse_plan("case 10 3 2\nsolvers = racr ssrtr racr\n")
 
 
 def test_plan_validates_only_selected_solver_configs():
@@ -342,6 +349,92 @@ def test_verify_flags_renamed_column(bench_dir, tmp_path):
 
     problems = _tampered(bench_dir, tmp_path, "columns", mutate)
     assert any("unexpected columns" in p for p in problems)
+
+
+_UNREADABLE_ROWS = {
+    "f-is-text": lambda cells: [cells[0], "abc", *cells[2:]],
+    "k-is-fractional": lambda cells: ["1.5", *cells[1:]],
+    "cut-to-5-cells": lambda cells: cells[:5],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_UNREADABLE_ROWS))
+def test_unreadable_trace_row_is_a_violation(bench_dir, tmp_path, capsys, edit):
+    """A row verify cannot parse is reported for its run, and the other
+    runs are still checked."""
+    copy = tmp_path / "runs"
+    shutil.copytree(bench_dir, copy)
+    victim = copy / _pick_long_trace(bench_dir).name
+    lines = victim.read_text().splitlines()
+    lines[2] = ",".join(_UNREADABLE_ROWS[edit](lines[2].split(",")))
+    victim.write_text("\n".join(lines) + "\n")
+    other = next(p for p in iter_run_files(copy) if p != victim)
+    other.with_suffix(".meta.json").unlink()
+
+    assert cli_main(["verify", str(copy)]) == 1
+    err = capsys.readouterr().err
+    assert f"violation: {victim.name}: unreadable row 1: " in err
+    assert f"violation: {other.name}: missing sidecar" in err
+
+
+# The trace columns verify reads, each with what a readable cell is.
+_READ_CELLS = {
+    "k": int,
+    "f": float,
+    "sigma": float,
+    "delta": float,
+    "model_val": float,
+    "rho": float,
+    "success": ("0", "1").index,
+    "grad_evals": int,
+    "hess_evals": int,
+}
+
+
+def _readable(column, text):
+    try:
+        _READ_CELLS[column](text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def edit_dir(bench_dir, tmp_path_factory):
+    copy = tmp_path_factory.mktemp("edits") / "runs"
+    shutil.copytree(bench_dir, copy)
+    return copy
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verify_survives_any_single_cell_edit(edit_dir, data):
+    """Any text in any one trace cell leaves verify exiting 0 or 1. It
+    exits 1 when the header changes, when the edited row has the wrong
+    cell count, or when a cell verify reads no longer parses."""
+    path = data.draw(st.sampled_from(iter_run_files(edit_dir)))
+    original = path.read_text(encoding="utf-8")
+    lines = original.splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[row].split(",")
+    col = data.draw(st.integers(0, len(cells) - 1))
+    text = data.draw(st.text())
+    lines[row] = ",".join([*cells[:col], text, *cells[col + 1 :]])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main(["verify", str(edit_dir)])
+    finally:
+        path.write_text(original, encoding="utf-8")
+
+    assert code in (0, 1)
+    if len(f"x{text}x".splitlines()) > 1 or text == cells[col]:
+        return  # a line break reshapes the file; an equal cell changes nothing
+    column = lines[0].split(",")[col] if row else None
+    unreadable = column in _READ_CELLS and not _readable(column, text)
+    if row == 0 or "," in text or unreadable:
+        assert code == 1
 
 
 def _success_flags(path):
@@ -751,6 +844,7 @@ def test_cli_rejects_bad_inputs(tmp_path, capsys):
         "noise=nan",
         "tau=nan",
         "sigma0=inf",
+        "master_seed=-3",
     ],
 )
 def test_cli_rejects_bad_plan_values_before_running(tmp_path, capsys, override):
@@ -758,6 +852,19 @@ def test_cli_rejects_bad_plan_values_before_running(tmp_path, capsys, override):
     argv = ["run", "--plan", str(_write_plan(tmp_path)), "--out", str(out)]
     code = cli_main(argv + ["--set", override])
     assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--seed", "-1"], ["--solvers", "ssracr,ssracr"]],
+    ids=["negative-seed", "repeated-solver"],
+)
+def test_cli_rejects_a_negative_seed_or_a_repeated_solver(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    argv = ["run", "--plan", str(_write_plan(tmp_path)), "--out", str(out)]
+    assert cli_main(argv + flags) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 

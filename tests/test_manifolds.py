@@ -10,7 +10,6 @@ from riemarc.errors import ContractError, SingularRetractionError
 from riemarc.manifolds import (
     FEASIBILITY_TOL,
     TANGENCY_TOL,
-    Euclidean,
     Point,
     Stiefel,
     Tangent,
@@ -18,6 +17,8 @@ from riemarc.manifolds import (
     qr_orthonormal_factor,
     sym,
 )
+
+from euclidean import Euclidean
 
 
 def test_sym_basics():

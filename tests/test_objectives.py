@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from riemarc.errors import ContractError, StaleSampleError
-from riemarc.manifolds import Euclidean
-from riemarc.objectives import CosineSum, QuadraticSum, SaddleQuartic
 from riemarc.oracles import (
     OracleBundle,
     OracleMode,
@@ -16,6 +14,7 @@ from riemarc.oracles import (
 )
 
 from concentration import concentration_trial
+from euclidean import CosineSum, QuadraticSum, SaddleQuartic
 
 
 def _fd_gradient(objective, x, h=1e-6):

@@ -7,9 +7,10 @@ import pytest
 
 from riemarc.errors import ContractError, ZeroGradientError
 from riemarc.jointdiag import JointDiagObjective, generate_instance
-from riemarc.manifolds import Euclidean, Stiefel
+from riemarc.manifolds import Stiefel
 from riemarc.subproblem import CubicModel, min_eig_estimate, solve_subproblem
 
+from euclidean import Euclidean
 from model_points import cauchy_point, eigen_point, model_value
 
 
