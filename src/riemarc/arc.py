@@ -8,7 +8,9 @@ trial step, and accepts or rejects the trial point by the ratio
     rho = (f(x) - f(retract(x, eta))) / (-m(eta))
 
 computed with the exact full objective in every oracle mode. Acceptance
-(``rho >= rho_threshold``) moves the iterate; rejection keeps it.
+(``rho >= rho_threshold``) moves the iterate; rejection keeps it, and
+the next iteration's exact queries at the same ``Point`` are answered by
+the oracle bundle from what it already holds, uncharged.
 
 The probe runs only where its estimate can be read. Under
 ``StopRule.OPTIMALITY`` the stop test reads the estimate, so the probe
@@ -41,6 +43,8 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from typing import Callable
+
+import numpy as np
 
 from .errors import ContractError, MissingEigenEstimateError
 from .manifolds import Point, Tangent
@@ -386,12 +390,15 @@ def _drive(
 
 
 def _format_value(value: float | int | bool | None) -> str:
+    """A trace cell: ``1`` or ``0`` for a flag, digits for a count,
+    ``repr`` of the float otherwise, numpy scalars written as their
+    Python equivalents."""
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
     return repr(float(value))
 
 

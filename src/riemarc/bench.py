@@ -22,8 +22,10 @@ trace CSV plus a sidecar ``.meta.json`` holding that config as
 ``dataclasses.asdict`` gives it, the step rule's resolved weight bound,
 the master seed and case index the start point is drawn from, and the
 run's outcome and oracle totals; ``summary.csv`` aggregates per (case,
-solver). ``verify_traces`` checks those totals against the last trace
-row under the benchmark's squared-gradient stop rule.
+solver). ``config_from_sidecar`` rebuilds and validates the config, so
+a sidecar is enough to rerun its run. ``verify_traces`` checks those
+totals against the last trace row under the benchmark's
+squared-gradient stop rule.
 Traces and sidecars are deterministic for a fixed plan and master seed
 up to their wall times, which the content digest therefore excludes.
 """
@@ -46,7 +48,7 @@ import numpy as np
 from .arc import DriverConfig, Outcome, SolverConfig, StopRule, write_trace_csv
 from .errors import ContractError, PlanError
 from .jointdiag import JointDiagObjective, generate_instance
-from .oracles import OracleMode
+from .oracles import OracleMode, check_sample_sizes
 from .trust_region import TrustRegionConfig, run_trust_region
 from . import arc
 
@@ -236,6 +238,31 @@ def _config_sidecar(cfg: DriverConfig, n: int) -> dict:
     return meta
 
 
+def config_from_sidecar(meta: dict) -> DriverConfig:
+    """The validated config a run's sidecar records, the inverse of
+    ``_config_sidecar``. An unsampled oracle keeps its recorded size
+    ``n``, which its bundle never reads. Raises ``ValueError`` or
+    ``ContractError`` for a sidecar that no valid run writes."""
+    cls = TrustRegionConfig if meta.get("radius_column") == "delta" else SolverConfig
+    for f in fields(cls):
+        if f.name not in meta:
+            raise ValueError(f"missing key {f.name!r}")
+    cfg = cls(**{f.name: meta[f.name] for f in fields(cls)})
+    cfg.mode = OracleMode(cfg.mode)
+    cfg.stop_rule = StopRule(cfg.stop_rule)
+    cfg.eig_policy = arc.EigPolicy(cfg.eig_policy)
+    cfg.validate()
+    # Both recorded sizes, an unsampled one as n, lie where a sampled
+    # one must.
+    check_sample_sizes(
+        OracleMode.SUBSAMPLED_BOTH,
+        meta["case"]["n"],
+        cfg.grad_sample_size,
+        cfg.hess_sample_size,
+    )
+    return cfg
+
+
 @dataclass
 class SummaryRow:
     case: str
@@ -381,8 +408,9 @@ _RADIUS_KEYS = {"sigma": ("sigma0", "sigma_min"), "delta": ("delta0", "delta_max
 
 def _read_sidecar(trace_path: Path) -> dict:
     """The run's sidecar. Raises ``PlanError`` naming the run when the
-    file cannot be read, is not a JSON object, or lacks a key that
-    verify or summarize reads."""
+    file cannot be read, is not a JSON object, lacks a key that verify
+    or summarize reads, or records a config whose ``validate()`` fails
+    (``config_from_sidecar``)."""
     try:
         meta = json.loads(_meta_path(trace_path).read_text(encoding="utf-8"))
         if not isinstance(meta, dict):
@@ -398,7 +426,8 @@ def _read_sidecar(trace_path: Path) -> dict:
                 raise ValueError(f"{key!r} is {meta[key]!r}")
         if not all(isinstance(meta["case"].get(k), int) for k in "ndr"):
             raise ValueError(f"'case' is {meta['case']!r}")
-    except (OSError, ValueError) as exc:
+        config_from_sidecar(meta)
+    except (OSError, ValueError, TypeError, ContractError) as exc:
         raise PlanError(f"{trace_path.name}: unreadable sidecar: {exc}") from exc
     return meta
 
@@ -476,6 +505,7 @@ def _parse_columns(
         "model_val": float,
         "rho": float,
         "success": {"0": False, "1": True}.__getitem__,
+        "lambda_min": lambda text: None if text == "" else float(text),
         "grad_evals": int,
         "hess_evals": int,
     }
@@ -594,46 +624,72 @@ def verify_traces(directory, runs: list[RunFiles] | None = None) -> list[str]:
             if flag != (rho >= rho_th):
                 violations.append(f"{name}: success flag contradicts rho at row {k}")
 
-        # Oracle counters: cumulative, one gradient batch per iteration,
-        # whole Hessian batches.
-        g_size = int(meta["grad_sample_size"])
-        h_size = int(meta["hess_sample_size"])
+        # Oracle counters: cumulative, whole batches. The bundle reuses
+        # exact answers at an iterate that did not move, so after a
+        # rejected row an exact gradient costs nothing, and neither does
+        # the exact Cauchy product H[G] when it is the cubic rule's only
+        # product: no refinement and no probe on the row.
+        cfg = config_from_sidecar(meta)
+        h_size = cfg.hess_sample_size
+        cauchy_only = (
+            isinstance(cfg, SolverConfig)
+            and cfg.mode is OracleMode.EXACT
+            and cfg.refine_steps == 0
+        )
         prev_g, prev_h = 0, 0
         for k, (g_c, h_c) in enumerate(zip(cols["grad_evals"], cols["hess_evals"])):
-            if g_c - prev_g != g_size:
+            moved = k == 0 or succ[k - 1]
+            g_step = _gradient_step(cfg, moved)
+            if g_c - prev_g != g_step:
                 violations.append(
                     f"{name}: gradient counter step {g_c - prev_g} at row {k}, "
-                    f"expected {g_size}"
+                    f"expected {g_step}"
                 )
             dh = h_c - prev_h
-            if dh < h_size or dh % h_size != 0:
+            if not moved and cauchy_only and cols["lambda_min"][k] is None:
+                if dh != 0:
+                    violations.append(
+                        f"{name}: Hessian counter step {dh} at row {k}, expected 0"
+                    )
+            elif dh < h_size or dh % h_size != 0:
                 violations.append(
                     f"{name}: Hessian counter step {dh} at row {k} is not a "
                     f"positive multiple of {h_size}"
                 )
             prev_g, prev_h = g_c, h_c
 
-        if meta.get("stop_rule") == StopRule.GRAD_SQUARED.value:
-            _check_run_totals(name, meta, len(rows), prev_g, prev_h, violations)
+        if cfg.stop_rule is StopRule.GRAD_SQUARED:
+            next_g = _gradient_step(cfg, not rows or succ[-1])
+            _check_run_totals(name, meta, len(rows), next_g, prev_g, prev_h, violations)
 
     return violations
+
+
+def _gradient_step(cfg: DriverConfig, moved: bool) -> int:
+    """Gradient components an iteration charges: one batch, or none when
+    the gradient is exact and the iterate did not move."""
+    if cfg.mode is not OracleMode.SUBSAMPLED_BOTH and not moved:
+        return 0
+    return cfg.grad_sample_size
 
 
 def _check_run_totals(
     name: str,
     meta: dict,
     n_rows: int,
+    next_g: int,
     last_g: int,
     last_h: int,
     violations: list[str],
 ) -> None:
     """Under the squared-gradient stop rule the sidecar's totals are the
-    last row's counters plus the terminating iteration's work: one
-    gradient batch when the run reached optimality, and never a probe.
+    last row's counters plus the terminating iteration's work: the
+    gradient step ``next_g`` after the last row when the run reached
+    optimality, and never a probe.
     The exact objective is taken once at the start and once per row."""
     outcome = meta.get("outcome")
     if outcome == Outcome.OPTIMALITY_REACHED.value:
-        tail_g = int(meta["grad_sample_size"])
+        tail_g = next_g
     elif outcome == Outcome.MAX_ITERS.value:
         tail_g = 0
     else:

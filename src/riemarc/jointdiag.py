@@ -247,7 +247,10 @@ class JointDiagObjective(SeparableObjective):
     of one iteration, and the exact gradient at a point whose objective
     value was just taken, reuse the per-point arrays instead of
     recomputing them. Results are bit-identical to a fresh objective's.
-    The oracle bundle still charges every call its full component count.
+    This memo saves work but not oracle calls: the oracle bundle charges
+    every call that reaches the objective its full component count. The
+    bundle itself answers a repeated exact query at an unchanged iterate,
+    so such a query never reaches the objective and is not charged.
     """
 
     def __init__(self, instance: JDInstance):

@@ -15,6 +15,17 @@ evaluation order, and so that the Hessian stream does not depend on
 whether the gradient was sampled. Each purpose's ``KeyedStream`` jumps
 to iteration ``k`` in place, so no iteration builds a generator.
 
+Exact quantities do not depend on the iteration, so the bundle answers
+a repeated exact query from the answer it already holds: the exact
+gradient keyed on the ``Point`` object, and every exact HVP taken there
+keyed on its ``Tangent`` object, until a query arrives at another point.
+After a rejected step the driver queries the unchanged iterate again,
+and gets back the same gradient object and its Hessian product. The
+counters count only the component evaluations that reach the objective,
+so such an iteration charges no gradient batch, and no Hessian batch
+for the Cauchy product ``H[G]``. Sampled oracles draw afresh every
+iteration and are never reused.
+
 ``required_sample_sizes`` computes sizes under which the sample averages
 match the exact quantities to accuracy ``delta_g`` and ``delta_h`` with
 probability at least ``1 - delta`` each, given uniform component bounds:
@@ -86,21 +97,7 @@ class OracleBundle:
         hess_sample_size: int | None = None,
         seed: int = 0,
     ):
-        n = objective.n
-        if mode is OracleMode.SUBSAMPLED_BOTH:
-            if grad_sample_size is None:
-                raise ContractError("gradient sample size required in this mode")
-            if not 1 <= grad_sample_size <= n:
-                raise ContractError(
-                    f"gradient sample size must lie in [1, {n}], got {grad_sample_size}"
-                )
-        if mode is not OracleMode.EXACT:
-            if hess_sample_size is None:
-                raise ContractError("Hessian sample size required in this mode")
-            if not 1 <= hess_sample_size <= n:
-                raise ContractError(
-                    f"Hessian sample size must lie in [1, {n}], got {hess_sample_size}"
-                )
+        check_sample_sizes(mode, objective.n, grad_sample_size, hess_sample_size)
         self.objective = objective
         self.mode = mode
         self.grad_sample_size = grad_sample_size
@@ -112,6 +109,18 @@ class OracleBundle:
         self._iteration: int | None = None
         self._grad_idx: np.ndarray | None = None
         self._hess_idx: np.ndarray | None = None
+        # Exact answers at ``_at``: its gradient, and (eta, H[eta]) pairs
+        # by ``id(eta)``, each holding its key alive. Points and tangents
+        # hold read-only copies, so one object always has one value.
+        self._at: Point | None = None
+        self._exact_grad: Tangent | None = None
+        self._exact_hvps: dict[int, tuple[Tangent, Tangent]] = {}
+
+    def _exact_answers_at(self, x: Point) -> None:
+        if x is not self._at:
+            self._at = x
+            self._exact_grad = None
+            self._exact_hvps = {}
 
     def begin_iteration(self, k: int) -> None:
         """Fix the sample index sets used for iteration ``k``."""
@@ -135,11 +144,15 @@ class OracleBundle:
         before any ``begin_iteration``, it fixes iteration 0 first."""
         if self._iteration is None:
             self.begin_iteration(0)
-        g = self.objective.gradient(x, self._grad_idx)
-        self.counters.grad_components += (
-            self.objective.n if self._grad_idx is None else self._grad_idx.size
-        )
-        return g
+        if self._grad_idx is not None:
+            g = self.objective.gradient(x, self._grad_idx)
+            self.counters.grad_components += self._grad_idx.size
+            return g
+        self._exact_answers_at(x)
+        if self._exact_grad is None:
+            self._exact_grad = self.objective.gradient(x)
+            self.counters.grad_components += self.objective.n
+        return self._exact_grad
 
     def inexact_hvp(self, x: Point, eta: Tangent) -> Tangent:
         """Hessian-vector estimate on the current iteration's sample."""
@@ -147,16 +160,42 @@ class OracleBundle:
             raise StaleSampleError(
                 "Hessian oracle queried before begin_iteration fixed the sample"
             )
-        h = self.objective.hess_vec(x, eta, self._hess_idx)
-        self.counters.hess_components += (
-            self.objective.n if self._hess_idx is None else self._hess_idx.size
-        )
-        return h
+        if self._hess_idx is not None:
+            h = self.objective.hess_vec(x, eta, self._hess_idx)
+            self.counters.hess_components += self._hess_idx.size
+            return h
+        self._exact_answers_at(x)
+        held = self._exact_hvps.get(id(eta))
+        if held is None:
+            held = (eta, self.objective.hess_vec(x, eta))
+            self.counters.hess_components += self.objective.n
+            self._exact_hvps[id(eta)] = held
+        return held[1]
 
     def objective_value(self, x: Point) -> float:
         """Exact full objective, used for acceptance ratios in all modes."""
         self.counters.objective_components += self.objective.n
         return self.objective.value(x)
+
+
+def check_sample_sizes(
+    mode: OracleMode,
+    n: int,
+    grad_sample_size: int | None,
+    hess_sample_size: int | None,
+) -> None:
+    """Raise ``ContractError`` unless every oracle ``mode`` samples has a
+    sample size in ``[1, n]``."""
+    sizes = []
+    if mode is OracleMode.SUBSAMPLED_BOTH:
+        sizes.append(("gradient", grad_sample_size))
+    if mode is not OracleMode.EXACT:
+        sizes.append(("Hessian", hess_sample_size))
+    for name, size in sizes:
+        if size is None:
+            raise ContractError(f"{name} sample size required in this mode")
+        if not 1 <= size <= n:
+            raise ContractError(f"{name} sample size must lie in [1, {n}], got {size}")
 
 
 @dataclass(frozen=True)

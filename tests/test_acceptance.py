@@ -178,14 +178,22 @@ def test_criterion_04_subsolver_grid_quality():
         probe = min_eig_estimate(man, x, model.hvp, seed=trial)
         res = solve_subproblem(model, probe=probe, refine_steps=20)
 
+        # m(x, y) on the grid, one chunk of x rows at a time: the y-only
+        # terms once per trial, the cube term and the sum built in place.
+        y2 = xs * xs
+        y_terms = g[1] * xs + 0.5 * h[1, 1] * y2
         best = np.inf
         arg = (0.0, 0.0)
         for chunk in np.array_split(xs, 12):
             cx = chunk[:, None]
-            cy = xs[None, :]
-            quad = 0.5 * (h[0, 0] * cx * cx + 2.0 * h[0, 1] * cx * cy + h[1, 1] * cy * cy)
-            r2 = cx * cx + cy * cy
-            vals = g[0] * cx + g[1] * cy + quad + (sigma / 3.0) * r2 * np.sqrt(r2)
+            r2 = cx * cx + y2
+            vals = np.sqrt(r2)
+            vals *= r2
+            vals *= sigma / 3.0
+            np.multiply(h[0, 1] * cx, xs, out=r2)
+            vals += r2
+            vals += g[0] * cx + 0.5 * h[0, 0] * cx * cx
+            vals += y_terms
             i = np.unravel_index(np.argmin(vals), vals.shape)
             if vals[i] < best:
                 best = float(vals[i])

@@ -27,16 +27,31 @@ from euclidean import QuadraticSum, SaddleQuartic
 
 def _check_trace_laws(trace: RunTrace, cfg: SolverConfig, *, grad_size, hess_size):
     """Structural invariants every stored run must satisfy exactly."""
+    # The bundle answers a repeated exact query at an iterate that did
+    # not move: after a rejected row an exact gradient is charged
+    # nothing, and so is the Cauchy product H[G] when it is the row's
+    # only Hessian product (exact Hessian, no refinement, no probe).
+    exact_grad = cfg.mode is not OracleMode.SUBSAMPLED_BOTH
+    cauchy_only = cfg.mode is OracleMode.EXACT and cfg.refine_steps == 0
+
+    def grad_step(moved):
+        return grad_size if moved or not exact_grad else 0
+
     prev_grad = 0
     prev_hess = 0
+    moved = True
     for i, rec in enumerate(trace.records):
         assert rec.k == i
         assert rec.success == (rec.rho >= cfg.rho_threshold)
         d_grad = rec.grad_evals - prev_grad
         d_hess = rec.hess_evals - prev_hess
-        assert d_grad == grad_size
-        assert d_hess > 0 and d_hess % hess_size == 0
+        assert d_grad == grad_step(moved)
+        if cauchy_only and not moved and rec.lambda_min is None:
+            assert d_hess == 0
+        else:
+            assert d_hess > 0 and d_hess % hess_size == 0
         prev_grad, prev_hess = rec.grad_evals, rec.hess_evals
+        moved = rec.success
         if i == 0:
             assert rec.sigma == cfg.sigma0
             continue
@@ -61,7 +76,7 @@ def _check_trace_laws(trace: RunTrace, cfg: SolverConfig, *, grad_size, hess_siz
     if trace.outcome is Outcome.MAX_ITERS:
         assert tail_grad == 0 and tail_hess == 0
     if trace.outcome is Outcome.OPTIMALITY_REACHED:
-        assert tail_grad == grad_size
+        assert tail_grad == grad_step(moved)
         if cfg.stop_rule is StopRule.GRAD_SQUARED:
             assert tail_hess == 0
         else:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riemarc.arc import EigPolicy, SolverConfig, StopRule, run, write_trace_csv
+from riemarc.arc import run, write_trace_csv
 from riemarc.bench import (
     BenchmarkPlan,
     SOLVERS,
@@ -214,13 +214,18 @@ def test_meta_fields_by_solver(bench_dir):
     assert ss_meta["hess_sample_size"] == 30
 
 
-def _config_from_sidecar(meta):
-    cls = TrustRegionConfig if meta["radius_column"] == "delta" else SolverConfig
-    kwargs = {f.name: meta[f.name] for f in dataclasses.fields(cls)}
-    kwargs["mode"] = OracleMode(meta["mode"])
-    kwargs["stop_rule"] = StopRule(meta["stop_rule"])
-    kwargs["eig_policy"] = EigPolicy(meta["eig_policy"])
-    return cls(**kwargs)
+def _rerun(meta):
+    """The run a sidecar records, run again from its config."""
+    cfg = bench.config_from_sidecar(meta)
+    case = meta["case"]
+    instance = generate_instance(
+        case["n"], case["d"], case["r"], seed=meta["instance_seed"], noise=meta["noise"]
+    )
+    objective = JointDiagObjective(instance)
+    start_seed = [meta["master_seed"], meta["case_index"], meta["rep"], 13]
+    x0 = objective.manifold.random_point(np.random.default_rng(start_seed))
+    runner = run_trust_region if isinstance(cfg, TrustRegionConfig) else run
+    return runner(objective, x0, cfg)
 
 
 def _rows_without_millis(path):
@@ -233,16 +238,7 @@ def _rows_without_millis(path):
 def test_sidecar_is_enough_to_rerun(bench_dir, tmp_path, solver):
     stem = run_name(_TINY_PLAN.cases[0], solver, 1)
     meta = json.loads((bench_dir / f"{stem}.meta.json").read_text())
-    cfg = _config_from_sidecar(meta)
-    case = meta["case"]
-    instance = generate_instance(
-        case["n"], case["d"], case["r"], seed=meta["instance_seed"], noise=meta["noise"]
-    )
-    objective = JointDiagObjective(instance)
-    start_seed = [meta["master_seed"], meta["case_index"], meta["rep"], 13]
-    x0 = objective.manifold.random_point(np.random.default_rng(start_seed))
-    runner = run_trust_region if isinstance(cfg, TrustRegionConfig) else run
-    trace = runner(objective, x0, cfg)
+    trace = _rerun(meta)
     rerun = tmp_path / "rerun.csv"
     write_trace_csv(trace, rerun, sigma_name=meta["radius_column"])
     assert _rows_without_millis(rerun) == _rows_without_millis(
@@ -386,6 +382,7 @@ _READ_CELLS = {
     "model_val": float,
     "rho": float,
     "success": ("0", "1").index,
+    "lambda_min": lambda text: text == "" or float(text),
     "grad_evals": int,
     "hess_evals": int,
 }
@@ -599,6 +596,135 @@ def test_unreadable_sidecar_is_a_violation(bench_dir, tmp_path, capsys, breakage
     assert f"violation: {broken}.csv: unreadable sidecar: " in capsys.readouterr().err
     assert cli_main(["summarize", str(copy)]) == 1
     assert f"{broken}.csv: unreadable sidecar: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "solver, key, message",
+    [
+        ("racr", "gamma", "gamma must be finite and exceed 1, got 0"),
+        ("sracr", "hess_sample_size", "Hessian sample size must lie in [1, 300], got 0"),
+    ],
+    ids=["gamma", "hess_sample_size"],
+)
+def test_impossible_sidecar_value_is_a_violation(
+    bench_dir, tmp_path, capsys, solver, key, message
+):
+    """A sidecar value of the right type that no valid config holds is
+    that run's violation, found by the config's own ``validate()`` or the
+    oracle bundle's sample-size range, and verify exits 1."""
+    copy = tmp_path / key
+    shutil.copytree(bench_dir, copy)
+    stem = run_name(_TINY_PLAN.cases[0], solver, 0)
+    path = copy / f"{stem}.meta.json"
+    meta = json.loads(path.read_text())
+    meta[key] = 0
+    path.write_text(json.dumps(meta))
+
+    assert verify_traces(copy) == [f"{stem}.csv: unreadable sidecar: {message}"]
+    assert cli_main(["verify", str(copy)]) == 1
+    assert f"violation: {stem}.csv: unreadable sidecar: " in capsys.readouterr().err
+
+
+def _shift_counter(directory, stem, counter, row, amount):
+    """Add ``amount`` to ``counter`` on trace rows ``row`` onward and to
+    the sidecar total, so only the counter step into ``row`` changes."""
+    path = directory / f"{stem}.csv"
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index(counter)
+    for i in range(row + 1, len(lines)):
+        cells = lines[i].split(",")
+        cells[col] = str(int(cells[col]) + amount)
+        lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    _bump_sidecar(path.with_suffix(".meta.json"), counter, amount)
+
+
+@pytest.mark.parametrize("after", ["rejected", "accepted"])
+def test_verify_flags_a_gradient_step_against_the_reuse_rule(bench_dir, tmp_path, after):
+    """racr reuses its exact gradient after a rejected row and evaluates
+    it afresh after an accepted one. A full batch charged after a
+    rejection, or none after an acceptance, is flagged, with every other
+    counter and the sidecar total kept consistent."""
+    n = _TINY_PLAN.cases[0][0]
+    stem, row = next(
+        (path.stem, k + 1)
+        for path in iter_run_files(bench_dir)
+        if path.stem.endswith("_racr")
+        for k, flag in enumerate(_success_flags(path)[:-1])
+        if flag == (after == "accepted")
+    )
+    amount = n if after == "rejected" else -n
+    copy = tmp_path / after
+    shutil.copytree(bench_dir, copy)
+    _shift_counter(copy, stem, "grad_evals", row, amount)
+
+    step, expected = (n, 0) if after == "rejected" else (0, n)
+    assert verify_traces(copy) == [
+        f"{stem}.csv: gradient counter step {step} at row {row}, expected {expected}"
+    ]
+
+
+def test_numpy_scalars_in_a_record_write_readable_cells(bench_dir, tmp_path):
+    """A record holding numpy scalars writes the cells a Python-typed one
+    does, so verify accepts the trace."""
+    copy = tmp_path / "numpy"
+    shutil.copytree(bench_dir, copy)
+    stem = run_name(_TINY_PLAN.cases[0], "sracr", 0)
+    trace = _rerun(json.loads((copy / f"{stem}.meta.json").read_text()))
+    trace.records[:] = [
+        dataclasses.replace(
+            rec,
+            k=np.int64(rec.k),
+            f=np.float64(rec.f),
+            success=np.bool_(rec.success),
+            grad_evals=np.int64(rec.grad_evals),
+            hess_evals=np.int32(rec.hess_evals),
+        )
+        for rec in trace.records
+    ]
+    write_trace_csv(trace, copy / f"{stem}.csv")
+    assert _rows_without_millis(copy / f"{stem}.csv") == _rows_without_millis(
+        bench_dir / f"{stem}.csv"
+    )
+    assert verify_traces(copy) == []
+
+
+@pytest.mark.parametrize(
+    "solver, refine_steps", [*((s, 0) for s in SOLVERS), ("racr", 3)]
+)
+def test_counters_equal_the_work_done(monkeypatch, solver, refine_steps):
+    """A run's counters are the component evaluations that reach the
+    objective: an exact answer the bundle already holds is charged
+    nothing, so an exact gradient is evaluated once per iterate."""
+    reached = collections.Counter()
+
+    def counted(method, key, idx_position):
+        def wrapper(self, *args, **kwargs):
+            idx = args[idx_position] if len(args) > idx_position else kwargs.get("idx")
+            reached[key] += self.n if idx is None else len(idx)
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        JointDiagObjective, "gradient", counted(JointDiagObjective.gradient, "grad", 1)
+    )
+    monkeypatch.setattr(
+        JointDiagObjective, "hess_vec", counted(JointDiagObjective.hess_vec, "hess", 2)
+    )
+    plan = dataclasses.replace(_TINY_PLAN, refine_steps=refine_steps)
+    n, d, r = plan.cases[0]
+    objective = JointDiagObjective(generate_instance(n, d, r, seed=5, noise=plan.noise))
+    x0 = objective.manifold.random_point(np.random.default_rng(6))
+    cfg = bench.solver_config(plan, solver, n, 7)
+    runner = run_trust_region if isinstance(cfg, TrustRegionConfig) else run
+    trace = runner(objective, x0, cfg)
+
+    assert trace.outcome.value == "optimality_reached"
+    assert (trace.grad_evals, trace.hess_evals) == (reached["grad"], reached["hess"])
+    if cfg.mode is not OracleMode.SUBSAMPLED_BOTH:
+        assert trace.n_fail > 0
+        assert trace.grad_evals == n * (1 + trace.n_success)
 
 
 def test_summary_totals_equal_sidecar_sums(bench_dir):
