@@ -148,6 +148,8 @@ class DriverConfig:
             raise ContractError(f"tau must be positive, got {self.tau}")
         if self.max_iters is not None and self.max_iters < 0:
             raise ContractError("max_iters must be non-negative")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ContractError(f"seed must be a non-negative int, got {self.seed!r}")
 
     def iteration_budget(self) -> int:
         """Explicit cap, or ``50 max(eps_g^-2, eps_h^-3)`` capped at 1e6."""
@@ -222,6 +224,11 @@ class IterationRecord:
 
 # The trace CSV's columns, in ``IterationRecord`` field order.
 TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
+
+
+def trace_header(radius_column: str) -> list[str]:
+    """``TRACE_COLUMNS`` with the weight's column named ``radius_column``."""
+    return [c if c != "sigma" else radius_column for c in TRACE_COLUMNS]
 
 
 @dataclass
@@ -406,9 +413,8 @@ def write_trace_csv(trace: RunTrace, path, *, sigma_name: str = "sigma") -> None
     """Write the trace's records as CSV in ``TRACE_COLUMNS`` order.
     ``sigma_name`` lets trust-region traces label the radius column
     ``delta``."""
-    header = [c if c != "sigma" else sigma_name for c in TRACE_COLUMNS]
     with open(path, "w", encoding="utf-8") as stream:
-        stream.write(",".join(header) + "\n")
+        stream.write(",".join(trace_header(sigma_name)) + "\n")
         for rec in trace.records:
             row = [_format_value(getattr(rec, c)) for c in TRACE_COLUMNS]
             stream.write(",".join(row) + "\n")

@@ -22,10 +22,11 @@ trace CSV plus a sidecar ``.meta.json`` holding that config as
 ``dataclasses.asdict`` gives it, the step rule's resolved weight bound,
 the master seed and case index the start point is drawn from, and the
 run's outcome and oracle totals; ``summary.csv`` aggregates per (case,
-solver). ``config_from_sidecar`` rebuilds and validates the config, so
-a sidecar is enough to rerun its run. ``verify_traces`` checks those
-totals against the last trace row under the benchmark's
-squared-gradient stop rule.
+solver). ``config_from_sidecar`` rebuilds the config with every field
+typed by its annotation and validates it, so a sidecar is enough to
+rerun its run. ``verify_traces`` checks each trace against that
+config's own step rule, and the totals against the last trace row
+under the benchmark's squared-gradient stop rule.
 Traces and sidecars are deterministic for a fixed plan and master seed
 up to their wall times, which the content digest therefore excludes.
 """
@@ -41,7 +42,7 @@ from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -61,18 +62,21 @@ _SOLVER_KINDS = {
 }
 SOLVERS = tuple(_SOLVER_KINDS)
 
-SUMMARY_COLUMNS = (
-    "case",
-    "solver",
-    "reps",
-    "iters_mean",
-    "iters_median",
-    "time_s_mean",
-    "success_rate",
-    "grad_evals_total",
-    "hess_evals_total",
-    "objective_evals_total",
-)
+
+def _json_kind(kind):
+    """How a sidecar holds a value of annotation ``kind``: an enum class,
+    read by value, else the tuple of JSON value types that stand for it,
+    an ``int`` also standing for a ``float`` and a bool for neither."""
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return kind
+    allowed = get_args(kind) or (kind,)
+    return allowed + (int,) if float in allowed else allowed
+
+
+_CONFIG_TYPES = {
+    cls: {key: _json_kind(kind) for key, kind in get_type_hints(cls).items()}
+    for cls, _ in _SOLVER_KINDS.values()
+}
 
 
 @dataclass
@@ -212,8 +216,7 @@ def solver_config(
     """
     cls, mode = _SOLVER_KINDS[solver]
     grad_size, hess_size = sample_sizes(plan, n)
-    plan_keys = {f.name for f in fields(BenchmarkPlan)}
-    shared = {k.name: getattr(plan, k.name) for k in fields(cls) if k.name in plan_keys}
+    shared = {k: getattr(plan, k) for k in _CONFIG_TYPES[cls] if k in _PLAN_TYPES}
     return cls(
         mode=mode,
         grad_sample_size=grad_size if mode is OracleMode.SUBSAMPLED_BOTH else None,
@@ -238,28 +241,46 @@ def _config_sidecar(cfg: DriverConfig, n: int) -> dict:
     return meta
 
 
+def _typed(meta: dict, key: str, kind):
+    """``meta[key]`` read as ``kind``, a ``_json_kind``. Raises
+    ``ValueError`` when the key is missing or its value's type is not
+    one that stands for ``kind``."""
+    if key not in meta:
+        raise ValueError(f"missing key {key!r}")
+    value = meta[key]
+    if not isinstance(kind, tuple):
+        return kind(value)
+    if type(value) not in kind:
+        raise ValueError(f"{key!r} is {value!r}")
+    return value
+
+
 def config_from_sidecar(meta: dict) -> DriverConfig:
     """The validated config a run's sidecar records, the inverse of
-    ``_config_sidecar``. An unsampled oracle keeps its recorded size
-    ``n``, which its bundle never reads. Raises ``ValueError`` or
+    ``_config_sidecar``. The solver fixes the config class and oracle
+    mode, every field is typed by its annotation (``_json_kind``), and
+    the sidecar must record the config's own mode, radius column and
+    weight bound. An unsampled oracle keeps its recorded size ``n``,
+    which its bundle never reads. Raises ``ValueError`` or
     ``ContractError`` for a sidecar that no valid run writes."""
-    cls = TrustRegionConfig if meta.get("radius_column") == "delta" else SolverConfig
-    for f in fields(cls):
-        if f.name not in meta:
-            raise ValueError(f"missing key {f.name!r}")
-    cfg = cls(**{f.name: meta[f.name] for f in fields(cls)})
-    cfg.mode = OracleMode(cfg.mode)
-    cfg.stop_rule = StopRule(cfg.stop_rule)
-    cfg.eig_policy = arc.EigPolicy(cfg.eig_policy)
+    solver = meta.get("solver")
+    if solver not in SOLVERS:
+        raise ValueError(f"'solver' is {solver!r}")
+    cls, mode = _SOLVER_KINDS[solver]
+    values = {key: _typed(meta, key, kind) for key, kind in _CONFIG_TYPES[cls].items()}
+    cfg = cls(**{**values, "mode": mode})
     cfg.validate()
+    n = meta["case"]["n"]
     # Both recorded sizes, an unsampled one as n, lie where a sampled
     # one must.
     check_sample_sizes(
-        OracleMode.SUBSAMPLED_BOTH,
-        meta["case"]["n"],
-        cfg.grad_sample_size,
-        cfg.hess_sample_size,
+        OracleMode.SUBSAMPLED_BOTH, n, cfg.grad_sample_size, cfg.hess_sample_size
     )
+    own = dict(cfg.weight_bounds(), mode=mode.value, radius_column=cfg.radius_column)
+    for key, value in own.items():
+        recorded = meta.get(key)
+        if type(recorded) is not type(value) or recorded != value:
+            raise ValueError(f"{key!r} is {recorded!r}, expected {value!r}")
     return cfg
 
 
@@ -275,6 +296,9 @@ class SummaryRow:
     grad_evals_total: int
     hess_evals_total: int
     objective_evals_total: int
+
+
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
 @dataclass
@@ -355,19 +379,22 @@ def _read_trace(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _meta_path(trace_path: Path) -> Path:
-    return trace_path.with_suffix(".meta.json")
-
-
 def iter_run_files(directory) -> list[Path]:
+    """The trace path of every run in ``directory``: each ``.csv`` but the
+    summary, and the ``.csv`` of each sidecar, whether it exists or not."""
     directory = Path(directory)
-    return sorted(p for p in directory.glob("*.csv") if p.name != "summary.csv")
+    names = [p.name for p in directory.glob("*")]
+    stems = {n.removesuffix(".csv") for n in names if n.endswith(".csv")}
+    stems |= {n.removesuffix(".meta.json") for n in names if n.endswith(".meta.json")}
+    return sorted(directory / f"{stem}.csv" for stem in stems - {"summary"})
 
 
 @dataclass
 class RunFiles:
-    """One run's trace and sidecar, each parsed on first use and kept. A
-    file that cannot be read raises ``PlanError`` and is not kept."""
+    """One run's trace, and its sidecar with the config it records, each
+    parsed on first use and kept. A file that cannot be read raises
+    ``PlanError``, a missing trace ``FileNotFoundError``, and neither is
+    kept."""
 
     path: Path
 
@@ -376,7 +403,7 @@ class RunFiles:
         return _read_trace(self.path)
 
     @cached_property
-    def meta(self) -> dict:
+    def sidecar(self) -> tuple[dict, DriverConfig]:
         return _read_sidecar(self.path)
 
 
@@ -386,50 +413,38 @@ def load_runs(directory) -> list[RunFiles]:
     return [RunFiles(path) for path in iter_run_files(directory)]
 
 
-# The sidecar keys that verify and summarize read, by type; the step
-# rule's radius column adds its initial value and bound.
+# The run keys that verify and summarize read besides the solver and
+# its config's (``config_from_sidecar``), in ``_json_kind``'s form.
 _SIDECAR_TYPES = {
-    "case": dict,
-    "solver": str,
-    "outcome": str,
-    "gamma": (int, float),
-    "rho_threshold": (int, float),
-    "grad_sample_size": int,
-    "hess_sample_size": int,
-    "grad_evals": int,
-    "hess_evals": int,
-    "objective_evals": int,
-    "iterations": int,
+    "case": (dict,),
+    "outcome": Outcome,
+    "grad_evals": (int,),
+    "hess_evals": (int,),
+    "objective_evals": (int,),
+    "iterations": (int,),
     "final_f": (int, float),
     "wall_s": (int, float),
 }
-_RADIUS_KEYS = {"sigma": ("sigma0", "sigma_min"), "delta": ("delta0", "delta_max")}
 
 
-def _read_sidecar(trace_path: Path) -> dict:
-    """The run's sidecar. Raises ``PlanError`` naming the run when the
-    file cannot be read, is not a JSON object, lacks a key that verify
-    or summarize reads, or records a config whose ``validate()`` fails
-    (``config_from_sidecar``)."""
+def _read_sidecar(trace_path: Path) -> tuple[dict, DriverConfig]:
+    """The run's sidecar and the config it records. Raises ``PlanError``
+    naming the run when the file cannot be read, is not a JSON object,
+    lacks a key that verify or summarize reads, or holds a value of the
+    wrong type or one no valid run writes (``config_from_sidecar``)."""
     try:
-        meta = json.loads(_meta_path(trace_path).read_text(encoding="utf-8"))
+        meta_path = trace_path.with_suffix(".meta.json")
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
-        radius = meta.get("radius_column")
-        if radius not in _RADIUS_KEYS:
-            raise ValueError(f"radius_column is {radius!r}")
-        types = {**_SIDECAR_TYPES, **dict.fromkeys(_RADIUS_KEYS[radius], (int, float))}
-        for key, kind in types.items():
-            if key not in meta:
-                raise ValueError(f"missing key {key!r}")
-            if not isinstance(meta[key], kind):
-                raise ValueError(f"{key!r} is {meta[key]!r}")
-        if not all(isinstance(meta["case"].get(k), int) for k in "ndr"):
+        for key, kind in _SIDECAR_TYPES.items():
+            _typed(meta, key, kind)
+        if not all(type(meta["case"].get(k)) is int for k in "ndr"):
             raise ValueError(f"'case' is {meta['case']!r}")
-        config_from_sidecar(meta)
+        cfg = config_from_sidecar(meta)
     except (OSError, ValueError, TypeError, ContractError) as exc:
         raise PlanError(f"{trace_path.name}: unreadable sidecar: {exc}") from exc
-    return meta
+    return meta, cfg
 
 
 def summarize_traces(directory, runs: list[RunFiles] | None = None) -> list[SummaryRow]:
@@ -441,7 +456,7 @@ def summarize_traces(directory, runs: list[RunFiles] | None = None) -> list[Summ
     problems: list[str] = []
     for run in load_runs(directory) if runs is None else runs:
         try:
-            meta = run.meta
+            meta, _ = run.sidecar
         except PlanError as exc:
             problems.append(str(exc))
             continue
@@ -475,13 +490,9 @@ def format_summary(rows: list[SummaryRow]) -> str:
     """Summary rows as CSV text under a header, without a final newline."""
     lines = [",".join(SUMMARY_COLUMNS)]
     for row in rows:
-        values = asdict(row)
-        lines.append(
-            ",".join(
-                repr(float(v)) if isinstance(v, float) else str(v)
-                for v in (values[col] for col in SUMMARY_COLUMNS)
-            )
-        )
+        values = asdict(row).values()
+        cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in values)
+        lines.append(",".join(cells))
     return "\n".join(lines)
 
 
@@ -492,35 +503,36 @@ def write_summary(rows: list[SummaryRow], path) -> None:
 # -- verification ---------------------------------------------------------
 
 
-def _parse_columns(
-    header: list[str], rows: list[list[str]], radius_col: str
-) -> dict[str, list]:
-    """The trace columns verify reads, parsed. Raises ``ValueError``
-    naming the first row with the wrong cell count or a cell that does
-    not parse."""
-    parsers = {
-        "k": int,
-        "f": float,
-        radius_col: float,
-        "model_val": float,
-        "rho": float,
-        "success": {"0": False, "1": True}.__getitem__,
-        "lambda_min": lambda text: None if text == "" else float(text),
-        "grad_evals": int,
-        "hess_evals": int,
-    }
-    readers = [(header.index(col), col, parse) for col, parse in parsers.items()]
-    columns: dict[str, list] = {col: [] for col in parsers}
+# A trace cell's parser, by the annotation of its ``IterationRecord``
+# field, where that is not the annotated type itself.
+_CELL_PARSERS = {
+    bool: {"0": False, "1": True}.__getitem__,
+    float | None: lambda text: None if text == "" else float(text),
+}
+_RECORD_TYPES = get_type_hints(arc.IterationRecord)
+
+
+def _parse_columns(header: list[str], rows: list[list[str]]) -> dict[str, list]:
+    """The trace columns verify reads, keyed by ``IterationRecord`` field
+    and parsed by its annotation, from a trace whose header is
+    ``arc.trace_header``'s. Raises ``ValueError`` naming the first row with
+    the wrong cell count or a cell that does not parse."""
+    readers = [
+        (i, header[i], col, _CELL_PARSERS.get(_RECORD_TYPES[col], _RECORD_TYPES[col]))
+        for i, col in enumerate(arc.TRACE_COLUMNS)
+        if col not in ("grad_norm", "millis")  # no law reads them
+    ]
+    columns: dict[str, list] = {col: [] for _, _, col, _ in readers}
     for k, row in enumerate(rows):
         if len(row) != len(header):
             raise ValueError(
                 f"unreadable row {k}: {len(row)} cells, expected {len(header)}"
             )
-        for i, col, parse in readers:
+        for i, label, col, parse in readers:
             try:
                 columns[col].append(parse(row[i]))
             except (KeyError, ValueError):
-                raise ValueError(f"unreadable row {k}: {col} is {row[i]!r}") from None
+                raise ValueError(f"unreadable row {k}: {label} is {row[i]!r}") from None
     return columns
 
 
@@ -528,65 +540,49 @@ def _check_recurrence(
     name: str,
     values: list[float],
     succ: list[bool],
-    meta: dict,
+    cfg: DriverConfig,
     violations: list[str],
 ) -> None:
-    gamma = float(meta["gamma"])
-    radius_col = meta["radius_column"]
-    is_tr = radius_col == "delta"
-    if values:
-        expected0 = float(meta["delta0"] if is_tr else meta["sigma0"])
-        if values[0] != expected0:
+    """The weight column against the step rule's own recurrence: row 0
+    holds ``cfg.initial_weight()``, each later row ``cfg.next_weight`` of
+    the row before and its success flag."""
+    expected = [cfg.initial_weight(), *map(cfg.next_weight, values, succ)]
+    for k, (value, want) in enumerate(zip(values, expected)):
+        if value != want:
             violations.append(
-                f"{name}: row 0 {radius_col} is {values[0]!r}, expected {expected0!r}"
-            )
-    for k in range(len(values) - 1):
-        if is_tr:
-            cap = float(meta["delta_max"])
-            expected = min(gamma * values[k], cap) if succ[k] else values[k] / gamma
-        else:
-            floor = float(meta["sigma_min"])
-            expected = (
-                max(values[k] / gamma, floor) if succ[k] else gamma * values[k]
-            )
-        if values[k + 1] != expected:
-            violations.append(
-                f"{name}: row {k + 1} {radius_col} is {values[k + 1]!r}, "
-                f"expected {expected!r}"
+                f"{name}: row {k} {cfg.radius_column} is {value!r}, expected {want!r}"
             )
 
 
 def verify_traces(directory, runs: list[RunFiles] | None = None) -> list[str]:
     """Recompute every checkable law from the stored artifacts. Returns a
     list of violation messages, empty when everything holds."""
-    violations: list[str] = []
     runs = load_runs(directory) if runs is None else runs
     if not runs:
-        violations.append("no trace files found")
-        return violations
+        return ["no trace files found"]
+    violations: list[str] = []
 
     for run in runs:
         name = run.path.name
-        meta_path = _meta_path(run.path)
+        meta_path = run.path.with_suffix(".meta.json")
         if not meta_path.exists():
             violations.append(f"{name}: missing sidecar {meta_path.name}")
             continue
         try:
-            meta = run.meta
+            meta, cfg = run.sidecar
             header, rows = run.trace
+        except FileNotFoundError:
+            violations.append(f"{meta_path.name}: missing trace {name}")
+            continue
         except PlanError as exc:
             violations.append(str(exc))
             continue
 
-        radius_name = meta["radius_column"]
-        expected_header = [
-            c if c != "sigma" else radius_name for c in arc.TRACE_COLUMNS
-        ]
-        if header != expected_header:
+        if header != arc.trace_header(cfg.radius_column):
             violations.append(f"{name}: unexpected columns {header}")
             continue
         try:
-            cols = _parse_columns(header, rows, radius_name)
+            cols = _parse_columns(header, rows)
         except ValueError as exc:
             violations.append(f"{name}: {exc}")
             continue
@@ -600,7 +596,7 @@ def verify_traces(directory, runs: list[RunFiles] | None = None) -> list[str]:
                 f"trace has {len(rows)}"
             )
 
-        _check_recurrence(name, cols[radius_name], succ, meta, violations)
+        _check_recurrence(name, cols["sigma"], succ, cfg, violations)
 
         # Objective bookkeeping, with the sidecar's final_f after the last
         # row: rejected iterations keep f, accepted ones never increase it
@@ -619,9 +615,8 @@ def verify_traces(directory, runs: list[RunFiles] | None = None) -> list[str]:
                 violations.append(f"{name}: rho at accepted row {k} is not {rho!r}")
 
         # Acceptance flags must match the stored ratio.
-        rho_th = float(meta["rho_threshold"])
         for k, (flag, rho) in enumerate(zip(succ, cols["rho"])):
-            if flag != (rho >= rho_th):
+            if flag != (rho >= cfg.rho_threshold):
                 violations.append(f"{name}: success flag contradicts rho at row {k}")
 
         # Oracle counters: cumulative, whole batches. The bundle reuses
@@ -629,7 +624,6 @@ def verify_traces(directory, runs: list[RunFiles] | None = None) -> list[str]:
         # rejected row an exact gradient costs nothing, and neither does
         # the exact Cauchy product H[G] when it is the cubic rule's only
         # product: no refinement and no probe on the row.
-        cfg = config_from_sidecar(meta)
         h_size = cfg.hess_sample_size
         cauchy_only = (
             isinstance(cfg, SolverConfig)
@@ -723,11 +717,10 @@ def determinism_digest(directory, runs: list[RunFiles] | None = None) -> str:
         header, rows = _strip_columns(*run.trace, {"millis"})
         digest.update(run.path.name.encode())
         digest.update("\n".join(",".join(r) for r in [header, *rows]).encode())
-        meta = {k: v for k, v in run.meta.items() if k != "wall_s"}
+        meta = {k: v for k, v in run.sidecar[0].items() if k != "wall_s"}
         digest.update(json.dumps(meta, sort_keys=True).encode())
     summary = Path(directory) / "summary.csv"
     if summary.exists():
-        header, rows = _read_trace(summary)
-        header, rows = _strip_columns(header, rows, {"time_s_mean"})
+        header, rows = _strip_columns(*_read_trace(summary), {"time_s_mean"})
         digest.update("\n".join(",".join(r) for r in [header, *rows]).encode())
     return digest.hexdigest()

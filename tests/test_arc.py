@@ -280,6 +280,15 @@ def test_infinite_weights_rejected(cls, field, bad):
         cls(**{field: bad}).validate()
 
 
+@pytest.mark.parametrize("cls", [SolverConfig, TrustRegionConfig])
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_seed_must_be_a_non_negative_integer(cls, seed):
+    """A seed that is not a non-negative int fails validation, before a
+    run hands it to numpy's ``SeedSequence``."""
+    with pytest.raises(ContractError, match="seed must be a non-negative int"):
+        cls(seed=seed).validate()
+
+
 def test_refine_steps_bounds_validated():
     SolverConfig(refine_steps=20).validate()
     with pytest.raises(ContractError):

@@ -599,30 +599,112 @@ def test_unreadable_sidecar_is_a_violation(bench_dir, tmp_path, capsys, breakage
 
 
 @pytest.mark.parametrize(
-    "solver, key, message",
+    "solver, key, value, message",
     [
-        ("racr", "gamma", "gamma must be finite and exceed 1, got 0"),
-        ("sracr", "hess_sample_size", "Hessian sample size must lie in [1, 300], got 0"),
+        ("racr", "gamma", 0, "gamma must be finite and exceed 1, got 0"),
+        ("sracr", "hess_sample_size", 0, "Hessian sample size must lie in [1, 300], got 0"),
+        ("racr", "seed", 1.5, "'seed' is 1.5"),
+        ("racr", "seed", -1, "seed must be a non-negative int, got -1"),
+        ("racr", "max_iters", 2.5, "'max_iters' is 2.5"),
+        ("racr", "tau", True, "'tau' is True"),
+        ("racr", "sigma_min", 1e-9, "'sigma_min' is 1e-09, expected 1e-12"),
+        ("ssrtr", "delta_max", 99.0, "'delta_max' is 99.0, expected 10.0"),
+        ("racr", "solver", "ssrtr", "missing key 'delta0'"),
+        ("sracr", "solver", "racr", "'mode' is 'subsampled_hessian', expected 'exact'"),
     ],
-    ids=["gamma", "hess_sample_size"],
+    ids=[
+        "gamma",
+        "hess_sample_size",
+        "fractional-seed",
+        "negative-seed",
+        "fractional-max_iters",
+        "bool-tau",
+        "sigma_min",
+        "delta_max",
+        "tr-solver-in-a-cubic-run",
+        "exact-solver-in-a-sampled-run",
+    ],
 )
 def test_impossible_sidecar_value_is_a_violation(
-    bench_dir, tmp_path, capsys, solver, key, message
+    bench_dir, tmp_path, capsys, solver, key, value, message
 ):
-    """A sidecar value of the right type that no valid config holds is
-    that run's violation, found by the config's own ``validate()`` or the
-    oracle bundle's sample-size range, and verify exits 1."""
+    """A sidecar value that no valid run records is that run's violation,
+    and verify exits 1: a config value of a type its annotation does not
+    name, or that the config's own ``validate()`` or the oracle bundle's
+    sample-size range rejects, or a mode, radius column or weight bound
+    other than the recorded solver's config gives."""
     copy = tmp_path / key
     shutil.copytree(bench_dir, copy)
     stem = run_name(_TINY_PLAN.cases[0], solver, 0)
     path = copy / f"{stem}.meta.json"
     meta = json.loads(path.read_text())
-    meta[key] = 0
+    meta[key] = value
     path.write_text(json.dumps(meta))
 
     assert verify_traces(copy) == [f"{stem}.csv: unreadable sidecar: {message}"]
     assert cli_main(["verify", str(copy)]) == 1
     assert f"violation: {stem}.csv: unreadable sidecar: " in capsys.readouterr().err
+
+
+def test_sidecar_without_its_trace_is_a_violation(bench_dir, tmp_path, capsys):
+    """A run whose trace is gone but whose sidecar is left is reported
+    like a missing sidecar, and ``summarize``, which reads sidecars
+    alone, still counts it."""
+    copy = tmp_path / "notrace"
+    shutil.copytree(bench_dir, copy)
+    stem = run_name(_TINY_PLAN.cases[0], "racr", 0)
+    (copy / f"{stem}.csv").unlink()
+
+    assert verify_traces(copy) == [f"{stem}.meta.json: missing trace {stem}.csv"]
+    assert cli_main(["verify", str(copy)]) == 1
+    assert f"violation: {stem}.meta.json: missing trace" in capsys.readouterr().err
+    assert summarize_traces(copy) == summarize_traces(bench_dir)
+
+
+# Any JSON scalar, plus values near the ones a valid sidecar holds.
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.sampled_from([0, 1, -1, 0.5, 2.0, "delta", "sigma", *SOLVERS])
+)
+
+
+@pytest.fixture(scope="module")
+def untouched_digest(bench_dir):
+    return determinism_digest(bench_dir)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verify_survives_any_single_sidecar_edit(edit_dir, untouched_digest, data):
+    """Any JSON scalar under any one sidecar key, a ``case`` entry
+    included, leaves verify exiting 0 or 1. Verify accepts the edit only
+    when it changes nothing, touches ``wall_s``, or shows in the digest."""
+    path = data.draw(st.sampled_from(sorted(edit_dir.glob("*.meta.json"))))
+    original = path.read_text(encoding="utf-8")
+    meta = json.loads(original)
+    keys = [(key,) for key in meta] + [("case", key) for key in meta["case"]]
+    key = data.draw(st.sampled_from(keys))
+    value = data.draw(_JSON_SCALARS)
+    target = meta["case"] if len(key) == 2 else meta
+    old, target[key[-1]] = target[key[-1]], value
+    path.write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main(["verify", str(edit_dir)])
+    finally:
+        path.write_text(original, encoding="utf-8")
+
+    assert code in (0, 1)
+    if code == 0:
+        unchanged = json.dumps(value) == json.dumps(old)
+        digest = out.getvalue().split()[-1]
+        assert unchanged or key == ("wall_s",) or digest != untouched_digest
 
 
 def _shift_counter(directory, stem, counter, row, amount):
