@@ -12,12 +12,12 @@ computed with the exact full objective in every oracle mode. Acceptance
 the next iteration's exact queries at the same ``Point`` are answered by
 the oracle bundle from what it already holds, uncharged.
 
-The probe runs only where its estimate can be read. Under
-``StopRule.OPTIMALITY`` the stop test reads the estimate, so the probe
-runs first. Under ``StopRule.GRAD_SQUARED`` the stop test reads only the
-gradient norm, so it runs first and the terminating iteration runs no
-probe; every other iteration probes as ``eig_policy`` says and hands the
-estimate to the step rule. A run's oracle totals therefore exceed its
+The probe runs only where its estimate can be read, as ``runs_probe``
+says, and before the stop test. Under ``StopRule.OPTIMALITY`` the stop
+test reads the estimate. Under ``StopRule.GRAD_SQUARED`` it reads only
+the gradient norm, so the terminating iteration runs no probe; every
+other iteration probes as ``eig_policy`` says and hands the estimate to
+the step rule. A run's oracle totals therefore exceed its
 last trace row only by the terminating iteration's gradient, plus its
 probe under ``OPTIMALITY``.
 
@@ -144,8 +144,8 @@ class DriverConfig:
             )
         if not 1.0 < self.gamma < math.inf:
             raise ContractError(f"gamma must be finite and exceed 1, got {self.gamma}")
-        if not self.tau > 0.0:
-            raise ContractError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ContractError(f"tau must be positive and finite, got {self.tau}")
         if self.max_iters is not None and self.max_iters < 0:
             raise ContractError("max_iters must be non-negative")
         if type(self.seed) is not int or self.seed < 0:
@@ -272,10 +272,17 @@ def should_terminate(
     return lambda_est >= -cfg.eps_h
 
 
-def _small_gradient_threshold(cfg: DriverConfig) -> float:
-    if cfg.stop_rule is StopRule.GRAD_SQUARED:
-        return math.sqrt(cfg.tau)
-    return cfg.eps_g
+def runs_probe(grad_norm: float, cfg: DriverConfig) -> bool:
+    """Whether the driver probes the curvature at an iterate with this
+    gradient norm: never where the squared-gradient test, which does not
+    read the estimate, stops the run; else as ``cfg.eig_policy`` says,
+    the small-gradient level being ``sqrt(tau)`` or ``eps_g``."""
+    every = cfg.eig_policy is EigPolicy.EVERY_ITERATION
+    if cfg.stop_rule is StopRule.OPTIMALITY:
+        return every or grad_norm <= cfg.eps_g
+    if should_terminate(grad_norm, None, cfg):
+        return False
+    return every or grad_norm <= math.sqrt(cfg.tau)
 
 
 def run(objective: SeparableObjective, x0: Point, cfg: SolverConfig) -> RunTrace:
@@ -313,8 +320,6 @@ def _drive(
     records: list[IterationRecord] = []
     outcome = Outcome.MAX_ITERS
     budget = cfg.iteration_budget()
-    small_grad = _small_gradient_threshold(cfg)
-    gradient_stop = cfg.stop_rule is StopRule.GRAD_SQUARED
 
     k = 0
     while k < budget:
@@ -324,19 +329,12 @@ def _drive(
         grad = bundle.inexact_gradient(x)
         grad_norm = manifold.norm(grad)
 
-        # The squared-gradient test never reads the curvature estimate,
-        # so it runs before the probe and the terminating iteration runs
-        # no Lanczos.
-        if gradient_stop and should_terminate(grad_norm, None, cfg):
-            outcome = Outcome.OPTIMALITY_REACHED
-            break
-
         probe: MinEigResult | None = None
-        if cfg.eig_policy is EigPolicy.EVERY_ITERATION or grad_norm <= small_grad:
+        if runs_probe(grad_norm, cfg):
             probe = probe_curvature(manifold, x, hvp, seed=lanczos_stream.at(k))
 
         lambda_est = probe.value if probe is not None else None
-        if not gradient_stop and should_terminate(grad_norm, lambda_est, cfg):
+        if should_terminate(grad_norm, lambda_est, cfg):
             outcome = Outcome.OPTIMALITY_REACHED
             break
 

@@ -25,8 +25,9 @@ run's outcome and oracle totals; ``summary.csv`` aggregates per (case,
 solver). ``config_from_sidecar`` rebuilds the config with every field
 typed by its annotation and validates it, so a sidecar is enough to
 rerun its run. ``verify_traces`` checks each trace against that
-config's own step rule, and the totals against the last trace row
-under the benchmark's squared-gradient stop rule.
+config's own step rule, iteration budget, stop test and probe policy,
+and the totals against the last trace row under the benchmark's
+squared-gradient stop rule.
 Traces and sidecars are deterministic for a fixed plan and master seed
 up to their wall times, which the content digest therefore excludes.
 """
@@ -520,7 +521,7 @@ def _parse_columns(header: list[str], rows: list[list[str]]) -> dict[str, list]:
     readers = [
         (i, header[i], col, _CELL_PARSERS.get(_RECORD_TYPES[col], _RECORD_TYPES[col]))
         for i, col in enumerate(arc.TRACE_COLUMNS)
-        if col not in ("grad_norm", "millis")  # no law reads them
+        if col != "millis"  # no law reads it
     ]
     columns: dict[str, list] = {col: [] for _, _, col, _ in readers}
     for k, row in enumerate(rows):
@@ -595,6 +596,27 @@ def verify_traces(directory, runs: list[RunFiles] | None = None) -> list[str]:
                 f"{name}: sidecar says {meta.get('iterations')} iterations, "
                 f"trace has {len(rows)}"
             )
+
+        # The driver writes a row per iteration and stops at its budget.
+        budget = cfg.iteration_budget()
+        cut = meta["outcome"] == Outcome.MAX_ITERS.value
+        if len(rows) > budget or cut != (len(rows) == budget):
+            violations.append(
+                f"{name}: {len(rows)} rows and outcome {meta['outcome']} "
+                f"under an iteration budget of {budget}"
+            )
+
+        # Each row is an iteration the stop test did not end, and it holds
+        # a curvature estimate exactly when the driver probes.
+        for k, (g_k, lam) in enumerate(zip(cols["grad_norm"], cols["lambda_min"])):
+            if (lam is not None) != arc.runs_probe(g_k, cfg):
+                state = "empty" if lam is None else "filled"
+                violations.append(
+                    f"{name}: lambda_min {state} at row {k}, against "
+                    f"{cfg.eig_policy.value} at grad_norm {g_k!r}"
+                )
+            elif arc.should_terminate(g_k, lam, cfg):
+                violations.append(f"{name}: row {k} meets the stop test")
 
         _check_recurrence(name, cols["sigma"], succ, cfg, violations)
 

@@ -22,6 +22,11 @@ space, with full reorthogonalization, to the fixed relative residual
 tolerance ``LANCZOS_TOL`` within a budget of one iteration per tangent
 dimension, and the outer driver passes the probe it already ran for its
 stop test. Without a probe only the Cauchy point is a candidate.
+
+The Lanczos and refinement loops run on plain ``d x r`` arrays. A vector
+becomes a ``Tangent`` only where it crosses an interface: as the
+argument of ``hvp``, as the returned step and as the returned Ritz
+vector. The Lanczos basis is the rows of one preallocated matrix.
 """
 
 from __future__ import annotations
@@ -132,31 +137,25 @@ def min_eig_estimate(
     if dim < 1:
         raise ContractError("tangent space must have dimension >= 1")
 
-    q0 = manifold.random_tangent(base, seed)
-    basis: list[Tangent] = [q0]
+    shape = base.shape
+    basis = np.empty((dim, shape[0] * shape[1]))
+    basis[0] = manifold.random_tangent(base, seed).data.ravel()
     alphas: list[float] = []
     betas: list[float] = []
-    ritz_weights: np.ndarray | None = None
     op_norm = 0.0
 
     for j in range(dim):
-        w = hvp(basis[j]).data.copy()
-        a_j = float(np.tensordot(basis[j].data, w))
-        alphas.append(a_j)
-        w -= a_j * basis[j].data
-        if j > 0:
-            w -= betas[j - 1] * basis[j - 1].data
-        # Full reorthogonalization against the whole basis, twice for
-        # numerical safety.
+        q = basis[j]
+        w = hvp(manifold.tangent(base, q.reshape(shape), check=False)).data.flatten()
+        alphas.append(float(q @ w))
+        # Full reorthogonalization against the basis so far: two
+        # classical Gram-Schmidt passes, which subsume the three-term
+        # recurrence's subtractions along q_j and q_{j-1}.
         for _ in range(2):
-            for q in basis:
-                w -= float(np.tensordot(q.data, w)) * q.data
+            w -= (basis[: j + 1] @ w) @ basis[: j + 1]
         beta_j = float(np.linalg.norm(w))
 
-        tri = np.diag(alphas)
-        if j > 0:
-            off = np.array(betas)
-            tri += np.diag(off, 1) + np.diag(off, -1)
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         evals, evecs = np.linalg.eigh(tri)
         ritz_weights = evecs[:, 0]
         op_norm = max(op_norm, float(np.max(np.abs(evals))))
@@ -171,15 +170,10 @@ def min_eig_estimate(
         ):
             break
         betas.append(beta_j)
-        basis.append(manifold.tangent(base, w / beta_j, check=False))
+        basis[j + 1] = w / beta_j
 
-    assert ritz_weights is not None
-    vec = np.zeros_like(base.data, dtype=float)
-    for weight, q in zip(ritz_weights, basis):
-        vec += float(weight) * q.data
-    nrm = float(np.linalg.norm(vec))
-    vec /= nrm
-    v = manifold.tangent(base, vec, check=False)
+    vec = ritz_weights @ basis[: len(alphas)]
+    v = manifold.tangent(base, (vec / np.linalg.norm(vec)).reshape(shape), check=False)
     # Report the exact Rayleigh quotient of the returned vector so the
     # upper-bound guarantee holds regardless of Lanczos state.
     rayleigh = manifold.inner(hvp(v), v)
@@ -236,39 +230,36 @@ class SubsolverResult:
 
 
 def _refine(
-    model: CubicModel,
-    eta: Tangent,
-    h_eta_vec: Tangent,
-    steps: int,
-) -> tuple[Tangent, Tangent, float, float, float]:
-    """Normalized gradient descent on ``m`` with Armijo backtracking.
+    model: CubicModel, eta: np.ndarray, h_eta_vec: np.ndarray, steps: int
+) -> tuple[np.ndarray, float, float, float]:
+    """Normalized gradient descent on ``m`` with Armijo backtracking,
+    from the step ``eta`` with its product ``h_eta_vec = H[eta]``.
 
     Keeps ``H[eta]`` updated through linearity, so each step costs one
-    Hessian product. Returns the final iterate with its cached products
-    and scalar decomposition. The model value is monotonically
-    non-increasing across accepted steps.
+    Hessian product. Returns the final iterate with its scalar
+    decomposition ``(eta, <G, eta>, <H[eta], eta>, m(eta))``. The model
+    value is monotonically non-increasing across accepted steps.
     """
-    man = model.manifold
-    g = model.gradient
+    g = model.gradient.data
     sigma = model.sigma
-    g_eta = man.inner(g, eta)
-    h_eta = man.inner(h_eta_vec, eta)
-    nrm2 = man.inner(eta, eta)
+    g_eta = float(np.vdot(g, eta))
+    h_eta = float(np.vdot(h_eta_vec, eta))
+    nrm2 = float(np.vdot(eta, eta))
     m_cur = g_eta + 0.5 * h_eta + (sigma / 3.0) * nrm2 ** 1.5
 
     for _ in range(steps):
         nrm = math.sqrt(nrm2)
-        grad_m_data = g.data + h_eta_vec.data + sigma * nrm * eta.data
-        gm = float(np.linalg.norm(grad_m_data))
+        grad_m = g + h_eta_vec + sigma * nrm * eta
+        gm = float(np.linalg.norm(grad_m))
         if gm <= 1e-12 * max(1.0, abs(m_cur)):
             break
-        d = man.tangent(model.base, grad_m_data / gm, check=False)
-        hd = model.hvp(d)
+        d = grad_m / gm
+        hd = model.hvp(model.manifold.tangent(model.base, d, check=False)).data
         # Scalars for evaluating m(eta - t d) without further products.
-        gd = man.inner(g, d)
-        cross = man.inner(h_eta_vec, d) + man.inner(hd, eta)
-        hdd = man.inner(hd, d)
-        ed = man.inner(eta, d)
+        gd = float(np.vdot(g, d))
+        cross = float(np.vdot(h_eta_vec, d)) + float(np.vdot(hd, eta))
+        hdd = float(np.vdot(hd, d))
+        ed = float(np.vdot(eta, d))
 
         def phi(t: float) -> float:
             quad = h_eta - t * cross + t * t * hdd
@@ -277,24 +268,20 @@ def _refine(
             return lin + 0.5 * quad + (sigma / 3.0) * n2 ** 1.5
 
         t = gm / (abs(hdd) + 2.0 * sigma * (nrm + 1.0))
-        accepted = False
         for _ in range(40):
             if phi(t) <= m_cur - 1e-4 * t * gm:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:  # no sufficient decrease within 40 halvings
             break
-        eta = man.tangent(model.base, eta.data - t * d.data, check=False)
-        h_eta_vec = man.tangent(
-            model.base, h_eta_vec.data - t * hd.data, check=False
-        )
+        eta = eta - t * d
+        h_eta_vec = h_eta_vec - t * hd
         g_eta = g_eta - t * gd
         h_eta = h_eta - t * cross + t * t * hdd
         nrm2 = max(nrm2 - 2.0 * t * ed + t * t, 0.0)
         m_cur = g_eta + 0.5 * h_eta + (sigma / 3.0) * nrm2 ** 1.5
 
-    return eta, h_eta_vec, g_eta, h_eta, m_cur
+    return eta, g_eta, h_eta, m_cur
 
 
 def solve_subproblem(
@@ -314,11 +301,7 @@ def solve_subproblem(
     terminated.
     """
     man = model.manifold
-    gnorm = man.norm(model.gradient)
-
-    cauchy: tuple[Tangent, float, float, float, float] | None = None
-    if gnorm > 0.0:
-        cauchy = _cauchy_candidate(model)
+    cauchy = _cauchy_candidate(model) if man.norm(model.gradient) > 0.0 else None
     cauchy_m = cauchy[1] if cauchy is not None else 0.0
 
     eigen: tuple[Tangent, float, float, float, float] | None = None
@@ -342,11 +325,11 @@ def solve_subproblem(
 
     refined = False
     if refine_steps > 0:
-        h_best = model.hvp(best)
-        eta, h_vec, g_ref, h_ref, m_ref = _refine(model, best, h_best, refine_steps)
+        h_best = model.hvp(best).data
+        eta, g_ref, h_ref, m_ref = _refine(model, best.data, h_best, refine_steps)
         if m_ref < best_m:
-            best, best_m, refined = eta, m_ref, True
-            g_eta, h_eta = g_ref, h_ref
+            best = man.tangent(model.base, eta, check=False)
+            best_m, g_eta, h_eta, refined = m_ref, g_ref, h_ref, True
             step_norm = man.norm(best)
 
     return SubsolverResult(

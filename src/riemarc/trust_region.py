@@ -6,7 +6,9 @@ inside the ball ``||eta|| <= delta`` with truncated conjugate gradients
 the boundary, and the residual test stops at
 ``||r|| <= ||G|| min(CG_KAPPA, ||G||^CG_THETA)`` with ``CG_KAPPA = 0.1``
 and ``CG_THETA = 0.5``. CG runs at most ``intrinsic_dim`` iterations,
-where exact arithmetic would have converged. The radius grows to
+where exact arithmetic would have converged, on plain ``d x r`` arrays:
+only the argument of each Hessian product and the returned step are
+wrapped as ``Tangent``. The radius grows to
 ``min(gamma delta, 10 delta0)`` on success and shrinks to
 ``delta / gamma`` on rejection; the run sidecar records the cap
 ``10 delta0`` as ``delta_max``.
@@ -80,13 +82,11 @@ class TrSubproblemResult:
     iterations: int
 
 
-def _boundary_step(
-    manifold: Manifold, eta: Tangent, p: Tangent, delta: float
-) -> float:
+def _boundary_step(eta: np.ndarray, p: np.ndarray, delta: float) -> float:
     """Positive ``t`` with ``||eta + t p|| = delta``."""
-    pp = manifold.inner(p, p)
-    ep = manifold.inner(eta, p)
-    ee = manifold.inner(eta, eta)
+    pp = float(np.vdot(p, p))
+    ep = float(np.vdot(eta, p))
+    ee = float(np.vdot(eta, eta))
     disc = math.sqrt(max(ep * ep + pp * (delta * delta - ee), 0.0))
     if ep <= 0.0:
         return (disc - ep) / pp
@@ -107,47 +107,43 @@ def tr_subproblem(
     if delta <= 0.0:
         raise ContractError(f"radius must be positive, got {delta}")
     base = grad.base
-    eta = manifold.zero_tangent(base)
-    h_eta = manifold.zero_tangent(base)
-    r = grad
-    r_norm2 = manifold.inner(r, r)
+    r = grad.data
+    r_norm2 = float(np.vdot(r, r))
     r0_norm = math.sqrt(r_norm2)
     if r0_norm == 0.0:
-        return TrSubproblemResult(eta, 0.0, 0.0, 0.0, False, 0)
+        return TrSubproblemResult(manifold.zero_tangent(base), 0.0, 0.0, 0.0, False, 0)
     tol = r0_norm * min(CG_KAPPA, r0_norm**CG_THETA)
-    p = manifold.tangent(base, -r.data, check=False)
+    eta, h_eta = np.zeros_like(r), np.zeros_like(r)
+    p = -r
 
     boundary = False
     iterations = 0
     for _ in range(manifold.intrinsic_dim):
-        hp = hvp(p)
-        php = manifold.inner(p, hp)
+        hp = hvp(manifold.tangent(base, p, check=False)).data
+        php = float(np.vdot(p, hp))
         iterations += 1
         # Negative curvature, or a full step leaving the ball, exits
         # through the boundary.
         alpha = r_norm2 / php if php > 0.0 else 0.0
-        cand = eta.data + alpha * p.data
+        cand = eta + alpha * p
         if php <= 0.0 or float(np.linalg.norm(cand)) >= delta:
-            t = _boundary_step(manifold, eta, p, delta)
-            eta = manifold.tangent(base, eta.data + t * p.data, check=False)
-            h_eta = manifold.tangent(base, h_eta.data + t * hp.data, check=False)
+            t = _boundary_step(eta, p, delta)
+            eta, h_eta = eta + t * p, h_eta + t * hp
             boundary = True
             break
-        eta = manifold.tangent(base, cand, check=False)
-        h_eta = manifold.tangent(base, h_eta.data + alpha * hp.data, check=False)
-        r = manifold.tangent(base, r.data + alpha * hp.data, check=False)
-        r_norm2_next = manifold.inner(r, r)
+        eta, h_eta, r = cand, h_eta + alpha * hp, r + alpha * hp
+        r_norm2_next = float(np.vdot(r, r))
         if math.sqrt(r_norm2_next) <= tol:
-            r_norm2 = r_norm2_next
             break
         beta = r_norm2_next / r_norm2
         r_norm2 = r_norm2_next
-        p = manifold.tangent(base, -r.data + beta * p.data, check=False)
+        p = -r + beta * p
 
-    g_eta = manifold.inner(grad, eta)
-    h_eta_scalar = manifold.inner(h_eta, eta)
+    g_eta = float(np.vdot(grad.data, eta))
+    h_eta_scalar = float(np.vdot(h_eta, eta))
     model_val = g_eta + 0.5 * h_eta_scalar
-    return TrSubproblemResult(eta, model_val, g_eta, h_eta_scalar, boundary, iterations)
+    step = manifold.tangent(base, eta, check=False)
+    return TrSubproblemResult(step, model_val, g_eta, h_eta_scalar, boundary, iterations)
 
 
 def run_trust_region(

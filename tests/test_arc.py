@@ -271,11 +271,13 @@ def test_config_validation():
         (SolverConfig, "gamma", math.inf),
         (TrustRegionConfig, "gamma", math.inf),
         (TrustRegionConfig, "delta0", math.inf),
+        (SolverConfig, "tau", math.inf),
     ],
 )
 def test_infinite_weights_rejected(cls, field, bad):
-    """An infinite initial weight or weight factor fails validation
-    instead of the first step or a clamp."""
+    """An infinite initial weight, weight factor or stop tolerance fails
+    validation instead of the first step, a clamp or the first stop
+    test."""
     with pytest.raises(ContractError, match=field):
         cls(**{field: bad}).validate()
 

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -377,6 +378,7 @@ def test_unreadable_trace_row_is_a_violation(bench_dir, tmp_path, capsys, edit):
 _READ_CELLS = {
     "k": int,
     "f": float,
+    "grad_norm": float,
     "sigma": float,
     "delta": float,
     "model_val": float,
@@ -607,6 +609,7 @@ def test_unreadable_sidecar_is_a_violation(bench_dir, tmp_path, capsys, breakage
         ("racr", "seed", -1, "seed must be a non-negative int, got -1"),
         ("racr", "max_iters", 2.5, "'max_iters' is 2.5"),
         ("racr", "tau", True, "'tau' is True"),
+        ("racr", "tau", math.inf, "tau must be positive and finite, got inf"),
         ("racr", "sigma_min", 1e-9, "'sigma_min' is 1e-09, expected 1e-12"),
         ("ssrtr", "delta_max", 99.0, "'delta_max' is 99.0, expected 10.0"),
         ("racr", "solver", "ssrtr", "missing key 'delta0'"),
@@ -619,6 +622,7 @@ def test_unreadable_sidecar_is_a_violation(bench_dir, tmp_path, capsys, breakage
         "negative-seed",
         "fractional-max_iters",
         "bool-tau",
+        "infinite-tau",
         "sigma_min",
         "delta_max",
         "tr-solver-in-a-cubic-run",
@@ -644,6 +648,72 @@ def test_impossible_sidecar_value_is_a_violation(
     assert verify_traces(copy) == [f"{stem}.csv: unreadable sidecar: {message}"]
     assert cli_main(["verify", str(copy)]) == 1
     assert f"violation: {stem}.csv: unreadable sidecar: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, first",
+    [
+        ("max_iters", 3, "{rows} rows and outcome optimality_reached under an "
+         "iteration budget of 3"),
+        ("max_iters", None, "{rows} rows and outcome optimality_reached under an "
+         "iteration budget of {rows}"),
+        ("tau", 10.0, "row 0 meets the stop test"),
+        ("eig_policy", "every_iteration", "lambda_min empty at row 0, against "
+         "every_iteration at grad_norm {g0!r}"),
+    ],
+    ids=["short-budget", "exhausted-budget", "loose-tau", "every-iteration-probe"],
+)
+def test_verify_reads_the_budget_stop_test_and_probe_policy(
+    bench_dir, tmp_path, capsys, key, value, first
+):
+    """A sidecar whose iteration budget, stop tolerance or probe policy
+    its trace contradicts is flagged, first at the earliest row that
+    shows it: more rows than the budget, a run that reached optimality on
+    exactly its budget (``None`` sets ``max_iters`` to the row count), a
+    row that meets the stop test, or a row without the estimate that
+    policy's probe writes."""
+    copy = tmp_path / key
+    shutil.copytree(bench_dir, copy)
+    stem = run_name(_TINY_PLAN.cases[0], "racr", 0)
+    header, rows = bench._read_trace(copy / f"{stem}.csv")
+    path = copy / f"{stem}.meta.json"
+    meta = json.loads(path.read_text())
+    assert meta["outcome"] == "optimality_reached" and len(rows) > 3
+    meta[key] = len(rows) if value is None else value
+    path.write_text(json.dumps(meta))
+
+    problems = verify_traces(copy)
+    g0 = float(rows[0][header.index("grad_norm")])
+    assert problems[0] == f"{stem}.csv: " + first.format(rows=len(rows), g0=g0)
+    assert all(p.startswith(f"{stem}.csv: ") for p in problems)
+    assert cli_main(["verify", str(copy)]) == 1
+    assert f"violation: {stem}.csv: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_verify_accepts_a_run_that_probes_every_iteration(bench_dir, tmp_path, solver):
+    """A run rerun from its sidecar under ``eig_policy:
+    "every_iteration"`` fills ``lambda_min`` on every row, and its trace
+    and totals pass verify."""
+    copy = tmp_path / solver
+    shutil.copytree(bench_dir, copy)
+    stem = run_name(_TINY_PLAN.cases[0], solver, 0)
+    path = copy / f"{stem}.meta.json"
+    meta = json.loads(path.read_text())
+    meta["eig_policy"] = "every_iteration"
+    trace = _rerun(meta)
+    assert all(rec.lambda_min is not None for rec in trace.records)
+    write_trace_csv(trace, copy / f"{stem}.csv", sigma_name=meta["radius_column"])
+    meta.update(
+        outcome=trace.outcome.value,
+        iterations=trace.iterations,
+        final_f=trace.final_f,
+        grad_evals=trace.grad_evals,
+        hess_evals=trace.hess_evals,
+        objective_evals=trace.objective_evals,
+    )
+    path.write_text(json.dumps(meta))
+    assert verify_traces(copy) == []
 
 
 def test_sidecar_without_its_trace_is_a_violation(bench_dir, tmp_path, capsys):

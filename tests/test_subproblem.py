@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemarc.errors import ContractError, ZeroGradientError
 from riemarc.jointdiag import JointDiagObjective, generate_instance
-from riemarc.manifolds import Stiefel
+from riemarc.manifolds import Stiefel, Tangent
 from riemarc.subproblem import CubicModel, min_eig_estimate, solve_subproblem
+from riemarc.trust_region import tr_subproblem
 
 from euclidean import Euclidean
 from model_points import cauchy_point, eigen_point, model_value
@@ -160,24 +163,101 @@ def test_min_eig_frozen_diagonal():
     assert abs(abs(got.vector.data[1, 0]) - 1.0) < 1e-8
 
 
-def test_min_eig_rayleigh_upper_bound_and_accuracy():
-    rng = np.random.default_rng(2)
-    for _ in range(15):
-        d = int(rng.integers(2, 12))
-        h = rng.standard_normal((d, d))
-        h = (h + h.T) / 2.0
-        man = Euclidean(d)
-        x = man.point(np.zeros((d, 1)))
+def _tangent_basis(man, x):
+    """Orthonormal basis of the tangent space at ``x`` as columns over
+    the flattened ambient space, from the projection's unit eigenvectors."""
+    m = x.data.size
+    proj = np.column_stack(
+        [man.project(x, e.reshape(x.shape)).data.ravel() for e in np.eye(m)]
+    )
+    weights, vecs = np.linalg.eigh((proj + proj.T) / 2.0)
+    return vecs[:, weights > 0.5]
 
-        def hvp(eta, h=h, man=man, x=x):
-            return man.tangent(x, h @ eta.data, check=False)
 
-        got = min_eig_estimate(man, x, hvp, seed=rng)
-        dense = float(np.linalg.eigvalsh(h)[0])
-        # Rayleigh quotients never undershoot the true minimum.
-        assert got.value >= dense - 1e-12
-        assert got.value <= dense + 1e-6 * max(1.0, got.op_norm_est)
-        assert got.iterations <= d
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.integers(2, 7).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d))),
+    rank=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_min_eig_rayleigh_upper_bound_and_accuracy(shape, rank, seed):
+    """On Euclidean space (``r = 0``) and on Stiefel(d, r), ``r < d``
+    included, for a dense symmetric operator (``rank = 0``) or a low-rank
+    one whose Krylov space becomes invariant within ``rank + 1`` steps,
+    the estimate is the Rayleigh quotient of its unit vector: never below
+    the smallest eigenvalue on the tangent space, and within the Lanczos
+    tolerance of it."""
+    d, r = shape
+    man = Euclidean(d) if r == 0 else Stiefel(d, r)
+    rng = np.random.default_rng(seed)
+    x = man.random_point(rng)
+    m = x.data.size
+    if rank == 0:
+        a = rng.standard_normal((m, m))
+        a = (a + a.T) / 2.0
+    else:
+        u = rng.standard_normal((m, rank))
+        a = (u * rng.uniform(-3.0, 3.0, rank)) @ u.T
+
+    def hvp(eta):
+        return man.project(x, (a @ eta.data.ravel()).reshape(x.shape))
+
+    q = _tangent_basis(man, x)
+    assert q.shape[1] == man.intrinsic_dim
+    dense = float(np.linalg.eigvalsh(q.T @ a @ q)[0])
+
+    got = min_eig_estimate(man, x, hvp, seed=rng)
+    scale = max(1.0, got.op_norm_est)
+    assert np.linalg.norm(got.vector.data) == pytest.approx(1.0, abs=1e-12)
+    assert got.value == pytest.approx(man.inner(hvp(got.vector), got.vector), abs=1e-12 * scale)
+    assert got.value >= dense - 1e-10 * scale
+    assert got.value <= dense + 1e-6 * scale
+    assert got.iterations <= man.intrinsic_dim
+    if rank:
+        assert got.iterations <= rank + 1
+
+
+def test_sub_solvers_wrap_only_the_vectors_they_pass_or_return(monkeypatch):
+    """Beyond the random start, a truncated-CG step and a Lanczos probe
+    build one ``Tangent`` per ``hvp`` argument plus the vectors they
+    return; every intermediate vector stays a plain array. The probe's
+    Ritz vector is the argument of its last call, for the Rayleigh
+    quotient."""
+    man = Stiefel(6, 3)
+    rng = np.random.default_rng(4)
+    x = man.random_point(rng)
+    b = rng.standard_normal((18, 18))
+    a = b @ b.T / 18.0 + np.eye(18)
+    g = man.project(x, rng.standard_normal((6, 3)))
+    args, products, built = [], [], []
+
+    def hvp(eta):
+        args.append(eta)
+        products.append(man.project(x, (a @ eta.data.ravel()).reshape(6, 3)))
+        return products[-1]
+
+    init = Tangent.__post_init__
+
+    def counting_init(self):
+        init(self)
+        built.append(self)
+
+    monkeypatch.setattr(Tangent, "__post_init__", counting_init)
+
+    def solver_built():
+        return [id(t) for t in built if all(t is not p for p in products)]
+
+    step = tr_subproblem(g, hvp, 1e3, man)
+    assert step.iterations == len(args) > 1 and not step.boundary
+    assert solver_built() == [*map(id, args), id(step.step)]
+
+    man.random_tangent(x, 5)
+    start = len(built)
+    args.clear()
+    probe = min_eig_estimate(man, x, hvp, seed=5)
+    assert probe.iterations + 1 == len(args)
+    assert solver_built()[start:] == [*map(id, args)]
+    assert args[-1] is probe.vector
 
 
 def test_min_eig_deterministic_for_seed():
