@@ -607,9 +607,15 @@ def verify_traces(directory, runs: list[RunFiles] | None = None) -> list[str]:
             )
 
         # Each row is an iteration the stop test did not end, and it holds
-        # a curvature estimate exactly when the driver probes.
+        # a curvature estimate exactly when the driver probes. A norm whose
+        # square overflows would have ended the driver's own stop test.
         for k, (g_k, lam) in enumerate(zip(cols["grad_norm"], cols["lambda_min"])):
-            if (lam is not None) != arc.runs_probe(g_k, cfg):
+            try:
+                probes = arc.runs_probe(g_k, cfg)
+            except OverflowError:
+                violations.append(f"{name}: row {k} grad_norm {g_k!r} overflows")
+                continue
+            if (lam is not None) != probes:
                 state = "empty" if lam is None else "filled"
                 violations.append(
                     f"{name}: lambda_min {state} at row {k}, against "

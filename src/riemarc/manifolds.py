@@ -173,9 +173,6 @@ class Manifold(ABC):
     def norm(self, xi: Tangent) -> float:
         return float(np.linalg.norm(xi.data))
 
-    def zero_tangent(self, x: Point) -> Tangent:
-        return Tangent(np.zeros((self.d, self.r)), x)
-
     # -- randomness --------------------------------------------------------
 
     def random_point(self, seed: int | np.random.Generator) -> Point:

@@ -23,10 +23,9 @@ tolerance ``LANCZOS_TOL`` within a budget of one iteration per tangent
 dimension, and the outer driver passes the probe it already ran for its
 stop test. Without a probe only the Cauchy point is a candidate.
 
-The Lanczos and refinement loops run on plain ``d x r`` arrays. A vector
-becomes a ``Tangent`` only where it crosses an interface: as the
-argument of ``hvp``, as the returned step and as the returned Ritz
-vector. The Lanczos basis is the rows of one preallocated matrix.
+The Lanczos and refinement loops run on plain arrays, the Lanczos basis
+as the rows of one matrix; a vector becomes a ``Tangent`` only as an
+``hvp`` argument, the returned step or the returned Ritz vector.
 """
 
 from __future__ import annotations
@@ -173,7 +172,8 @@ def min_eig_estimate(
         basis[j + 1] = w / beta_j
 
     vec = ritz_weights @ basis[: len(alphas)]
-    v = manifold.tangent(base, (vec / np.linalg.norm(vec)).reshape(shape), check=False)
+    vec /= np.linalg.norm(vec)
+    v = manifold.tangent(base, vec.reshape(shape), check=False)
     # Report the exact Rayleigh quotient of the returned vector so the
     # upper-bound guarantee holds regardless of Lanczos state.
     rayleigh = manifold.inner(hvp(v), v)
@@ -230,15 +230,17 @@ class SubsolverResult:
 
 
 def _refine(
-    model: CubicModel, eta: np.ndarray, h_eta_vec: np.ndarray, steps: int
+    model: CubicModel,
+    eta: np.ndarray,
+    h_eta_vec: np.ndarray,
+    steps: int,
 ) -> tuple[np.ndarray, float, float, float]:
-    """Normalized gradient descent on ``m`` with Armijo backtracking,
-    from the step ``eta`` with its product ``h_eta_vec = H[eta]``.
+    """Normalized gradient descent on ``m`` with Armijo backtracking.
 
     Keeps ``H[eta]`` updated through linearity, so each step costs one
     Hessian product. Returns the final iterate with its scalar
-    decomposition ``(eta, <G, eta>, <H[eta], eta>, m(eta))``. The model
-    value is monotonically non-increasing across accepted steps.
+    decomposition. The model value is monotonically non-increasing
+    across accepted steps.
     """
     g = model.gradient.data
     sigma = model.sigma
@@ -301,7 +303,11 @@ def solve_subproblem(
     terminated.
     """
     man = model.manifold
-    cauchy = _cauchy_candidate(model) if man.norm(model.gradient) > 0.0 else None
+    gnorm = man.norm(model.gradient)
+
+    cauchy: tuple[Tangent, float, float, float, float] | None = None
+    if gnorm > 0.0:
+        cauchy = _cauchy_candidate(model)
     cauchy_m = cauchy[1] if cauchy is not None else 0.0
 
     eigen: tuple[Tangent, float, float, float, float] | None = None
@@ -329,7 +335,8 @@ def solve_subproblem(
         eta, g_ref, h_ref, m_ref = _refine(model, best.data, h_best, refine_steps)
         if m_ref < best_m:
             best = man.tangent(model.base, eta, check=False)
-            best_m, g_eta, h_eta, refined = m_ref, g_ref, h_ref, True
+            best_m, refined = m_ref, True
+            g_eta, h_eta = g_ref, h_ref
             step_norm = man.norm(best)
 
     return SubsolverResult(

@@ -82,7 +82,9 @@ class TrSubproblemResult:
     iterations: int
 
 
-def _boundary_step(eta: np.ndarray, p: np.ndarray, delta: float) -> float:
+def _boundary_step(
+    eta: np.ndarray, p: np.ndarray, delta: float
+) -> float:
     """Positive ``t`` with ``||eta + t p|| = delta``."""
     pp = float(np.vdot(p, p))
     ep = float(np.vdot(eta, p))
@@ -111,9 +113,11 @@ def tr_subproblem(
     r_norm2 = float(np.vdot(r, r))
     r0_norm = math.sqrt(r_norm2)
     if r0_norm == 0.0:
-        return TrSubproblemResult(manifold.zero_tangent(base), 0.0, 0.0, 0.0, False, 0)
+        zero = manifold.tangent(base, np.zeros_like(r), check=False)
+        return TrSubproblemResult(zero, 0.0, 0.0, 0.0, False, 0)
     tol = r0_norm * min(CG_KAPPA, r0_norm**CG_THETA)
-    eta, h_eta = np.zeros_like(r), np.zeros_like(r)
+    eta = np.zeros_like(r)
+    h_eta = np.zeros_like(r)
     p = -r
 
     boundary = False
@@ -128,10 +132,13 @@ def tr_subproblem(
         cand = eta + alpha * p
         if php <= 0.0 or float(np.linalg.norm(cand)) >= delta:
             t = _boundary_step(eta, p, delta)
-            eta, h_eta = eta + t * p, h_eta + t * hp
+            eta = eta + t * p
+            h_eta = h_eta + t * hp
             boundary = True
             break
-        eta, h_eta, r = cand, h_eta + alpha * hp, r + alpha * hp
+        eta = cand
+        h_eta = h_eta + alpha * hp
+        r = r + alpha * hp
         r_norm2_next = float(np.vdot(r, r))
         if math.sqrt(r_norm2_next) <= tol:
             break

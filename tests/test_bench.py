@@ -436,6 +436,28 @@ def test_verify_survives_any_single_cell_edit(edit_dir, data):
         assert code == 1
 
 
+@pytest.mark.parametrize("text", ["1e200", "-1e200"])
+def test_verify_flags_a_grad_norm_whose_square_overflows(
+    bench_dir, tmp_path, capsys, text
+):
+    """A ``grad_norm`` cell that parses but whose square overflows a float
+    is a violation, not a crash of the squared-gradient stop test."""
+    copy = tmp_path / "overflow"
+    shutil.copytree(bench_dir, copy)
+    stem = run_name(_TINY_PLAN.cases[0], "racr", 0)
+    path = copy / f"{stem}.csv"
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index("grad_norm")
+    cells = lines[1].split(",")
+    cells[col] = text
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+    assert f"{stem}.csv: row 0 grad_norm {float(text)!r} overflows" in verify_traces(copy)
+    assert cli_main(["verify", str(copy)]) == 1
+    assert f"violation: {stem}.csv: row 0 grad_norm " in capsys.readouterr().err
+
+
 def _success_flags(path):
     lines = path.read_text().splitlines()
     col = lines[0].split(",").index("success")
