@@ -39,12 +39,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable
-
-import numpy as np
+from typing import Callable, get_type_hints
 
 from .errors import ContractError, MissingEigenEstimateError
 from .manifolds import Point, Tangent
@@ -222,8 +220,23 @@ class IterationRecord:
     millis: float
 
 
-# The trace CSV's columns, in ``IterationRecord`` field order.
-TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
+# A trace cell's ``(format, parse)`` for each ``IterationRecord``
+# annotation: a flag is ``1`` or ``0``, a count its digits, a float its
+# ``repr`` and an absent one empty. Numpy scalars format as Python's.
+_CELL_CODECS = {
+    bool: (lambda v: "1" if v else "0", lambda text: bool(("0", "1").index(text))),
+    int: (lambda v: str(int(v)), int),
+    float: (lambda v: repr(float(v)), float),
+    float | None: (
+        lambda v: "" if v is None else repr(float(v)),
+        lambda text: None if text == "" else float(text),
+    ),
+}
+# Each trace column's codec, in ``IterationRecord`` field order.
+TRACE_CODECS = {
+    name: _CELL_CODECS[kind] for name, kind in get_type_hints(IterationRecord).items()
+}
+TRACE_COLUMNS = tuple(TRACE_CODECS)
 
 
 def trace_header(radius_column: str) -> list[str]:
@@ -394,19 +407,6 @@ def _drive(
     )
 
 
-def _format_value(value: float | int | bool | None) -> str:
-    """A trace cell: ``1`` or ``0`` for a flag, digits for a count,
-    ``repr`` of the float otherwise, numpy scalars written as their
-    Python equivalents."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_trace_csv(trace: RunTrace, path, *, sigma_name: str = "sigma") -> None:
     """Write the trace's records as CSV in ``TRACE_COLUMNS`` order.
     ``sigma_name`` lets trust-region traces label the radius column
@@ -414,5 +414,5 @@ def write_trace_csv(trace: RunTrace, path, *, sigma_name: str = "sigma") -> None
     with open(path, "w", encoding="utf-8") as stream:
         stream.write(",".join(trace_header(sigma_name)) + "\n")
         for rec in trace.records:
-            row = [_format_value(getattr(rec, c)) for c in TRACE_COLUMNS]
+            row = [fmt(getattr(rec, c)) for c, (fmt, _) in TRACE_CODECS.items()]
             stream.write(",".join(row) + "\n")

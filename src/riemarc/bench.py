@@ -24,10 +24,13 @@ the master seed and case index the start point is drawn from, and the
 run's outcome and oracle totals; ``summary.csv`` aggregates per (case,
 solver). ``config_from_sidecar`` rebuilds the config with every field
 typed by its annotation and validates it, so a sidecar is enough to
-rerun its run. ``verify_traces`` checks each trace against that
-config's own step rule, iteration budget, stop test and probe policy,
-and the totals against the last trace row under the benchmark's
-squared-gradient stop rule.
+rerun its run. ``verify_traces`` applies the run laws of ``_RUN_LAWS``,
+in order, to each run whose files parse: row count and iteration
+budget, stop test and probe policy, the step rule's weight recurrence,
+objective bookkeeping, oracle counters, and the totals against the last
+trace row under the benchmark's squared-gradient stop rule. It then
+checks that ``summary.csv`` is the summary the sidecars give. A law that
+raises is reported as a violation of its run.
 Traces and sidecars are deterministic for a fixed plan and master seed
 up to their wall times, which the content digest therefore excludes.
 """
@@ -306,7 +309,7 @@ SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 class PlanReport:
     rows: list[SummaryRow]
     failures: list[str]
-    runs: list[RunFiles]
+    runs: RunSet
 
 
 def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
@@ -365,16 +368,20 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                     json.dumps(meta, indent=1, sort_keys=True) + "\n", encoding="utf-8"
                 )
 
-    runs = load_runs(out)
+    runs = RunSet(out)
     rows = summarize_traces(out, runs)
     write_summary(rows, out / "summary.csv")
     return PlanReport(rows=rows, failures=failures, runs=runs)
 
 
 def _read_trace(path: Path) -> tuple[list[str], list[list[str]]]:
-    lines = path.read_text(encoding="utf-8").splitlines()
+    return _split_csv(path.read_text(encoding="utf-8"), path.name)
+
+
+def _split_csv(text: str, name: str) -> tuple[list[str], list[list[str]]]:
+    lines = text.splitlines()
     if not lines:
-        raise PlanError(f"{path.name}: empty trace file")
+        raise PlanError(f"{name}: empty trace file")
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:] if line]
     return header, rows
@@ -408,10 +415,24 @@ class RunFiles:
         return _read_sidecar(self.path)
 
 
-def load_runs(directory) -> list[RunFiles]:
-    """The runs in ``directory``. ``summarize_traces``, ``verify_traces``
-    and ``determinism_digest`` take them as ``runs`` to share the reads."""
-    return [RunFiles(path) for path in iter_run_files(directory)]
+class RunSet(list):
+    """The ``RunFiles`` of every run in ``directory``, and the text of its
+    ``summary.csv``, read on first use and kept: None when it is missing.
+    ``summarize_traces``, ``verify_traces`` and ``determinism_digest``
+    take it as ``runs`` to share the reads."""
+
+    def __init__(self, directory):
+        self.directory = Path(directory)
+        super().__init__(RunFiles(path) for path in iter_run_files(directory))
+
+    @cached_property
+    def summary(self) -> str | None:
+        try:
+            # Not ``read_text``: its universal newlines would hide a
+            # carriage return edited into a line end.
+            return (self.directory / "summary.csv").read_bytes().decode("utf-8")
+        except FileNotFoundError:
+            return None
 
 
 # The run keys that verify and summarize read besides the solver and
@@ -433,8 +454,8 @@ def _read_sidecar(trace_path: Path) -> tuple[dict, DriverConfig]:
     naming the run when the file cannot be read, is not a JSON object,
     lacks a key that verify or summarize reads, or holds a value of the
     wrong type or one no valid run writes (``config_from_sidecar``)."""
+    meta_path = trace_path.with_suffix(".meta.json")
     try:
-        meta_path = trace_path.with_suffix(".meta.json")
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
@@ -443,19 +464,21 @@ def _read_sidecar(trace_path: Path) -> tuple[dict, DriverConfig]:
         if not all(type(meta["case"].get(k)) is int for k in "ndr"):
             raise ValueError(f"'case' is {meta['case']!r}")
         cfg = config_from_sidecar(meta)
+    except FileNotFoundError:
+        raise PlanError(f"{trace_path.name}: missing sidecar {meta_path.name}")
     except (OSError, ValueError, TypeError, ContractError) as exc:
         raise PlanError(f"{trace_path.name}: unreadable sidecar: {exc}") from exc
     return meta, cfg
 
 
-def summarize_traces(directory, runs: list[RunFiles] | None = None) -> list[SummaryRow]:
+def summarize_traces(directory, runs: RunSet | None = None) -> list[SummaryRow]:
     """Rebuild summary rows from the run sidecars alone. Iteration
     counts, times and oracle totals are the sidecars', which include the
     start-point objective and the terminating iteration. Raises
     ``PlanError`` listing every unreadable sidecar."""
     groups: dict[tuple[str, str], list[dict]] = {}
     problems: list[str] = []
-    for run in load_runs(directory) if runs is None else runs:
+    for run in RunSet(directory) if runs is None else runs:
         try:
             meta, _ = run.sidecar
         except PlanError as exc:
@@ -504,22 +527,13 @@ def write_summary(rows: list[SummaryRow], path) -> None:
 # -- verification ---------------------------------------------------------
 
 
-# A trace cell's parser, by the annotation of its ``IterationRecord``
-# field, where that is not the annotated type itself.
-_CELL_PARSERS = {
-    bool: {"0": False, "1": True}.__getitem__,
-    float | None: lambda text: None if text == "" else float(text),
-}
-_RECORD_TYPES = get_type_hints(arc.IterationRecord)
-
-
 def _parse_columns(header: list[str], rows: list[list[str]]) -> dict[str, list]:
     """The trace columns verify reads, keyed by ``IterationRecord`` field
-    and parsed by its annotation, from a trace whose header is
-    ``arc.trace_header``'s. Raises ``ValueError`` naming the first row with
-    the wrong cell count or a cell that does not parse."""
+    and parsed by its ``arc.TRACE_CODECS`` entry, from a trace whose
+    header is ``arc.trace_header``'s. Raises ``ValueError`` naming the
+    first row with the wrong cell count or a cell that does not parse."""
     readers = [
-        (i, header[i], col, _CELL_PARSERS.get(_RECORD_TYPES[col], _RECORD_TYPES[col]))
+        (i, header[i], col, arc.TRACE_CODECS[col][1])
         for i, col in enumerate(arc.TRACE_COLUMNS)
         if col != "millis"  # no law reads it
     ]
@@ -532,159 +546,110 @@ def _parse_columns(header: list[str], rows: list[list[str]]) -> dict[str, list]:
         for i, label, col, parse in readers:
             try:
                 columns[col].append(parse(row[i]))
-            except (KeyError, ValueError):
+            except ValueError:
                 raise ValueError(f"unreadable row {k}: {label} is {row[i]!r}") from None
     return columns
 
 
-def _check_recurrence(
-    name: str,
-    values: list[float],
-    succ: list[bool],
-    cfg: DriverConfig,
-    violations: list[str],
-) -> None:
+def _check_row_count(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+    """Rows ``0..n-1``, as many as the sidecar's iterations, and the
+    driver stops at its iteration budget."""
+    n_rows = len(cols["k"])
+    budget = cfg.iteration_budget()
+    if cols["k"] != list(range(n_rows)):
+        yield f"iteration indices are not 0..{n_rows - 1}"
+    if meta["iterations"] != n_rows:
+        yield f"sidecar says {meta['iterations']} iterations, trace has {n_rows}"
+    cut = meta["outcome"] == Outcome.MAX_ITERS.value
+    if n_rows > budget or cut != (n_rows == budget):
+        yield (
+            f"{n_rows} rows and outcome {meta['outcome']} "
+            f"under an iteration budget of {budget}"
+        )
+
+
+def _check_stop_and_probe(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+    """Each row is an iteration the stop test did not end, and it holds a
+    curvature estimate exactly when the driver probes. A norm whose
+    square overflows would have ended the driver's own stop test."""
+    for k, (g_k, lam) in enumerate(zip(cols["grad_norm"], cols["lambda_min"])):
+        try:
+            probes = arc.runs_probe(g_k, cfg)
+        except OverflowError:
+            yield f"row {k} grad_norm {g_k!r} overflows"
+            continue
+        if (lam is not None) != probes:
+            state = "empty" if lam is None else "filled"
+            yield (
+                f"lambda_min {state} at row {k}, against "
+                f"{cfg.eig_policy.value} at grad_norm {g_k!r}"
+            )
+        elif arc.should_terminate(g_k, lam, cfg):
+            yield f"row {k} meets the stop test"
+
+
+def _check_recurrence(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
     """The weight column against the step rule's own recurrence: row 0
     holds ``cfg.initial_weight()``, each later row ``cfg.next_weight`` of
     the row before and its success flag."""
-    expected = [cfg.initial_weight(), *map(cfg.next_weight, values, succ)]
+    values = cols["sigma"]
+    expected = [cfg.initial_weight(), *map(cfg.next_weight, values, cols["success"])]
     for k, (value, want) in enumerate(zip(values, expected)):
         if value != want:
-            violations.append(
-                f"{name}: row {k} {cfg.radius_column} is {value!r}, expected {want!r}"
+            yield f"row {k} {cfg.radius_column} is {value!r}, expected {want!r}"
+
+
+def _check_objective(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+    """Objective bookkeeping, with the sidecar's ``final_f`` after the
+    last row: rejected iterations keep f, accepted ones never increase it
+    and store ``rho_k = (f_k - f_{k+1}) / -m_k``, and each success flag
+    is the stored rho against the threshold."""
+    succ = cols["success"]
+    f_vals = cols["f"] + [float(meta["final_f"])]
+    for k, m_k in enumerate(cols["model_val"]):
+        f_k, f_next = f_vals[k], f_vals[k + 1]
+        if not succ[k]:
+            if f_next != f_k:
+                yield f"f changed after rejected row {k}"
+            continue
+        if f_next > f_k:
+            yield f"f increased after accepted row {k}"
+        rho = (f_k - f_next) / -m_k if m_k else math.nan
+        if cols["rho"][k] != rho:
+            yield f"rho at accepted row {k} is not {rho!r}"
+    for k, (flag, rho) in enumerate(zip(succ, cols["rho"])):
+        if flag != (rho >= cfg.rho_threshold):
+            yield f"success flag contradicts rho at row {k}"
+
+
+def _check_counters(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+    """Oracle counters are cumulative, in whole batches. The bundle reuses
+    exact answers at an iterate that did not move, so after a rejected
+    row an exact gradient costs nothing, and neither does the exact
+    Cauchy product H[G] when it is the cubic rule's only product: no
+    refinement and no probe on the row."""
+    h_size = cfg.hess_sample_size
+    cauchy_only = (
+        isinstance(cfg, SolverConfig)
+        and cfg.mode is OracleMode.EXACT
+        and cfg.refine_steps == 0
+    )
+    prev_g, prev_h = 0, 0
+    for k, (g_c, h_c) in enumerate(zip(cols["grad_evals"], cols["hess_evals"])):
+        moved = k == 0 or cols["success"][k - 1]
+        g_step = _gradient_step(cfg, moved)
+        if g_c - prev_g != g_step:
+            yield f"gradient counter step {g_c - prev_g} at row {k}, expected {g_step}"
+        dh = h_c - prev_h
+        if not moved and cauchy_only and cols["lambda_min"][k] is None:
+            if dh != 0:
+                yield f"Hessian counter step {dh} at row {k}, expected 0"
+        elif dh < h_size or dh % h_size != 0:
+            yield (
+                f"Hessian counter step {dh} at row {k} is not a "
+                f"positive multiple of {h_size}"
             )
-
-
-def verify_traces(directory, runs: list[RunFiles] | None = None) -> list[str]:
-    """Recompute every checkable law from the stored artifacts. Returns a
-    list of violation messages, empty when everything holds."""
-    runs = load_runs(directory) if runs is None else runs
-    if not runs:
-        return ["no trace files found"]
-    violations: list[str] = []
-
-    for run in runs:
-        name = run.path.name
-        meta_path = run.path.with_suffix(".meta.json")
-        if not meta_path.exists():
-            violations.append(f"{name}: missing sidecar {meta_path.name}")
-            continue
-        try:
-            meta, cfg = run.sidecar
-            header, rows = run.trace
-        except FileNotFoundError:
-            violations.append(f"{meta_path.name}: missing trace {name}")
-            continue
-        except PlanError as exc:
-            violations.append(str(exc))
-            continue
-
-        if header != arc.trace_header(cfg.radius_column):
-            violations.append(f"{name}: unexpected columns {header}")
-            continue
-        try:
-            cols = _parse_columns(header, rows)
-        except ValueError as exc:
-            violations.append(f"{name}: {exc}")
-            continue
-        succ = cols["success"]
-
-        if cols["k"] != list(range(len(rows))):
-            violations.append(f"{name}: iteration indices are not 0..{len(rows) - 1}")
-        if meta.get("iterations") != len(rows):
-            violations.append(
-                f"{name}: sidecar says {meta.get('iterations')} iterations, "
-                f"trace has {len(rows)}"
-            )
-
-        # The driver writes a row per iteration and stops at its budget.
-        budget = cfg.iteration_budget()
-        cut = meta["outcome"] == Outcome.MAX_ITERS.value
-        if len(rows) > budget or cut != (len(rows) == budget):
-            violations.append(
-                f"{name}: {len(rows)} rows and outcome {meta['outcome']} "
-                f"under an iteration budget of {budget}"
-            )
-
-        # Each row is an iteration the stop test did not end, and it holds
-        # a curvature estimate exactly when the driver probes. A norm whose
-        # square overflows would have ended the driver's own stop test.
-        for k, (g_k, lam) in enumerate(zip(cols["grad_norm"], cols["lambda_min"])):
-            try:
-                probes = arc.runs_probe(g_k, cfg)
-            except OverflowError:
-                violations.append(f"{name}: row {k} grad_norm {g_k!r} overflows")
-                continue
-            if (lam is not None) != probes:
-                state = "empty" if lam is None else "filled"
-                violations.append(
-                    f"{name}: lambda_min {state} at row {k}, against "
-                    f"{cfg.eig_policy.value} at grad_norm {g_k!r}"
-                )
-            elif arc.should_terminate(g_k, lam, cfg):
-                violations.append(f"{name}: row {k} meets the stop test")
-
-        _check_recurrence(name, cols["sigma"], succ, cfg, violations)
-
-        # Objective bookkeeping, with the sidecar's final_f after the last
-        # row: rejected iterations keep f, accepted ones never increase it
-        # and store rho_k = (f_k - f_{k+1}) / -m_k.
-        f_vals = cols["f"] + [float(meta["final_f"])]
-        for k, m_k in enumerate(cols["model_val"]):
-            f_k, f_next = f_vals[k], f_vals[k + 1]
-            if not succ[k]:
-                if f_next != f_k:
-                    violations.append(f"{name}: f changed after rejected row {k}")
-                continue
-            if f_next > f_k:
-                violations.append(f"{name}: f increased after accepted row {k}")
-            rho = (f_k - f_next) / -m_k if m_k else math.nan
-            if cols["rho"][k] != rho:
-                violations.append(f"{name}: rho at accepted row {k} is not {rho!r}")
-
-        # Acceptance flags must match the stored ratio.
-        for k, (flag, rho) in enumerate(zip(succ, cols["rho"])):
-            if flag != (rho >= cfg.rho_threshold):
-                violations.append(f"{name}: success flag contradicts rho at row {k}")
-
-        # Oracle counters: cumulative, whole batches. The bundle reuses
-        # exact answers at an iterate that did not move, so after a
-        # rejected row an exact gradient costs nothing, and neither does
-        # the exact Cauchy product H[G] when it is the cubic rule's only
-        # product: no refinement and no probe on the row.
-        h_size = cfg.hess_sample_size
-        cauchy_only = (
-            isinstance(cfg, SolverConfig)
-            and cfg.mode is OracleMode.EXACT
-            and cfg.refine_steps == 0
-        )
-        prev_g, prev_h = 0, 0
-        for k, (g_c, h_c) in enumerate(zip(cols["grad_evals"], cols["hess_evals"])):
-            moved = k == 0 or succ[k - 1]
-            g_step = _gradient_step(cfg, moved)
-            if g_c - prev_g != g_step:
-                violations.append(
-                    f"{name}: gradient counter step {g_c - prev_g} at row {k}, "
-                    f"expected {g_step}"
-                )
-            dh = h_c - prev_h
-            if not moved and cauchy_only and cols["lambda_min"][k] is None:
-                if dh != 0:
-                    violations.append(
-                        f"{name}: Hessian counter step {dh} at row {k}, expected 0"
-                    )
-            elif dh < h_size or dh % h_size != 0:
-                violations.append(
-                    f"{name}: Hessian counter step {dh} at row {k} is not a "
-                    f"positive multiple of {h_size}"
-                )
-            prev_g, prev_h = g_c, h_c
-
-        if cfg.stop_rule is StopRule.GRAD_SQUARED:
-            next_g = _gradient_step(cfg, not rows or succ[-1])
-            _check_run_totals(name, meta, len(rows), next_g, prev_g, prev_h, violations)
-
-    return violations
+        prev_g, prev_h = g_c, h_c
 
 
 def _gradient_step(cfg: DriverConfig, moved: bool) -> int:
@@ -695,37 +660,98 @@ def _gradient_step(cfg: DriverConfig, moved: bool) -> int:
     return cfg.grad_sample_size
 
 
-def _check_run_totals(
-    name: str,
-    meta: dict,
-    n_rows: int,
-    next_g: int,
-    last_g: int,
-    last_h: int,
-    violations: list[str],
-) -> None:
+def _check_run_totals(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
     """Under the squared-gradient stop rule the sidecar's totals are the
-    last row's counters plus the terminating iteration's work: the
-    gradient step ``next_g`` after the last row when the run reached
-    optimality, and never a probe.
-    The exact objective is taken once at the start and once per row."""
-    outcome = meta.get("outcome")
-    if outcome == Outcome.OPTIMALITY_REACHED.value:
-        tail_g = next_g
-    elif outcome == Outcome.MAX_ITERS.value:
+    last row's counters plus the terminating iteration's work: a gradient
+    step after the last row when the run reached optimality, and never a
+    probe. The exact objective is taken once at the start and once per
+    row."""
+    if cfg.stop_rule is not StopRule.GRAD_SQUARED:
+        return
+    if meta["outcome"] == Outcome.OPTIMALITY_REACHED.value:
+        tail_g = _gradient_step(cfg, (cols["success"] or [True])[-1])
+    elif meta["outcome"] == Outcome.MAX_ITERS.value:
         tail_g = 0
     else:
         return
     expected = {
-        "grad_evals": last_g + tail_g,
-        "hess_evals": last_h,
-        "objective_evals": int(meta["case"]["n"]) * (n_rows + 1),
+        "grad_evals": (cols["grad_evals"] or [0])[-1] + tail_g,
+        "hess_evals": (cols["hess_evals"] or [0])[-1],
+        "objective_evals": meta["case"]["n"] * (len(cols["k"]) + 1),
     }
     for key, value in expected.items():
-        if meta.get(key) != value:
-            violations.append(
-                f"{name}: sidecar {key} is {meta.get(key)!r}, expected {value}"
-            )
+        if meta[key] != value:
+            yield f"sidecar {key} is {meta[key]!r}, expected {value}"
+
+
+# Each run law takes a run's sidecar, the config it records and its parsed
+# trace columns, and yields the run's violations, in this order.
+_RUN_LAWS = (
+    _check_row_count,
+    _check_stop_and_probe,
+    _check_recurrence,
+    _check_objective,
+    _check_counters,
+    _check_run_totals,
+)
+
+
+def _check_summary(runs: RunSet):
+    """``summary.csv`` is, line for line, the summary the sidecars give.
+    Skipped when a sidecar is unreadable, which is that run's violation."""
+    try:
+        rows = summarize_traces(runs.directory, runs)
+    except PlanError:
+        return
+    if runs.summary is None:
+        yield "missing"
+        return
+    got = runs.summary.splitlines(keepends=True)
+    want = (format_summary(rows) + "\n").splitlines(keepends=True)
+    if len(got) != len(want):
+        yield f"{len(got)} lines, expected {len(want)}"
+    for i, (line, line_want) in enumerate(zip(got, want), start=1):
+        if line != line_want:
+            yield f"line {i} is {line!r}, expected {line_want!r}"
+
+
+def _violations(name: str, law, *args):
+    """``law(*args)``'s violations under ``name``. A law that raises adds
+    one violation naming it, so verify goes on with the next law."""
+    try:
+        for violation in law(*args):
+            yield f"{name}: {violation}"
+    except Exception as exc:  # noqa: BLE001
+        yield f"{name}: {law.__name__} raised {type(exc).__name__}: {exc}"
+
+
+def verify_traces(directory, runs: RunSet | None = None) -> list[str]:
+    """Check each run whose files parse against ``_RUN_LAWS``, then the
+    summary. Returns the violation messages, empty when everything holds."""
+    runs = RunSet(directory) if runs is None else runs
+    if not runs:
+        return ["no trace files found"]
+    violations: list[str] = []
+    for run in runs:
+        name = run.path.name
+        meta_path = run.path.with_suffix(".meta.json")
+        try:
+            meta, cfg = run.sidecar
+            header, rows = run.trace
+            if header != arc.trace_header(cfg.radius_column):
+                raise ValueError(f"unexpected columns {header}")
+            cols = _parse_columns(header, rows)
+        except FileNotFoundError:
+            violations.append(f"{meta_path.name}: missing trace {name}")
+        except PlanError as exc:
+            violations.append(str(exc))
+        except ValueError as exc:
+            violations.append(f"{name}: {exc}")
+        else:
+            for law in _RUN_LAWS:
+                violations.extend(_violations(name, law, meta, cfg, cols))
+    violations.extend(_violations("summary.csv", _check_summary, runs))
+    return violations
 
 
 # -- determinism digest -----------------------------------------------------
@@ -736,19 +762,20 @@ def _strip_columns(header: list[str], rows: list[list[str]], drop: set[str]):
     return [header[i] for i in keep], [[row[i] for i in keep] for row in rows]
 
 
-def determinism_digest(directory, runs: list[RunFiles] | None = None) -> str:
+def determinism_digest(directory, runs: RunSet | None = None) -> str:
     """Hash of all trace, sidecar and summary content excluding wall
     times: the traces' ``millis``, the sidecars' ``wall_s`` and the
     summary's ``time_s_mean``."""
+    runs = RunSet(directory) if runs is None else runs
     digest = hashlib.sha256()
-    for run in load_runs(directory) if runs is None else runs:
+    for run in runs:
         header, rows = _strip_columns(*run.trace, {"millis"})
         digest.update(run.path.name.encode())
         digest.update("\n".join(",".join(r) for r in [header, *rows]).encode())
         meta = {k: v for k, v in run.sidecar[0].items() if k != "wall_s"}
         digest.update(json.dumps(meta, sort_keys=True).encode())
-    summary = Path(directory) / "summary.csv"
-    if summary.exists():
-        header, rows = _strip_columns(*_read_trace(summary), {"time_s_mean"})
+    if runs.summary is not None:
+        summary = _split_csv(runs.summary, "summary.csv")
+        header, rows = _strip_columns(*summary, {"time_s_mean"})
         digest.update("\n".join(",".join(r) for r in [header, *rows]).encode())
     return digest.hexdigest()

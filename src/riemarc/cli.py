@@ -20,11 +20,11 @@ from pathlib import Path
 
 from .bench import (
     SOLVERS,
+    RunSet,
     default_plan,
     determinism_digest,
     format_summary,
     load_plan,
-    load_runs,
     run_plan,
     set_plan_value,
     summarize_traces,
@@ -91,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "verify":
-            runs = load_runs(args.traces)
+            runs = RunSet(args.traces)
             violations = verify_traces(args.traces, runs)
             if violations:
                 for v in violations:

@@ -83,6 +83,8 @@ class JDInstance:
         t = self.d * (self.d + 1) // 2
         if rows.ndim != 2 or rows.shape[1] != t:
             raise ContractError(f"expected (n, {t}) rows, d={self.d}, got {rows.shape}")
+        if rows.shape[0] < 1:
+            raise ContractError("need at least one matrix, got n=0")
         if not 1 <= self.r <= self.d:
             raise ContractError(f"need 1 <= r <= d, got r={self.r}, d={self.d}")
         if rows.flags.writeable or not rows.flags.owndata:
@@ -122,6 +124,8 @@ def generate_instance(
     """Draw an instance with a shared planted congruence."""
     if n < 1:
         raise ContractError(f"need at least one matrix, got n={n}")
+    if not 1 <= r <= d:
+        raise ContractError(f"need 1 <= r <= d, got r={r}, d={d}")
     if not 0.0 <= noise < math.inf:
         raise ContractError(f"noise must be finite and non-negative, got {noise}")
     rng = np.random.default_rng([seed, 3])

@@ -14,13 +14,22 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riemarc.arc import run, write_trace_csv
+from riemarc.arc import (
+    TRACE_CODECS,
+    TRACE_COLUMNS,
+    IterationRecord,
+    Outcome,
+    RunTrace,
+    run,
+    write_trace_csv,
+)
 from riemarc.bench import (
     BenchmarkPlan,
     SOLVERS,
@@ -34,6 +43,7 @@ from riemarc.bench import (
     sample_sizes,
     summarize_traces,
     verify_traces,
+    write_summary,
 )
 from riemarc import bench
 from riemarc.cli import main as cli_main
@@ -436,6 +446,56 @@ def test_verify_survives_any_single_cell_edit(edit_dir, data):
         assert code == 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verify_flags_any_single_cell_edit_of_the_summary(edit_dir, data):
+    """Any text in any one ``summary.csv`` cell that changes the file is
+    flagged: the file must be the summary the sidecars give, byte for
+    byte."""
+    path = edit_dir / "summary.csv"
+    original = path.read_text(encoding="utf-8")
+    lines = original.splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[row].split(",")
+    col = data.draw(st.integers(0, len(cells) - 1))
+    lines[row] = ",".join([*cells[:col], data.draw(st.text()), *cells[col + 1 :]])
+    edited = "\n".join(lines) + "\n"
+    path.write_bytes(edited.encode("utf-8"))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main(["verify", str(edit_dir)])
+    finally:
+        path.write_text(original, encoding="utf-8")
+
+    assert code == (0 if edited == original else 1)
+
+
+@pytest.mark.parametrize("edit", ["missing", "success_rate"])
+def test_verify_checks_the_summary(bench_dir, tmp_path, capsys, edit):
+    """A missing ``summary.csv``, or one whose line differs from the
+    summary the sidecars give, is a violation and verify exits 1."""
+    copy = tmp_path / edit
+    shutil.copytree(bench_dir, copy)
+    path = copy / "summary.csv"
+    if edit == "missing":
+        path.unlink()
+        expected = "summary.csv: missing"
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        col = lines[0].split(",").index("success_rate")
+        cells = lines[1].split(",")
+        assert cells[col] == "1.0"
+        cells[col] = "0.5"
+        edited = ",".join(cells)
+        path.write_text("".join([lines[0], edited, *lines[2:]]))
+        expected = f"summary.csv: line 2 is {edited!r}, expected {lines[1]!r}"
+
+    assert verify_traces(copy) == [expected]
+    assert cli_main(["verify", str(copy)]) == 1
+    assert f"violation: {expected}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["1e200", "-1e200"])
 def test_verify_flags_a_grad_norm_whose_square_overflows(
     bench_dir, tmp_path, capsys, text
@@ -569,6 +629,12 @@ def _bump_sidecar(path, counter, amount):
     path.write_text(json.dumps(meta))
 
 
+def _rewrite_summary(directory):
+    """Write ``summary.csv`` from the sidecars as ``run`` does, so that a
+    consistent edit of one run leaves the summary law intact."""
+    write_summary(summarize_traces(directory), directory / "summary.csv")
+
+
 @pytest.mark.parametrize("counter", ["grad_evals", "hess_evals", "objective_evals"])
 def test_verify_flags_sidecar_totals_tampering(bench_dir, tmp_path, counter):
     """A sidecar total moved by one whole batch still passes every row law;
@@ -583,6 +649,7 @@ def test_verify_flags_sidecar_totals_tampering(bench_dir, tmp_path, counter):
             "objective_evals": meta["case"]["n"],
         }[counter]
         _bump_sidecar(copy / f"{stem}.meta.json", counter, batch)
+        _rewrite_summary(copy)
 
     problems = _tampered(bench_dir, tmp_path, counter, mutate)
     assert len(problems) == 1
@@ -620,6 +687,33 @@ def test_unreadable_sidecar_is_a_violation(bench_dir, tmp_path, capsys, breakage
     assert f"violation: {broken}.csv: unreadable sidecar: " in capsys.readouterr().err
     assert cli_main(["summarize", str(copy)]) == 1
     assert f"{broken}.csv: unreadable sidecar: " in capsys.readouterr().err
+
+
+def test_a_law_that_raises_is_a_violation_of_its_run(
+    bench_dir, tmp_path, monkeypatch, capsys
+):
+    """A run law that raises gives that run one violation naming the law,
+    verify still checks the other runs, and it exits 1."""
+    copy = tmp_path / "raises"
+    shutil.copytree(bench_dir, copy)
+    case = _TINY_PLAN.cases[0]
+    broken, other = run_name(case, "racr", 0), run_name(case, "ssracr", 1)
+    _bump_sidecar(copy / f"{other}.meta.json", "objective_evals", case[0])
+    _rewrite_summary(copy)
+
+    def fragile(meta, cfg, cols):
+        if (meta["solver"], meta["rep"]) == ("racr", 0):
+            raise ZeroDivisionError("division by zero")
+        return ()
+
+    monkeypatch.setattr(bench, "_RUN_LAWS", (fragile, *bench._RUN_LAWS))
+    problems = verify_traces(copy)
+    message = f"{broken}.csv: fragile raised ZeroDivisionError: division by zero"
+    assert [p for p in problems if p.startswith(f"{broken}.csv: ")] == [message]
+    assert len(problems) == 2
+    assert problems[1].startswith(f"{other}.csv: sidecar objective_evals is ")
+    assert cli_main(["verify", str(copy)]) == 1
+    assert f"violation: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -716,7 +810,7 @@ def test_verify_reads_the_budget_stop_test_and_probe_policy(
 def test_verify_accepts_a_run_that_probes_every_iteration(bench_dir, tmp_path, solver):
     """A run rerun from its sidecar under ``eig_policy:
     "every_iteration"`` fills ``lambda_min`` on every row, and its trace
-    and totals pass verify."""
+    and totals pass verify once the summary is rewritten to match."""
     copy = tmp_path / solver
     shutil.copytree(bench_dir, copy)
     stem = run_name(_TINY_PLAN.cases[0], solver, 0)
@@ -735,6 +829,7 @@ def test_verify_accepts_a_run_that_probes_every_iteration(bench_dir, tmp_path, s
         objective_evals=trace.objective_evals,
     )
     path.write_text(json.dumps(meta))
+    _rewrite_summary(copy)
     assert verify_traces(copy) == []
 
 
@@ -800,8 +895,9 @@ def test_verify_survives_any_single_sidecar_edit(edit_dir, untouched_digest, dat
 
 
 def _shift_counter(directory, stem, counter, row, amount):
-    """Add ``amount`` to ``counter`` on trace rows ``row`` onward and to
-    the sidecar total, so only the counter step into ``row`` changes."""
+    """Add ``amount`` to ``counter`` on trace rows ``row`` onward, to the
+    sidecar total and to the summary, so only the counter step into
+    ``row`` changes."""
     path = directory / f"{stem}.csv"
     lines = path.read_text().splitlines()
     col = lines[0].split(",").index(counter)
@@ -811,6 +907,7 @@ def _shift_counter(directory, stem, counter, row, amount):
         lines[i] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     _bump_sidecar(path.with_suffix(".meta.json"), counter, amount)
+    _rewrite_summary(directory)
 
 
 @pytest.mark.parametrize("after", ["rejected", "accepted"])
@@ -861,6 +958,69 @@ def test_numpy_scalars_in_a_record_write_readable_cells(bench_dir, tmp_path):
         bench_dir / f"{stem}.csv"
     )
     assert verify_traces(copy) == []
+
+
+def _reference_cell(value):
+    """The trace cell of ``value`` by its own type: the reference that
+    ``arc.TRACE_CODECS``, which formats by annotation, must write."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+_FLOATS = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0])
+
+# Values of each ``IterationRecord`` annotation, numpy scalars included.
+_ANNOTATION_VALUES = {
+    bool: st.booleans() | st.booleans().map(np.bool_),
+    int: st.integers(0, 2**62)
+    | st.integers(0, 2**31 - 1).map(np.int32)
+    | st.integers(0, 2**62).map(np.int64),
+    float: _FLOATS | _FLOATS.map(np.float64),
+    float | None: st.none() | _FLOATS | _FLOATS.map(np.float64),
+}
+
+_RECORDS = st.builds(
+    IterationRecord,
+    **{
+        name: _ANNOTATION_VALUES[kind]
+        for name, kind in get_type_hints(IterationRecord).items()
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def codec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec")
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(_RECORDS, max_size=4))
+def test_trace_cells_write_the_reference_text_and_parse_back(codec_dir, records):
+    """``write_trace_csv`` writes each cell as ``_reference_cell`` does,
+    and each column's parser gives back the value written: the same
+    Python value for a numpy scalar, NaN for NaN and None for None."""
+    path = codec_dir / "trace.csv"
+    trace = RunTrace(records, Outcome.MAX_ITERS, None, 0.0, 0, 0, 0)
+    write_trace_csv(trace, path)
+    rows = [
+        [_reference_cell(getattr(rec, col)) for col in TRACE_COLUMNS] for rec in records
+    ]
+    text = "".join(",".join(row) + "\n" for row in [TRACE_COLUMNS, *rows])
+    assert path.read_bytes() == text.encode("utf-8")
+
+    for rec, row in zip(records, rows):
+        for (col, (_, parse)), cell in zip(TRACE_CODECS.items(), row):
+            value, back = getattr(rec, col), parse(cell)
+            if value is None or math.isnan(value):
+                assert back is None if value is None else math.isnan(back)
+            else:
+                plain = value.item() if isinstance(value, np.generic) else value
+                assert back == plain and type(back) is type(plain)
 
 
 @pytest.mark.parametrize(

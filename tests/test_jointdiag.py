@@ -351,6 +351,10 @@ def test_instance_never_freezes_or_shares_the_callers_array(given_as):
 def test_generation_validation():
     with pytest.raises(ContractError):
         generate_instance(0, 3, 2, seed=0)
+    # Shapes are checked before anything is drawn.
+    for d, r in [(0, 1), (5, 0), (3, 4)]:
+        with pytest.raises(ContractError, match="1 <= r <= d"):
+            generate_instance(5, d, r, seed=1)
     with pytest.raises(ContractError):
         generate_instance(3, 3, 2, seed=0, noise=-0.1)
     with pytest.raises(ContractError):
@@ -359,6 +363,13 @@ def test_generation_validation():
         JDInstance.from_matrices(np.zeros((2, 3, 2)), r=1, seed=0, noise=0.0)
     with pytest.raises(ContractError):
         JDInstance(rows=np.zeros((2, 5)), d=3, r=1, seed=0, noise=0.0)
+
+
+def test_empty_family_rejected():
+    with pytest.raises(ContractError, match="at least one matrix"):
+        JDInstance.from_matrices(np.zeros((0, 3, 3)), r=2, seed=0, noise=0.0)
+    with pytest.raises(ContractError, match="at least one matrix"):
+        JDInstance(rows=np.zeros((0, 6)), d=3, r=2, seed=0, noise=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
