@@ -25,12 +25,17 @@ run's outcome and oracle totals; ``summary.csv`` aggregates per (case,
 solver). ``config_from_sidecar`` rebuilds the config with every field
 typed by its annotation and validates it, so a sidecar is enough to
 rerun its run. ``verify_traces`` applies the run laws of ``_RUN_LAWS``,
-in order, to each run whose files parse: row count and iteration
-budget, stop test and probe policy, the step rule's weight recurrence,
-objective bookkeeping, oracle counters, and the totals against the last
-trace row under the benchmark's squared-gradient stop rule. It then
-checks that ``summary.csv`` is the summary the sidecars give. A law that
-raises is reported as a violation of its run.
+in order, to each run whose files parse and are filed under the run's
+own ``run_name``: row count and iteration budget, stop test and probe
+policy, the step rule's weight recurrence, objective bookkeeping, oracle
+counters, the totals against the last trace row under the benchmark's
+squared-gradient stop rule, and provenance: the instance and run seeds
+``run_plan`` derives from the run's position, and a valid noise. It
+then checks that ``summary.csv`` is the summary the sidecars give. A
+law that raises is reported as a violation of its run. A trace that
+holds a carriage return is unreadable. ``summarize_traces``,
+``verify_traces`` and ``determinism_digest`` take one ``RunSet``, the
+runs of one directory, read once.
 Traces and sidecars are deterministic for a fixed plan and master seed
 up to their wall times, which the content digest therefore excludes.
 """
@@ -189,12 +194,16 @@ def parse_plan(text: str) -> BenchmarkPlan:
     return plan
 
 
-def load_plan(path) -> BenchmarkPlan:
-    return parse_plan(Path(path).read_text(encoding="utf-8"))
-
-
 def _derived_seed(parts: list[int]) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
+
+
+def _instance_seed(master_seed: int, case_index: int, rep: int) -> int:
+    return _derived_seed([master_seed, case_index, rep, 11])
+
+
+def _run_seed(master_seed: int, case_index: int, rep: int, solver: str) -> int:
+    return _derived_seed([master_seed, case_index, rep, 17, SOLVERS.index(solver)])
 
 
 def sample_sizes(plan: BenchmarkPlan, n: int) -> tuple[int, int]:
@@ -322,15 +331,14 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
     for ci, case in enumerate(plan.cases):
         n, d, r = case
         for rep in range(plan.repetitions):
-            instance_seed = _derived_seed([plan.master_seed, ci, rep, 11])
+            instance_seed = _instance_seed(plan.master_seed, ci, rep)
             instance = generate_instance(n, d, r, seed=instance_seed, noise=plan.noise)
             objective = JointDiagObjective(instance)
             x0 = objective.manifold.random_point(
                 np.random.default_rng([plan.master_seed, ci, rep, 13])
             )
             for solver in plan.solvers:
-                si = SOLVERS.index(solver)
-                run_seed = _derived_seed([plan.master_seed, ci, rep, 17, si])
+                run_seed = _run_seed(plan.master_seed, ci, rep, solver)
                 cfg = solver_config(plan, solver, n, run_seed)
                 runner = (
                     run_trust_region if isinstance(cfg, TrustRegionConfig) else arc.run
@@ -369,19 +377,27 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                 )
 
     runs = RunSet(out)
-    rows = summarize_traces(out, runs)
+    rows = summarize_traces(runs)
     write_summary(rows, out / "summary.csv")
     return PlanReport(rows=rows, failures=failures, runs=runs)
 
 
 def _read_trace(path: Path) -> tuple[list[str], list[list[str]]]:
-    return _split_csv(path.read_text(encoding="utf-8"), path.name)
+    # Bytes, as for the summary: universal newlines would read a carriage
+    # return edited into a line end as part of the line end, and after
+    # the last cell it would hide in ``millis``, which no law reads.
+    text = path.read_bytes().decode("utf-8")
+    if "\r" in text:
+        raise PlanError(f"{path.name}: unreadable trace: carriage return")
+    return _split_csv(text, path.name)
 
 
 def _split_csv(text: str, name: str) -> tuple[list[str], list[list[str]]]:
-    lines = text.splitlines()
-    if not lines:
+    """Header and rows of CSV text. Only a newline ends a line, the one
+    line end ``write_trace_csv`` and ``write_summary`` write."""
+    if not text:
         raise PlanError(f"{name}: empty trace file")
+    lines = text.split("\n")
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:] if line]
     return header, rows
@@ -419,7 +435,7 @@ class RunSet(list):
     """The ``RunFiles`` of every run in ``directory``, and the text of its
     ``summary.csv``, read on first use and kept: None when it is missing.
     ``summarize_traces``, ``verify_traces`` and ``determinism_digest``
-    take it as ``runs`` to share the reads."""
+    take it, so the commands that call more than one share the reads."""
 
     def __init__(self, directory):
         self.directory = Path(directory)
@@ -439,6 +455,11 @@ class RunSet(list):
 # its config's (``config_from_sidecar``), in ``_json_kind``'s form.
 _SIDECAR_TYPES = {
     "case": (dict,),
+    "rep": (int,),
+    "master_seed": (int,),
+    "case_index": (int,),
+    "instance_seed": (int,),
+    "noise": (int, float),
     "outcome": Outcome,
     "grad_evals": (int,),
     "hess_evals": (int,),
@@ -471,14 +492,14 @@ def _read_sidecar(trace_path: Path) -> tuple[dict, DriverConfig]:
     return meta, cfg
 
 
-def summarize_traces(directory, runs: RunSet | None = None) -> list[SummaryRow]:
+def summarize_traces(runs: RunSet) -> list[SummaryRow]:
     """Rebuild summary rows from the run sidecars alone. Iteration
     counts, times and oracle totals are the sidecars', which include the
     start-point objective and the terminating iteration. Raises
     ``PlanError`` listing every unreadable sidecar."""
     groups: dict[tuple[str, str], list[dict]] = {}
     problems: list[str] = []
-    for run in RunSet(directory) if runs is None else runs:
+    for run in runs:
         try:
             meta, _ = run.sidecar
         except PlanError as exc:
@@ -684,6 +705,22 @@ def _check_run_totals(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
             yield f"sidecar {key} is {meta[key]!r}, expected {value}"
 
 
+def _check_provenance(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+    """The instance seed and the run seed are the ones ``run_plan``
+    derives from the master seed, case index, repetition and solver, so
+    the run's instance and samples can be drawn again, and the noise is
+    one ``generate_instance`` accepts."""
+    position = (meta["master_seed"], meta["case_index"], meta["rep"])
+    instance_seed = _instance_seed(*position)
+    if meta["instance_seed"] != instance_seed:
+        yield f"instance_seed is {meta['instance_seed']!r}, expected {instance_seed}"
+    run_seed = _run_seed(*position, meta["solver"])
+    if cfg.seed != run_seed:
+        yield f"seed is {cfg.seed!r}, expected {run_seed}"
+    if not 0.0 <= meta["noise"] < math.inf:
+        yield f"noise is {meta['noise']!r}, expected finite and non-negative"
+
+
 # Each run law takes a run's sidecar, the config it records and its parsed
 # trace columns, and yields the run's violations, in this order.
 _RUN_LAWS = (
@@ -693,6 +730,7 @@ _RUN_LAWS = (
     _check_objective,
     _check_counters,
     _check_run_totals,
+    _check_provenance,
 )
 
 
@@ -700,7 +738,7 @@ def _check_summary(runs: RunSet):
     """``summary.csv`` is, line for line, the summary the sidecars give.
     Skipped when a sidecar is unreadable, which is that run's violation."""
     try:
-        rows = summarize_traces(runs.directory, runs)
+        rows = summarize_traces(runs)
     except PlanError:
         return
     if runs.summary is None:
@@ -725,10 +763,9 @@ def _violations(name: str, law, *args):
         yield f"{name}: {law.__name__} raised {type(exc).__name__}: {exc}"
 
 
-def verify_traces(directory, runs: RunSet | None = None) -> list[str]:
+def verify_traces(runs: RunSet) -> list[str]:
     """Check each run whose files parse against ``_RUN_LAWS``, then the
     summary. Returns the violation messages, empty when everything holds."""
-    runs = RunSet(directory) if runs is None else runs
     if not runs:
         return ["no trace files found"]
     violations: list[str] = []
@@ -740,6 +777,10 @@ def verify_traces(directory, runs: RunSet | None = None) -> list[str]:
             header, rows = run.trace
             if header != arc.trace_header(cfg.radius_column):
                 raise ValueError(f"unexpected columns {header}")
+            case = tuple(meta["case"][k] for k in "ndr")
+            own = run_name(case, meta["solver"], meta["rep"])
+            if run.path.stem != own:
+                raise ValueError(f"the sidecar is that of run {own}")
             cols = _parse_columns(header, rows)
         except FileNotFoundError:
             violations.append(f"{meta_path.name}: missing trace {name}")
@@ -762,11 +803,10 @@ def _strip_columns(header: list[str], rows: list[list[str]], drop: set[str]):
     return [header[i] for i in keep], [[row[i] for i in keep] for row in rows]
 
 
-def determinism_digest(directory, runs: RunSet | None = None) -> str:
+def determinism_digest(runs: RunSet) -> str:
     """Hash of all trace, sidecar and summary content excluding wall
     times: the traces' ``millis``, the sidecars' ``wall_s`` and the
     summary's ``time_s_mean``."""
-    runs = RunSet(directory) if runs is None else runs
     digest = hashlib.sha256()
     for run in runs:
         header, rows = _strip_columns(*run.trace, {"millis"})

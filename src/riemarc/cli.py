@@ -24,7 +24,7 @@ from .bench import (
     default_plan,
     determinism_digest,
     format_summary,
-    load_plan,
+    parse_plan,
     run_plan,
     set_plan_value,
     summarize_traces,
@@ -71,7 +71,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "run":
-            plan = default_plan() if args.plan is None else load_plan(args.plan)
+            plan = default_plan()
+            if args.plan is not None:
+                plan = parse_plan(args.plan.read_text(encoding="utf-8"))
             if args.seed is not None:
                 plan.master_seed = args.seed
             if args.solvers is not None:
@@ -83,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
                 set_plan_value(plan, key.strip(), value)
             report = run_plan(plan, args.out)
             print(format_summary(report.rows))
-            print(f"digest {determinism_digest(args.out, report.runs)}")
+            print(f"digest {determinism_digest(report.runs)}")
             if report.failures:
                 for failure in report.failures:
                     print(f"failure: {failure}", file=sys.stderr)
@@ -92,16 +94,16 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "verify":
             runs = RunSet(args.traces)
-            violations = verify_traces(args.traces, runs)
+            violations = verify_traces(runs)
             if violations:
                 for v in violations:
                     print(f"violation: {v}", file=sys.stderr)
                 return 1
-            print(f"ok, digest {determinism_digest(args.traces, runs)}")
+            print(f"ok, digest {determinism_digest(runs)}")
             return 0
 
         if args.command == "summarize":
-            rows = summarize_traces(args.traces)
+            rows = summarize_traces(RunSet(args.traces))
             text = format_summary(rows)
             print(text)
             if args.out is not None:

@@ -45,7 +45,9 @@ and returns ``D W + Z S``: row ``j`` of ``W`` holds the packed entries
 ``q_pj q_qj`` of ``q_j q_j^T``, and ``S`` scales a diagonal entry by
 ``noise`` and an off-diagonal one by ``noise / sqrt(2)``, the standard
 deviations of ``noise * (E_i + E_i^T) / 2``. Matrices from elsewhere
-enter through ``JDInstance.from_matrices``.
+enter through ``JDInstance.from_matrices(c, r)``. An instance holds the
+family and ``r`` only; the seed and noise it was drawn with are the
+run sidecar's record.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ SYMMETRY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class JDInstance:
-    """A problem instance: the matrix family and its generation record.
+    """A problem instance: the matrix family and the rank ``r``.
 
     ``rows`` holds the family as read-only ``(n, d(d+1)/2)`` packed
     rows, the upper-triangle entries of each ``C_m`` in
@@ -75,8 +77,6 @@ class JDInstance:
     rows: np.ndarray  # (n, d(d+1)/2)
     d: int
     r: int
-    seed: int
-    noise: float
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=float)
@@ -93,7 +93,7 @@ class JDInstance:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def from_matrices(cls, c, r: int, seed: int, noise: float) -> JDInstance:
+    def from_matrices(cls, c, r: int) -> JDInstance:
         """An instance of the symmetric ``(n, d, d)`` stack ``c``. Entries
         must be finite; a stack asymmetric only by roundoff, up to
         ``SYMMETRY_TOL``, is symmetrized exactly."""
@@ -111,7 +111,7 @@ class JDInstance:
             raise ContractError(f"input matrices are asymmetric by {asym:.3e}")
         rows = upper if asym == 0.0 else (upper + lower) / 2.0
         rows.setflags(write=False)
-        return cls(rows=rows, d=d, r=r, seed=seed, noise=noise)
+        return cls(rows=rows, d=d, r=r)
 
     @property
     def n(self) -> int:
@@ -138,7 +138,7 @@ def generate_instance(
     rows *= np.where(i == j, noise, noise / math.sqrt(2.0))
     rows += diags @ (q[i] * q[j]).T
     rows.setflags(write=False)
-    return JDInstance(rows=rows, d=d, r=r, seed=seed, noise=noise)
+    return JDInstance(rows=rows, d=d, r=r)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -253,8 +253,9 @@ class JointDiagObjective(SeparableObjective):
     recomputing them. Results are bit-identical to a fresh objective's.
     This memo saves work but not oracle calls: the oracle bundle charges
     every call that reaches the objective its full component count. The
-    bundle itself answers a repeated exact query at an unchanged iterate,
-    so such a query never reaches the objective and is not charged.
+    bundle itself answers a repeated exact ``G`` or ``H[G]`` at an
+    unchanged iterate, so such a query never reaches the objective and is
+    not charged.
     """
 
     def __init__(self, instance: JDInstance):

@@ -125,37 +125,36 @@ class Manifold(ABC):
 
     # -- construction and validation -------------------------------------
 
-    def point(self, data: np.ndarray, *, check: bool = True) -> Point:
+    def point(self, data: np.ndarray) -> Point:
         p = Point(data)
         if p.shape != (self.d, self.r):
             raise ContractError(
                 f"expected a {self.d} x {self.r} point, got {p.shape}"
             )
-        if check:
-            if not np.all(np.isfinite(p.data)):
-                raise ContractError("point contains non-finite entries")
-            res = self.feasibility_residual(p.data)
-            if res > FEASIBILITY_TOL:
-                raise ContractError(
-                    f"point is off the manifold, feasibility residual {res:.3e}"
-                )
+        if not np.all(np.isfinite(p.data)):
+            raise ContractError("point contains non-finite entries")
+        res = self.feasibility_residual(p.data)
+        if res > FEASIBILITY_TOL:
+            raise ContractError(
+                f"point is off the manifold, feasibility residual {res:.3e}"
+            )
         return p
 
-    def tangent(self, base: Point, data: np.ndarray, *, check: bool = True) -> Tangent:
+    def tangent(self, base: Point, data: np.ndarray) -> Tangent:
+        """A vector from outside, checked to be tangent at ``base``."""
         t = Tangent(data, base)
         if t.shape != (self.d, self.r):
             raise ContractError(
                 f"expected a {self.d} x {self.r} tangent, got {t.shape}"
             )
-        if check:
-            if not np.all(np.isfinite(t.data)):
-                raise ContractError("tangent contains non-finite entries")
-            scale = max(1.0, float(np.linalg.norm(t.data)))
-            res = self.tangency_residual(base.data, t.data)
-            if res > TANGENCY_TOL * scale:
-                raise ContractError(
-                    f"vector is not tangent at the base point, residual {res:.3e}"
-                )
+        if not np.all(np.isfinite(t.data)):
+            raise ContractError("tangent contains non-finite entries")
+        scale = max(1.0, float(np.linalg.norm(t.data)))
+        res = self.tangency_residual(base.data, t.data)
+        if res > TANGENCY_TOL * scale:
+            raise ContractError(
+                f"vector is not tangent at the base point, residual {res:.3e}"
+            )
         return t
 
     # -- metric ----------------------------------------------------------
@@ -252,7 +251,7 @@ class Stiefel(Manifold):
                 f"expected a {self.d} x {self.r} ambient matrix, got {w.shape}"
             )
         data = w - x.data @ sym(x.data.T @ w)
-        return self.tangent(x, data, check=False)
+        return Tangent(data, x)
 
     def retract(self, x: Point, xi: Tangent) -> Point:
         """QR retraction ``qf(U + xi)``, by Cholesky-QR.

@@ -15,16 +15,16 @@ evaluation order, and so that the Hessian stream does not depend on
 whether the gradient was sampled. Each purpose's ``KeyedStream`` jumps
 to iteration ``k`` in place, so no iteration builds a generator.
 
-Exact quantities do not depend on the iteration, so the bundle answers
-a repeated exact query from the answer it already holds: the exact
-gradient keyed on the ``Point`` object, and every exact HVP taken there
-keyed on its ``Tangent`` object, until a query arrives at another point.
-After a rejected step the driver queries the unchanged iterate again,
-and gets back the same gradient object and its Hessian product. The
-counters count only the component evaluations that reach the objective,
-so such an iteration charges no gradient batch, and no Hessian batch
-for the Cauchy product ``H[G]``. Sampled oracles draw afresh every
-iteration and are never reused.
+Exact quantities do not depend on the iteration, so the bundle holds
+the exact gradient ``G`` at the current iterate, keyed on its ``Point``
+object, and ``H[G]``, until a query arrives at another point. After a
+rejected step the driver queries the unchanged iterate again, and gets
+back the same ``G`` and its Cauchy product ``H[G]``. The counters count
+only the component evaluations that reach the objective, so such an
+iteration charges no gradient batch, and no Hessian batch for ``H[G]``.
+Every other exact product, and every sampled query, is evaluated
+afresh. Either query before the first ``begin_iteration`` raises
+``StaleSampleError``.
 
 ``required_sample_sizes`` computes sizes under which the sample averages
 match the exact quantities to accuracy ``delta_g`` and ``delta_h`` with
@@ -109,18 +109,21 @@ class OracleBundle:
         self._iteration: int | None = None
         self._grad_idx: np.ndarray | None = None
         self._hess_idx: np.ndarray | None = None
-        # Exact answers at ``_at``: its gradient, and (eta, H[eta]) pairs
-        # by ``id(eta)``, each holding its key alive. Points and tangents
-        # hold read-only copies, so one object always has one value.
+        # Exact answers at ``_at``: its gradient G and H[G]. Points and
+        # tangents hold read-only copies, so one object has one value.
         self._at: Point | None = None
         self._exact_grad: Tangent | None = None
-        self._exact_hvps: dict[int, tuple[Tangent, Tangent]] = {}
+        self._exact_hg: Tangent | None = None
 
     def _exact_answers_at(self, x: Point) -> None:
         if x is not self._at:
             self._at = x
             self._exact_grad = None
-            self._exact_hvps = {}
+            self._exact_hg = None
+
+    def _check_begun(self) -> None:
+        if self._iteration is None:
+            raise StaleSampleError("oracle queried before begin_iteration")
 
     def begin_iteration(self, k: int) -> None:
         """Fix the sample index sets used for iteration ``k``."""
@@ -140,10 +143,8 @@ class OracleBundle:
             self._hess_idx = None
 
     def inexact_gradient(self, x: Point) -> Tangent:
-        """Gradient estimate for the current iteration's sample. Called
-        before any ``begin_iteration``, it fixes iteration 0 first."""
-        if self._iteration is None:
-            self.begin_iteration(0)
+        """Gradient estimate for the current iteration's sample."""
+        self._check_begun()
         if self._grad_idx is not None:
             g = self.objective.gradient(x, self._grad_idx)
             self.counters.grad_components += self._grad_idx.size
@@ -156,21 +157,19 @@ class OracleBundle:
 
     def inexact_hvp(self, x: Point, eta: Tangent) -> Tangent:
         """Hessian-vector estimate on the current iteration's sample."""
-        if self._iteration is None:
-            raise StaleSampleError(
-                "Hessian oracle queried before begin_iteration fixed the sample"
-            )
+        self._check_begun()
         if self._hess_idx is not None:
             h = self.objective.hess_vec(x, eta, self._hess_idx)
             self.counters.hess_components += self._hess_idx.size
             return h
         self._exact_answers_at(x)
-        held = self._exact_hvps.get(id(eta))
-        if held is None:
-            held = (eta, self.objective.hess_vec(x, eta))
-            self.counters.hess_components += self.objective.n
-            self._exact_hvps[id(eta)] = held
-        return held[1]
+        if eta is self._exact_grad and self._exact_hg is not None:
+            return self._exact_hg
+        h = self.objective.hess_vec(x, eta)
+        self.counters.hess_components += self.objective.n
+        if eta is self._exact_grad:
+            self._exact_hg = h
+        return h
 
     def objective_value(self, x: Point) -> float:
         """Exact full objective, used for acceptance ratios in all modes."""

@@ -91,7 +91,7 @@ def _cauchy_candidate(model: CubicModel) -> tuple[Tangent, float, float, float, 
         raise ZeroGradientError("Cauchy point undefined for a zero gradient")
     ghg = model.manifold.inner(model.hvp(g), g)
     alpha = _positive_quadratic_root(model.sigma * gnorm**3, ghg, gnorm**2)
-    eta = model.manifold.tangent(model.base, -alpha * g.data, check=False)
+    eta = Tangent(-alpha * g.data, model.base)
     g_eta = -alpha * gnorm**2
     h_eta = alpha**2 * ghg
     step_norm = alpha * gnorm
@@ -145,7 +145,7 @@ def min_eig_estimate(
 
     for j in range(dim):
         q = basis[j]
-        w = hvp(manifold.tangent(base, q.reshape(shape), check=False)).data.flatten()
+        w = hvp(Tangent(q.reshape(shape), base)).data.flatten()
         alphas.append(float(q @ w))
         # Full reorthogonalization against the basis so far: two
         # classical Gram-Schmidt passes, which subsume the three-term
@@ -173,7 +173,7 @@ def min_eig_estimate(
 
     vec = ritz_weights @ basis[: len(alphas)]
     vec /= np.linalg.norm(vec)
-    v = manifold.tangent(base, vec.reshape(shape), check=False)
+    v = Tangent(vec.reshape(shape), base)
     # Report the exact Rayleigh quotient of the returned vector so the
     # upper-bound guarantee holds regardless of Lanczos state.
     rayleigh = manifold.inner(hvp(v), v)
@@ -201,7 +201,7 @@ def _eigen_candidate(
     s = 1.0 if gv == 0.0 else -math.copysign(1.0, gv)
     lin = s * gv  # <= 0
     beta = _positive_quadratic_root(model.sigma, curvature, -lin)
-    eta = model.manifold.tangent(model.base, beta * s * v.data, check=False)
+    eta = Tangent(beta * s * v.data, model.base)
     g_eta = beta * lin
     h_eta = beta**2 * curvature
     m_val = g_eta + 0.5 * h_eta + (model.sigma / 3.0) * beta**3
@@ -226,7 +226,6 @@ class SubsolverResult:
     g_eta: float
     h_eta: float
     step_norm: float
-    refined: bool
 
 
 def _refine(
@@ -256,7 +255,7 @@ def _refine(
         if gm <= 1e-12 * max(1.0, abs(m_cur)):
             break
         d = grad_m / gm
-        hd = model.hvp(model.manifold.tangent(model.base, d, check=False)).data
+        hd = model.hvp(Tangent(d, model.base)).data
         # Scalars for evaluating m(eta - t d) without further products.
         gd = float(np.vdot(g, d))
         cross = float(np.vdot(h_eta_vec, d)) + float(np.vdot(hd, eta))
@@ -329,13 +328,12 @@ def solve_subproblem(
         assert eigen is not None
         best, best_m, g_eta, h_eta, step_norm = eigen
 
-    refined = False
     if refine_steps > 0:
         h_best = model.hvp(best).data
         eta, g_ref, h_ref, m_ref = _refine(model, best.data, h_best, refine_steps)
         if m_ref < best_m:
-            best = man.tangent(model.base, eta, check=False)
-            best_m, refined = m_ref, True
+            best = Tangent(eta, model.base)
+            best_m = m_ref
             g_eta, h_eta = g_ref, h_ref
             step_norm = man.norm(best)
 
@@ -347,5 +345,4 @@ def solve_subproblem(
         g_eta=g_eta,
         h_eta=h_eta,
         step_norm=step_norm,
-        refined=refined,
     )

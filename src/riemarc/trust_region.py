@@ -76,8 +76,6 @@ class TrustRegionConfig(DriverConfig):
 class TrSubproblemResult:
     step: Tangent
     model_val: float
-    g_eta: float
-    h_eta: float
     boundary: bool
     iterations: int
 
@@ -113,8 +111,8 @@ def tr_subproblem(
     r_norm2 = float(np.vdot(r, r))
     r0_norm = math.sqrt(r_norm2)
     if r0_norm == 0.0:
-        zero = manifold.tangent(base, np.zeros_like(r), check=False)
-        return TrSubproblemResult(zero, 0.0, 0.0, 0.0, False, 0)
+        zero = Tangent(np.zeros_like(r), base)
+        return TrSubproblemResult(zero, 0.0, False, 0)
     tol = r0_norm * min(CG_KAPPA, r0_norm**CG_THETA)
     eta = np.zeros_like(r)
     h_eta = np.zeros_like(r)
@@ -123,7 +121,7 @@ def tr_subproblem(
     boundary = False
     iterations = 0
     for _ in range(manifold.intrinsic_dim):
-        hp = hvp(manifold.tangent(base, p, check=False)).data
+        hp = hvp(Tangent(p, base)).data
         php = float(np.vdot(p, hp))
         iterations += 1
         # Negative curvature, or a full step leaving the ball, exits
@@ -146,11 +144,9 @@ def tr_subproblem(
         r_norm2 = r_norm2_next
         p = -r + beta * p
 
-    g_eta = float(np.vdot(grad.data, eta))
-    h_eta_scalar = float(np.vdot(h_eta, eta))
-    model_val = g_eta + 0.5 * h_eta_scalar
-    step = manifold.tangent(base, eta, check=False)
-    return TrSubproblemResult(step, model_val, g_eta, h_eta_scalar, boundary, iterations)
+    model_val = float(np.vdot(grad.data, eta)) + 0.5 * float(np.vdot(h_eta, eta))
+    step = Tangent(eta, base)
+    return TrSubproblemResult(step, model_val, boundary, iterations)
 
 
 def run_trust_region(

@@ -40,7 +40,7 @@ class Euclidean(Manifold):
         return 0.0
 
     def project(self, x: Point, w: np.ndarray) -> Tangent:
-        return self.tangent(x, w, check=False)
+        return Tangent(w, x)
 
     def retract(self, x: Point, xi: Tangent) -> Point:
         if not np.array_equal(xi.base.data, x.data):
@@ -87,13 +87,13 @@ class QuadraticSum(SeparableObjective):
         a = self.a if idx is None else self.a[idx]
         b = self.b if idx is None else self.b[idx]
         g = a.mean(axis=0) @ v + b.mean(axis=0)
-        return self.manifold.tangent(x, g.reshape(-1, 1), check=False)
+        return Tangent(g.reshape(-1, 1), x)
 
     def hess_vec(self, x: Point, xi: Tangent, idx: np.ndarray | None = None) -> Tangent:
         idx = self._check_idx(idx)
         a = self.a if idx is None else self.a[idx]
         h = a.mean(axis=0) @ xi.data[:, 0]
-        return self.manifold.tangent(x, h.reshape(-1, 1), check=False)
+        return Tangent(h.reshape(-1, 1), x)
 
     @classmethod
     def random(cls, n: int, d: int, seed: int, *, definite: bool = True) -> "QuadraticSum":
@@ -147,7 +147,7 @@ class SaddleQuartic(SeparableObjective):
         a = self.a if idx is None else self.a[idx]
         b = self.b if idx is None else self.b[idx]
         g = a.mean(axis=0) @ v + b.mean(axis=0) + self.w * v**3
-        return self.manifold.tangent(x, g.reshape(-1, 1), check=False)
+        return Tangent(g.reshape(-1, 1), x)
 
     def hess_vec(self, x: Point, xi: Tangent, idx: np.ndarray | None = None) -> Tangent:
         idx = self._check_idx(idx)
@@ -155,7 +155,7 @@ class SaddleQuartic(SeparableObjective):
         u = xi.data[:, 0]
         a = self.a if idx is None else self.a[idx]
         h = a.mean(axis=0) @ u + 3.0 * self.w * (v**2) * u
-        return self.manifold.tangent(x, h.reshape(-1, 1), check=False)
+        return Tangent(h.reshape(-1, 1), x)
 
     @classmethod
     def random(
@@ -216,7 +216,7 @@ class CosineSum(SeparableObjective):
         ph = self.phase if idx is None else self.phase[idx]
         s = np.sin(a @ _flat(x) + ph)
         g = -(s @ a) / a.shape[0]
-        return self.manifold.tangent(x, g.reshape(-1, 1), check=False)
+        return Tangent(g.reshape(-1, 1), x)
 
     def hess_vec(self, x: Point, xi: Tangent, idx: np.ndarray | None = None) -> Tangent:
         idx = self._check_idx(idx)
@@ -225,7 +225,7 @@ class CosineSum(SeparableObjective):
         c = np.cos(a @ _flat(x) + ph)
         av = a @ xi.data[:, 0]
         h = -((c * av) @ a) / a.shape[0]
-        return self.manifold.tangent(x, h.reshape(-1, 1), check=False)
+        return Tangent(h.reshape(-1, 1), x)
 
     def component_gradient_bound(self) -> float:
         return float(np.max(np.linalg.norm(self.a, axis=1)))

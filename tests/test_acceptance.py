@@ -13,9 +13,15 @@ import time
 import numpy as np
 
 from riemarc.arc import Outcome, SolverConfig, StopRule, run
-from riemarc.bench import BenchmarkPlan, iter_run_files, run_plan, verify_traces
+from riemarc.bench import (
+    BenchmarkPlan,
+    RunSet,
+    iter_run_files,
+    run_plan,
+    verify_traces,
+)
 from riemarc.jointdiag import JointDiagObjective, generate_instance
-from riemarc.manifolds import Stiefel, sym
+from riemarc.manifolds import Point, Stiefel, Tangent, sym
 from riemarc.oracles import (
     OracleBundle,
     OracleMode,
@@ -38,11 +44,11 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def _euclidean_model(g_vec, h_mat, sigma):
     man = Euclidean(len(g_vec))
     x = man.point(np.zeros((len(g_vec), 1)))
-    g = man.tangent(x, np.asarray(g_vec, float).reshape(-1, 1), check=False)
+    g = Tangent(np.asarray(g_vec, float).reshape(-1, 1), x)
     h = np.asarray(h_mat, float)
 
     def hvp(eta):
-        return man.tangent(x, h @ eta.data, check=False)
+        return Tangent(h @ eta.data, x)
 
     return CubicModel(g, hvp, sigma, x, man), man, x
 
@@ -61,8 +67,8 @@ def test_criterion_01_gradient_consistency():
         x = man.random_point(rng)
         xi = man.random_tangent(x, rng)
         ip = man.inner(obj.gradient(x), xi)
-        fp = obj.value(man.retract(x, man.tangent(x, h * xi.data, check=False)))
-        fm = obj.value(man.retract(x, man.tangent(x, -h * xi.data, check=False)))
+        fp = obj.value(man.retract(x, Tangent(h * xi.data, x)))
+        fm = obj.value(man.retract(x, Tangent(-h * xi.data, x)))
         fd = (fp - fm) / (2.0 * h)
         worst = max(worst, abs(fd - ip) / max(1.0, abs(ip)))
     elapsed = time.perf_counter() - t0
@@ -85,7 +91,7 @@ def test_criterion_02_hessian_consistency():
     t = 1e-5
 
     def field(u):
-        pt = man.point(u, check=False)
+        pt = Point(u)
         eg = obj.euclidean_gradient(pt)
         return eg - u @ sym(u.T @ eg)
 
@@ -228,7 +234,7 @@ def test_criterion_05_stored_run_laws(tmp_path):
     )
     out = tmp_path / "runs"
     report = run_plan(plan, out)
-    problems = verify_traces(out)
+    problems = verify_traces(RunSet(out))
     n_traces = len(iter_run_files(out))
 
     inst = generate_instance(100, 5, 5, seed=301, noise=1e-3)
@@ -401,13 +407,13 @@ def test_criterion_10_manifold_primitives():
 
             e1 = float(
                 np.linalg.norm(
-                    man.retract(x, man.tangent(x, 1e-2 * xi.data, check=False)).data
+                    man.retract(x, Tangent(1e-2 * xi.data, x)).data
                     - (x.data + 1e-2 * xi.data)
                 )
             )
             e2 = float(
                 np.linalg.norm(
-                    man.retract(x, man.tangent(x, 1e-3 * xi.data, check=False)).data
+                    man.retract(x, Tangent(1e-3 * xi.data, x)).data
                     - (x.data + 1e-3 * xi.data)
                 )
             )

@@ -32,6 +32,7 @@ from riemarc.arc import (
 )
 from riemarc.bench import (
     BenchmarkPlan,
+    RunSet,
     SOLVERS,
     _derived_seed,
     default_plan,
@@ -184,7 +185,7 @@ def test_run_plan_artifacts(bench_dir):
 
 
 def test_run_plan_summary_rows(bench_dir):
-    rows = summarize_traces(bench_dir)
+    rows = summarize_traces(RunSet(bench_dir))
     assert [row.solver for row in rows] == sorted(SOLVERS)
     for row in rows:
         assert row.case == "case300x5x5"
@@ -275,21 +276,21 @@ def test_trace_radius_columns(bench_dir):
 
 
 def test_verify_clean_run(bench_dir):
-    assert verify_traces(bench_dir) == []
+    assert verify_traces(RunSet(bench_dir)) == []
 
 
 def test_rerun_reproduces_digest(bench_dir, tmp_path):
     again = tmp_path / "again"
     report = run_plan(_TINY_PLAN, again)
     assert report.failures == []
-    assert determinism_digest(again) == determinism_digest(bench_dir)
+    assert determinism_digest(RunSet(again)) == determinism_digest(RunSet(bench_dir))
 
 
 def _tampered(bench_dir, tmp_path, label, mutate):
     copy = tmp_path / label
     shutil.copytree(bench_dir, copy)
     mutate(copy)
-    return verify_traces(copy)
+    return verify_traces(RunSet(copy))
 
 
 def _pick_long_trace(directory, min_rows=3):
@@ -491,7 +492,7 @@ def test_verify_checks_the_summary(bench_dir, tmp_path, capsys, edit):
         path.write_text("".join([lines[0], edited, *lines[2:]]))
         expected = f"summary.csv: line 2 is {edited!r}, expected {lines[1]!r}"
 
-    assert verify_traces(copy) == [expected]
+    assert verify_traces(RunSet(copy)) == [expected]
     assert cli_main(["verify", str(copy)]) == 1
     assert f"violation: {expected}" in capsys.readouterr().err
 
@@ -513,7 +514,7 @@ def test_verify_flags_a_grad_norm_whose_square_overflows(
     lines[1] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
 
-    assert f"{stem}.csv: row 0 grad_norm {float(text)!r} overflows" in verify_traces(copy)
+    assert f"{stem}.csv: row 0 grad_norm {float(text)!r} overflows" in verify_traces(RunSet(copy))
     assert cli_main(["verify", str(copy)]) == 1
     assert f"violation: {stem}.csv: row 0 grad_norm " in capsys.readouterr().err
 
@@ -603,7 +604,7 @@ def test_digest_equals_the_two_pass_reference(tmp_path, capsys):
     reference = _two_pass_digest(out)
     assert printed_by_run == f"digest {reference}"
     assert printed_by_verify == f"ok, digest {reference}"
-    assert determinism_digest(out) == reference
+    assert determinism_digest(RunSet(out)) == reference
 
 
 def test_verify_reads_each_artifact_once(bench_dir, monkeypatch, capsys):
@@ -632,7 +633,7 @@ def _bump_sidecar(path, counter, amount):
 def _rewrite_summary(directory):
     """Write ``summary.csv`` from the sidecars as ``run`` does, so that a
     consistent edit of one run leaves the summary law intact."""
-    write_summary(summarize_traces(directory), directory / "summary.csv")
+    write_summary(summarize_traces(RunSet(directory)), directory / "summary.csv")
 
 
 @pytest.mark.parametrize("counter", ["grad_evals", "hess_evals", "objective_evals"])
@@ -679,7 +680,7 @@ def test_unreadable_sidecar_is_a_violation(bench_dir, tmp_path, capsys, breakage
     _BROKEN_SIDECARS[breakage](copy / f"{broken}.meta.json")
     _bump_sidecar(copy / f"{other}.meta.json", "objective_evals", case[0])
 
-    problems = verify_traces(copy)
+    problems = verify_traces(RunSet(copy))
     assert len(problems) == 2
     assert problems[0].startswith(f"{broken}.csv: unreadable sidecar: ")
     assert problems[1].startswith(f"{other}.csv: sidecar objective_evals is ")
@@ -707,7 +708,7 @@ def test_a_law_that_raises_is_a_violation_of_its_run(
         return ()
 
     monkeypatch.setattr(bench, "_RUN_LAWS", (fragile, *bench._RUN_LAWS))
-    problems = verify_traces(copy)
+    problems = verify_traces(RunSet(copy))
     message = f"{broken}.csv: fragile raised ZeroDivisionError: division by zero"
     assert [p for p in problems if p.startswith(f"{broken}.csv: ")] == [message]
     assert len(problems) == 2
@@ -761,9 +762,110 @@ def test_impossible_sidecar_value_is_a_violation(
     meta[key] = value
     path.write_text(json.dumps(meta))
 
-    assert verify_traces(copy) == [f"{stem}.csv: unreadable sidecar: {message}"]
+    assert verify_traces(RunSet(copy)) == [f"{stem}.csv: unreadable sidecar: {message}"]
     assert cli_main(["verify", str(copy)]) == 1
     assert f"violation: {stem}.csv: unreadable sidecar: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, first",
+    [
+        ("noise", "abc", "unreadable sidecar: 'noise' is 'abc'"),
+        ("noise", -5.0, "noise is -5.0, expected finite and non-negative"),
+        ("rep", 1.5, "unreadable sidecar: 'rep' is 1.5"),
+        ("rep", 2, "the sidecar is that of run case300x5x5_rep2_racr"),
+        ("rep", 7, "the sidecar is that of run case300x5x5_rep7_racr"),
+        ("master_seed", "x", "unreadable sidecar: 'master_seed' is 'x'"),
+        ("case_index", None, "unreadable sidecar: 'case_index' is None"),
+        ("case_index", 1, "instance_seed is {instance_seed}, expected "),
+        ("instance_seed", -1, "instance_seed is -1, expected {instance_seed}"),
+        ("instance_seed", 12345, "instance_seed is 12345, expected {instance_seed}"),
+        ("seed", 99, "seed is 99, expected {seed}"),
+    ],
+    ids=[
+        "text-noise",
+        "negative-noise",
+        "fractional-rep",
+        "rep-2",
+        "rep-7",
+        "text-master_seed",
+        "null-case_index",
+        "case_index-1",
+        "negative-instance_seed",
+        "other-instance_seed",
+        "other-seed",
+    ],
+)
+def test_verify_checks_where_each_run_came_from(
+    bench_dir, tmp_path, capsys, key, value, first
+):
+    """A sidecar that cannot rebuild its run's instance or redraw its
+    samples is flagged: a master seed, case index, repetition, instance
+    seed or noise of the wrong type, seeds other than ``run_plan``
+    derives from the run's position and solver, a file stem other than
+    ``run_name`` gives, or a noise ``generate_instance`` rejects."""
+    copy = tmp_path / key
+    shutil.copytree(bench_dir, copy)
+    stem = run_name(_TINY_PLAN.cases[0], "racr", 0)
+    path = copy / f"{stem}.meta.json"
+    meta = json.loads(path.read_text())
+    recorded = {k: meta[k] for k in ("instance_seed", "seed")}
+    meta[key] = value
+    path.write_text(json.dumps(meta))
+
+    problems = verify_traces(RunSet(copy))
+    assert problems and problems[0].startswith(f"{stem}.csv: " + first.format(**recorded))
+    assert all(p.startswith(f"{stem}.csv: ") for p in problems)
+    assert cli_main(["verify", str(copy)]) == 1
+    assert f"violation: {stem}.csv: " in capsys.readouterr().err
+
+
+def test_verify_flags_a_run_filed_under_another_name(bench_dir, tmp_path):
+    """A run's trace and sidecar moved together under another run's name
+    are flagged: the file stem must be ``run_name`` of the sidecar's
+    case, solver and repetition."""
+    copy = tmp_path / "moved"
+    shutil.copytree(bench_dir, copy)
+    stem = run_name(_TINY_PLAN.cases[0], "racr", 0)
+    moved = run_name(_TINY_PLAN.cases[0], "racr", 5)
+    for suffix in (".csv", ".meta.json"):
+        (copy / f"{stem}{suffix}").rename(copy / f"{moved}{suffix}")
+    assert verify_traces(RunSet(copy)) == [
+        f"{moved}.csv: the sidecar is that of run {stem}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "edit, first",
+    [
+        ("header-crlf", "unreadable trace: carriage return"),
+        ("last-row-crlf", "unreadable trace: carriage return"),
+        ("header-form-feed", "unexpected columns "),
+    ],
+)
+def test_only_a_newline_ends_a_trace_line(bench_dir, tmp_path, capsys, edit, first):
+    """A carriage return is reported instead of read as part of a line
+    end, as universal newlines would: after the header, and after the
+    last row, where it would end the ``millis`` cell that no law reads.
+    A form feed in place of the header's line end joins the header to
+    row 0 instead of breaking the line, as ``str.splitlines`` would."""
+    copy = tmp_path / edit
+    shutil.copytree(bench_dir, copy)
+    stem = run_name(_TINY_PLAN.cases[0], "racr", 0)
+    path = copy / f"{stem}.csv"
+    data = path.read_bytes()
+    if edit == "header-crlf":
+        data = data.replace(b"\n", b"\r\n", 1)
+    elif edit == "last-row-crlf":
+        data = data[:-1] + b"\r\n"
+    else:
+        data = data.replace(b"\n", b"\x0c", 1)
+    path.write_bytes(data)
+
+    problems = verify_traces(RunSet(copy))
+    assert len(problems) == 1 and problems[0].startswith(f"{stem}.csv: {first}")
+    assert cli_main(["verify", str(copy)]) == 1
+    assert f"violation: {problems[0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -798,7 +900,7 @@ def test_verify_reads_the_budget_stop_test_and_probe_policy(
     meta[key] = len(rows) if value is None else value
     path.write_text(json.dumps(meta))
 
-    problems = verify_traces(copy)
+    problems = verify_traces(RunSet(copy))
     g0 = float(rows[0][header.index("grad_norm")])
     assert problems[0] == f"{stem}.csv: " + first.format(rows=len(rows), g0=g0)
     assert all(p.startswith(f"{stem}.csv: ") for p in problems)
@@ -830,7 +932,7 @@ def test_verify_accepts_a_run_that_probes_every_iteration(bench_dir, tmp_path, s
     )
     path.write_text(json.dumps(meta))
     _rewrite_summary(copy)
-    assert verify_traces(copy) == []
+    assert verify_traces(RunSet(copy)) == []
 
 
 def test_sidecar_without_its_trace_is_a_violation(bench_dir, tmp_path, capsys):
@@ -842,10 +944,10 @@ def test_sidecar_without_its_trace_is_a_violation(bench_dir, tmp_path, capsys):
     stem = run_name(_TINY_PLAN.cases[0], "racr", 0)
     (copy / f"{stem}.csv").unlink()
 
-    assert verify_traces(copy) == [f"{stem}.meta.json: missing trace {stem}.csv"]
+    assert verify_traces(RunSet(copy)) == [f"{stem}.meta.json: missing trace {stem}.csv"]
     assert cli_main(["verify", str(copy)]) == 1
     assert f"violation: {stem}.meta.json: missing trace" in capsys.readouterr().err
-    assert summarize_traces(copy) == summarize_traces(bench_dir)
+    assert summarize_traces(RunSet(copy)) == summarize_traces(RunSet(bench_dir))
 
 
 # Any JSON scalar, plus values near the ones a valid sidecar holds.
@@ -861,7 +963,7 @@ _JSON_SCALARS = (
 
 @pytest.fixture(scope="module")
 def untouched_digest(bench_dir):
-    return determinism_digest(bench_dir)
+    return determinism_digest(RunSet(bench_dir))
 
 
 @settings(max_examples=150, deadline=None)
@@ -930,7 +1032,7 @@ def test_verify_flags_a_gradient_step_against_the_reuse_rule(bench_dir, tmp_path
     _shift_counter(copy, stem, "grad_evals", row, amount)
 
     step, expected = (n, 0) if after == "rejected" else (0, n)
-    assert verify_traces(copy) == [
+    assert verify_traces(RunSet(copy)) == [
         f"{stem}.csv: gradient counter step {step} at row {row}, expected {expected}"
     ]
 
@@ -957,7 +1059,7 @@ def test_numpy_scalars_in_a_record_write_readable_cells(bench_dir, tmp_path):
     assert _rows_without_millis(copy / f"{stem}.csv") == _rows_without_millis(
         bench_dir / f"{stem}.csv"
     )
-    assert verify_traces(copy) == []
+    assert verify_traces(RunSet(copy)) == []
 
 
 def _reference_cell(value):
@@ -1092,7 +1194,7 @@ def test_summary_reads_iterations_and_times_from_the_sidecars(bench_dir, tmp_pat
         meta["wall_s"] = 0.25 * (meta["rep"] + 1)
         meta["iterations"] += meta["rep"]
         meta_path.write_text(json.dumps(meta))
-    for row in summarize_traces(copy):
+    for row in summarize_traces(RunSet(copy)):
         stems = [
             run_name(_TINY_PLAN.cases[0], row.solver, rep)
             for rep in range(_TINY_PLAN.repetitions)
@@ -1110,9 +1212,9 @@ def test_verify_checks_totals_of_runs_cut_by_max_iters(tmp_path):
     assert run_plan(plan, out).failures == []
     metas = sorted(out.glob("*.meta.json"))
     assert {json.loads(p.read_text())["outcome"] for p in metas} == {"max_iters"}
-    assert verify_traces(out) == []
+    assert verify_traces(RunSet(out)) == []
     _bump_sidecar(metas[0], "grad_evals", json.loads(metas[0].read_text())["grad_sample_size"])
-    assert any("sidecar grad_evals" in p for p in verify_traces(out))
+    assert any("sidecar grad_evals" in p for p in verify_traces(RunSet(out)))
 
 
 def test_python_dash_m_riemarc_verifies(bench_dir, tmp_path):
@@ -1132,7 +1234,7 @@ def test_python_dash_m_riemarc_verifies(bench_dir, tmp_path):
 
 
 def test_verify_empty_directory(tmp_path):
-    assert verify_traces(tmp_path) == ["no trace files found"]
+    assert verify_traces(RunSet(tmp_path)) == ["no trace files found"]
 
 
 def test_digest_ignores_timing(bench_dir, tmp_path):
@@ -1146,8 +1248,8 @@ def test_digest_ignores_timing(bench_dir, tmp_path):
     fields[col] = "9999.0"
     lines[1] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
-    assert determinism_digest(copy) == determinism_digest(bench_dir)
-    assert verify_traces(copy) == []
+    assert determinism_digest(RunSet(copy)) == determinism_digest(RunSet(bench_dir))
+    assert verify_traces(RunSet(copy)) == []
 
 
 def test_digest_covers_sidecars_but_not_wall_s(bench_dir, tmp_path):
@@ -1158,9 +1260,9 @@ def test_digest_covers_sidecars_but_not_wall_s(bench_dir, tmp_path):
         meta = json.loads(path.read_text())
         meta[key] = value
         path.write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
-        return determinism_digest(copy)
+        return determinism_digest(RunSet(copy))
 
-    before = determinism_digest(bench_dir)
+    before = determinism_digest(RunSet(bench_dir))
     assert digest_after("sigma0", "sigma0", 0.5) != before
     assert digest_after("wall_s", "wall_s", 9999.0) == before
 

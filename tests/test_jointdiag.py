@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from riemarc.errors import ContractError
 from riemarc.jointdiag import JDInstance, JointDiagObjective, generate_instance
-from riemarc.manifolds import qr_orthonormal_factor, sym
+from riemarc.manifolds import Point, Tangent, qr_orthonormal_factor, sym
 
 EPS = np.finfo(float).eps
 
@@ -33,8 +33,8 @@ def _fd_riemannian_gradient(obj, x, h=1e-6):
     grad = obj.gradient(x)
     for _ in range(5):
         xi = man.random_tangent(x, rng)
-        plus = obj.value(man.retract(x, man.tangent(x, h * xi.data, check=False)))
-        minus = obj.value(man.retract(x, man.tangent(x, -h * xi.data, check=False)))
+        plus = obj.value(man.retract(x, Tangent(h * xi.data, x)))
+        minus = obj.value(man.retract(x, Tangent(-h * xi.data, x)))
         fd = (plus - minus) / (2.0 * h)
         assert fd == pytest.approx(man.inner(grad, xi), rel=1e-5, abs=1e-7)
 
@@ -45,7 +45,7 @@ def _fd_hessian_apply(obj, x, xi, t=1e-6):
     man = obj.manifold
 
     def field(u_mat):
-        pt = man.point(u_mat, check=False)
+        pt = Point(u_mat)
         eg = obj.euclidean_gradient(pt)
         return eg - u_mat @ sym(u_mat.T @ eg)
 
@@ -63,7 +63,7 @@ def test_generate_instance_is_deterministic():
 
 
 def test_single_matrix_single_column_value():
-    inst = JDInstance.from_matrices(np.array([[[3.0]]]), r=1, seed=0, noise=0.0)
+    inst = JDInstance.from_matrices(np.array([[[3.0]]]), r=1)
     obj = JointDiagObjective(inst)
     x = obj.manifold.point(np.array([[1.0]]))
     assert obj.value(x) == -9.0
@@ -71,7 +71,7 @@ def test_single_matrix_single_column_value():
 
 def test_hand_computed_euclidean_gradient():
     # C = diag(1, 0), U = e1: U^T C U = 1, egrad = -4 C U ddiag = (-4, 0).
-    inst = JDInstance.from_matrices(np.diag([1.0, 0.0])[None], r=1, seed=0, noise=0.0)
+    inst = JDInstance.from_matrices(np.diag([1.0, 0.0])[None], r=1)
     obj = JointDiagObjective(inst)
     x = obj.manifold.point(np.array([[1.0], [0.0]]))
     eg = obj.euclidean_gradient(x)
@@ -180,11 +180,11 @@ def test_asymmetric_input_rejected_but_roundoff_accepted():
     bad = c.copy()
     bad[0, 0, 1] += 1e-6
     with pytest.raises(ContractError):
-        JDInstance.from_matrices(bad, r=2, seed=0, noise=0.0)
+        JDInstance.from_matrices(bad, r=2)
 
     slightly = c.copy()
     slightly[1, 0, 2] += 1e-9
-    inst = JDInstance.from_matrices(slightly, r=2, seed=0, noise=0.0)
+    inst = JDInstance.from_matrices(slightly, r=2)
     # The pair (0, 2), (2, 0) is averaged, so packed entry 2 of C_1 is
     # the mean of the two.
     assert inst.rows[1, 2] == (slightly[1, 0, 2] + slightly[1, 2, 0]) / 2.0
@@ -196,7 +196,7 @@ def test_asymmetric_input_rejected_but_roundoff_accepted():
 
 def test_from_matrices_of_the_expanded_rows_returns_the_same_rows():
     inst = generate_instance(7, 5, 3, seed=31, noise=0.4)
-    back = JDInstance.from_matrices(_matrices(inst), r=3, seed=31, noise=0.4)
+    back = JDInstance.from_matrices(_matrices(inst), r=3)
     assert np.array_equal(back.rows, inst.rows)
     assert (back.d, back.n) == (inst.d, inst.n)
 
@@ -208,8 +208,6 @@ def save_instance(instance: JDInstance, path) -> None:
         rows=instance.rows,
         d=np.array(instance.d),
         r=np.array(instance.r),
-        seed=np.array(instance.seed),
-        noise=np.array(instance.noise),
     )
 
 
@@ -220,8 +218,6 @@ def load_instance(path) -> JDInstance:
             rows=data["rows"],
             d=int(data["d"]),
             r=int(data["r"]),
-            seed=int(data["seed"]),
-            noise=float(data["noise"]),
         )
 
 
@@ -233,8 +229,6 @@ def test_instance_roundtrip(tmp_path):
     assert np.array_equal(back.rows, inst.rows)
     assert back.d == inst.d
     assert back.r == inst.r
-    assert back.seed == inst.seed
-    assert back.noise == inst.noise
 
 
 def test_component_subset_average():
@@ -331,7 +325,7 @@ def test_instance_never_freezes_or_shares_the_callers_array(given_as):
     if given_as == "read_only_view":
         given = c.view()
         given.setflags(write=False)
-    inst = JDInstance.from_matrices(given, r=2, seed=0, noise=0.0)
+    inst = JDInstance.from_matrices(given, r=2)
     assert c.flags.writeable
     assert np.array_equal(c, before)
     assert not inst.rows.flags.writeable
@@ -343,7 +337,7 @@ def test_instance_never_freezes_or_shares_the_callers_array(given_as):
     if given_as == "read_only_view":
         rows = rows.view()
         rows.setflags(write=False)
-    direct = JDInstance(rows=rows, d=3, r=2, seed=0, noise=0.0)
+    direct = JDInstance(rows=rows, d=3, r=2)
     assert not np.shares_memory(direct.rows, rows)
     assert not direct.rows.flags.writeable
 
@@ -358,18 +352,18 @@ def test_generation_validation():
     with pytest.raises(ContractError):
         generate_instance(3, 3, 2, seed=0, noise=-0.1)
     with pytest.raises(ContractError):
-        JDInstance.from_matrices(np.zeros((2, 3, 3)), r=4, seed=0, noise=0.0)
+        JDInstance.from_matrices(np.zeros((2, 3, 3)), r=4)
     with pytest.raises(ContractError):
-        JDInstance.from_matrices(np.zeros((2, 3, 2)), r=1, seed=0, noise=0.0)
+        JDInstance.from_matrices(np.zeros((2, 3, 2)), r=1)
     with pytest.raises(ContractError):
-        JDInstance(rows=np.zeros((2, 5)), d=3, r=1, seed=0, noise=0.0)
+        JDInstance(rows=np.zeros((2, 5)), d=3, r=1)
 
 
 def test_empty_family_rejected():
     with pytest.raises(ContractError, match="at least one matrix"):
-        JDInstance.from_matrices(np.zeros((0, 3, 3)), r=2, seed=0, noise=0.0)
+        JDInstance.from_matrices(np.zeros((0, 3, 3)), r=2)
     with pytest.raises(ContractError, match="at least one matrix"):
-        JDInstance(rows=np.zeros((0, 6)), d=3, r=2, seed=0, noise=0.0)
+        JDInstance(rows=np.zeros((0, 6)), d=3, r=2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -382,7 +376,7 @@ def test_non_finite_noise_and_entries_rejected(bad):
         c = np.stack([np.eye(3)] * 2)
         c[at] = c[at[0], at[2], at[1]] = bad
         with pytest.raises(ContractError, match="non-finite"):
-            JDInstance.from_matrices(c, r=2, seed=0, noise=0.0)
+            JDInstance.from_matrices(c, r=2)
 
 
 # -- the moment-matrix kernel ----------------------------------------------

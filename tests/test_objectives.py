@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from riemarc.errors import ContractError, StaleSampleError
+from riemarc.manifolds import Tangent
 from riemarc.oracles import (
     OracleBundle,
     OracleMode,
@@ -119,6 +120,7 @@ def test_exact_oracle_matches_objective():
     obj = QuadraticSum.random(7, 3, seed=13)
     x = obj.manifold.random_point(14)
     bundle = OracleBundle(obj, OracleMode.EXACT)
+    bundle.begin_iteration(0)
     g = bundle.inexact_gradient(x)
     assert np.array_equal(g.data, obj.gradient(x).data)
     assert bundle.counters.grad_components == 7
@@ -129,6 +131,33 @@ def test_exact_oracle_matches_objective():
     f = bundle.objective_value(x)
     assert f == obj.value(x)
     assert bundle.counters.objective_components == 7
+
+
+def test_exact_bundle_holds_only_the_gradient_and_its_product():
+    """At one iterate the exact bundle answers a repeated ``G`` and
+    ``H[G]`` from what it holds, uncharged, and evaluates and charges
+    every other product on each query. A query at another point drops
+    both."""
+    obj = QuadraticSum.random(7, 3, seed=13)
+    x = obj.manifold.random_point(14)
+    xi = obj.manifold.random_tangent(x, 15)
+    bundle = OracleBundle(obj, OracleMode.EXACT)
+    bundle.begin_iteration(0)
+    g = bundle.inexact_gradient(x)
+    hg = bundle.inexact_hvp(x, g)
+    bundle.inexact_hvp(x, xi)
+    bundle.inexact_hvp(x, xi)
+    bundle.begin_iteration(1)
+    assert bundle.inexact_gradient(x) is g
+    assert bundle.inexact_hvp(x, g) is hg
+    counters = bundle.counters
+    assert (counters.grad_components, counters.hess_components) == (7, 21)
+
+    bundle.inexact_gradient(obj.manifold.random_point(16))
+    g_again = bundle.inexact_gradient(x)
+    assert g_again is not g and np.array_equal(g_again.data, g.data)
+    bundle.inexact_hvp(x, g_again)
+    assert (counters.grad_components, counters.hess_components) == (21, 28)
 
 
 def test_subsampled_bundle_is_deterministic_per_iteration():
@@ -179,7 +208,7 @@ def test_hessian_sample_fixed_within_iteration():
     bundle.begin_iteration(3)
     xi = man.random_tangent(x, 27)
     zeta = man.random_tangent(x, 28)
-    both = man.tangent(x, xi.data + zeta.data, check=False)
+    both = Tangent(xi.data + zeta.data, x)
     lhs = bundle.inexact_hvp(x, both).data
     rhs = bundle.inexact_hvp(x, xi).data + bundle.inexact_hvp(x, zeta).data
     assert np.allclose(lhs, rhs, atol=1e-12)
@@ -213,19 +242,15 @@ def test_hessian_stream_independent_of_gradient_sampling():
     )
 
 
-def test_gradient_call_autostarts_iteration_zero():
+def test_gradient_before_begin_iteration_raises():
+    """No query picks an iteration's sample for the caller, exact or not."""
     obj = CosineSum.random(20, 3, seed=33)
     x = obj.manifold.random_point(34)
-    auto = OracleBundle(
-        obj, OracleMode.SUBSAMPLED_BOTH, grad_sample_size=5, hess_sample_size=3, seed=2
-    )
-    manual = OracleBundle(
-        obj, OracleMode.SUBSAMPLED_BOTH, grad_sample_size=5, hess_sample_size=3, seed=2
-    )
-    manual.begin_iteration(0)
-    assert np.array_equal(
-        auto.inexact_gradient(x).data, manual.inexact_gradient(x).data
-    )
+    for mode in OracleMode:
+        bundle = OracleBundle(obj, mode, grad_sample_size=5, hess_sample_size=3)
+        with pytest.raises(StaleSampleError):
+            bundle.inexact_gradient(x)
+        assert bundle.counters.grad_components == 0
 
 
 def _jumped_indices(seed, purpose, k, n, size):
