@@ -265,10 +265,6 @@ class RunTrace:
     def n_success(self) -> int:
         return sum(1 for rec in self.records if rec.success)
 
-    @property
-    def n_fail(self) -> int:
-        return sum(1 for rec in self.records if not rec.success)
-
 
 def should_terminate(
     grad_norm: float, lambda_est: float | None, cfg: DriverConfig

@@ -30,12 +30,15 @@ own ``run_name``: row count and iteration budget, stop test and probe
 policy, the step rule's weight recurrence, objective bookkeeping, oracle
 counters, the totals against the last trace row under the benchmark's
 squared-gradient stop rule, and provenance: the instance and run seeds
-``run_plan`` derives from the run's position, and a valid noise. It
-then checks that ``summary.csv`` is the summary the sidecars give. A
-law that raises is reported as a violation of its run. A trace that
-holds a carriage return is unreadable. ``summarize_traces``,
-``verify_traces`` and ``determinism_digest`` take one ``RunSet``, the
-runs of one directory, read once.
+``run_plan`` derives from the run's position, and a valid noise, and
+timing: finite, non-negative ``millis`` cells that sum to at most the
+sidecar's finite, non-negative ``wall_s``. It then checks that
+``summary.csv`` is the summary the sidecars give. A law that raises is
+reported as a violation of its run. Every trace cell is parsed by its
+``arc.TRACE_CODECS`` entry, and a trace that holds a carriage return is
+unreadable. ``summarize_traces``, ``verify_traces`` and
+``determinism_digest`` take one ``RunSet``, the runs of one directory,
+read once.
 Traces and sidecars are deterministic for a fixed plan and master seed
 up to their wall times, which the content digest therefore excludes.
 """
@@ -384,8 +387,8 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
 
 def _read_trace(path: Path) -> tuple[list[str], list[list[str]]]:
     # Bytes, as for the summary: universal newlines would read a carriage
-    # return edited into a line end as part of the line end, and after
-    # the last cell it would hide in ``millis``, which no law reads.
+    # return edited into a line end as part of the line end, and
+    # ``float`` skips one after the last cell, ``millis``, as whitespace.
     text = path.read_bytes().decode("utf-8")
     if "\r" in text:
         raise PlanError(f"{path.name}: unreadable trace: carriage return")
@@ -549,14 +552,13 @@ def write_summary(rows: list[SummaryRow], path) -> None:
 
 
 def _parse_columns(header: list[str], rows: list[list[str]]) -> dict[str, list]:
-    """The trace columns verify reads, keyed by ``IterationRecord`` field
-    and parsed by its ``arc.TRACE_CODECS`` entry, from a trace whose
-    header is ``arc.trace_header``'s. Raises ``ValueError`` naming the
-    first row with the wrong cell count or a cell that does not parse."""
+    """The trace columns, keyed by ``IterationRecord`` field and parsed
+    by its ``arc.TRACE_CODECS`` entry, from a trace whose header is
+    ``arc.trace_header``'s. Raises ``ValueError`` naming the first row
+    with the wrong cell count or a cell that does not parse."""
     readers = [
         (i, header[i], col, arc.TRACE_CODECS[col][1])
         for i, col in enumerate(arc.TRACE_COLUMNS)
-        if col != "millis"  # no law reads it
     ]
     columns: dict[str, list] = {col: [] for _, _, col, _ in readers}
     for k, row in enumerate(rows):
@@ -721,6 +723,20 @@ def _check_provenance(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
         yield f"noise is {meta['noise']!r}, expected finite and non-negative"
 
 
+def _check_timing(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+    """Each row's ``millis`` and the sidecar's ``wall_s`` are finite and
+    non-negative, and the rows, each timed inside the interval that
+    ``wall_s`` times, take at most ``1000 * wall_s`` milliseconds."""
+    for k, millis in enumerate(cols["millis"]):
+        if not 0.0 <= millis < math.inf:
+            yield f"row {k} millis is {millis!r}, expected finite and non-negative"
+    wall_s, total = meta["wall_s"], sum(cols["millis"])
+    if not 0.0 <= wall_s < math.inf:
+        yield f"wall_s is {wall_s!r}, expected finite and non-negative"
+    elif total > 1e3 * wall_s:
+        yield f"rows take {total!r} ms, more than wall_s {wall_s!r} s"
+
+
 # Each run law takes a run's sidecar, the config it records and its parsed
 # trace columns, and yields the run's violations, in this order.
 _RUN_LAWS = (
@@ -731,6 +747,7 @@ _RUN_LAWS = (
     _check_counters,
     _check_run_totals,
     _check_provenance,
+    _check_timing,
 )
 
 

@@ -103,7 +103,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "summarize":
-            rows = summarize_traces(RunSet(args.traces))
+            runs = RunSet(args.traces)
+            if not runs:
+                raise PlanError(f"no trace files found in {args.traces}")
+            rows = summarize_traces(runs)
             text = format_summary(rows)
             print(text)
             if args.out is not None:

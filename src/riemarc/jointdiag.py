@@ -287,13 +287,6 @@ class JointDiagObjective(SeparableObjective):
         """Mean Euclidean gradient, a read-only ambient ``d x r`` matrix."""
         return self._at(x, idx).egrad
 
-    def euclidean_gradient_derivative(
-        self, x: Point, xi: Tangent, idx: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Directional derivative of the mean Euclidean gradient at ``x``
-        along ``xi``, an ambient ``d x r`` matrix."""
-        return self._at(x, idx).egrad_derivative(xi)
-
     def gradient(self, x: Point, idx: np.ndarray | None = None) -> Tangent:
         return self.manifold.project(x, self.euclidean_gradient(x, idx))
 

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from typing import get_type_hints
@@ -227,7 +228,8 @@ def test_meta_fields_by_solver(bench_dir):
 
 
 def _rerun(meta):
-    """The run a sidecar records, run again from its config."""
+    """The run a sidecar records, run again from its config, and its
+    wall time, timed as ``run_plan`` times it."""
     cfg = bench.config_from_sidecar(meta)
     case = meta["case"]
     instance = generate_instance(
@@ -237,7 +239,9 @@ def _rerun(meta):
     start_seed = [meta["master_seed"], meta["case_index"], meta["rep"], 13]
     x0 = objective.manifold.random_point(np.random.default_rng(start_seed))
     runner = run_trust_region if isinstance(cfg, TrustRegionConfig) else run
-    return runner(objective, x0, cfg)
+    t0 = time.perf_counter()
+    trace = runner(objective, x0, cfg)
+    return trace, time.perf_counter() - t0
 
 
 def _rows_without_millis(path):
@@ -250,7 +254,7 @@ def _rows_without_millis(path):
 def test_sidecar_is_enough_to_rerun(bench_dir, tmp_path, solver):
     stem = run_name(_TINY_PLAN.cases[0], solver, 1)
     meta = json.loads((bench_dir / f"{stem}.meta.json").read_text())
-    trace = _rerun(meta)
+    trace, _ = _rerun(meta)
     rerun = tmp_path / "rerun.csv"
     write_trace_csv(trace, rerun, sigma_name=meta["radius_column"])
     assert _rows_without_millis(rerun) == _rows_without_millis(
@@ -398,6 +402,7 @@ _READ_CELLS = {
     "lambda_min": lambda text: text == "" or float(text),
     "grad_evals": int,
     "hess_evals": int,
+    "millis": float,
 }
 
 
@@ -846,7 +851,7 @@ def test_verify_flags_a_run_filed_under_another_name(bench_dir, tmp_path):
 def test_only_a_newline_ends_a_trace_line(bench_dir, tmp_path, capsys, edit, first):
     """A carriage return is reported instead of read as part of a line
     end, as universal newlines would: after the header, and after the
-    last row, where it would end the ``millis`` cell that no law reads.
+    last row, where ``float`` would skip it as whitespace in ``millis``.
     A form feed in place of the header's line end joins the header to
     row 0 instead of breaking the line, as ``str.splitlines`` would."""
     copy = tmp_path / edit
@@ -911,15 +916,16 @@ def test_verify_reads_the_budget_stop_test_and_probe_policy(
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_verify_accepts_a_run_that_probes_every_iteration(bench_dir, tmp_path, solver):
     """A run rerun from its sidecar under ``eig_policy:
-    "every_iteration"`` fills ``lambda_min`` on every row, and its trace
-    and totals pass verify once the summary is rewritten to match."""
+    "every_iteration"`` fills ``lambda_min`` on every row, and its trace,
+    totals and wall time pass verify once the summary is rewritten to
+    match."""
     copy = tmp_path / solver
     shutil.copytree(bench_dir, copy)
     stem = run_name(_TINY_PLAN.cases[0], solver, 0)
     path = copy / f"{stem}.meta.json"
     meta = json.loads(path.read_text())
     meta["eig_policy"] = "every_iteration"
-    trace = _rerun(meta)
+    trace, wall_s = _rerun(meta)
     assert all(rec.lambda_min is not None for rec in trace.records)
     write_trace_csv(trace, copy / f"{stem}.csv", sigma_name=meta["radius_column"])
     meta.update(
@@ -929,6 +935,7 @@ def test_verify_accepts_a_run_that_probes_every_iteration(bench_dir, tmp_path, s
         grad_evals=trace.grad_evals,
         hess_evals=trace.hess_evals,
         objective_evals=trace.objective_evals,
+        wall_s=wall_s,
     )
     path.write_text(json.dumps(meta))
     _rewrite_summary(copy)
@@ -1039,11 +1046,13 @@ def test_verify_flags_a_gradient_step_against_the_reuse_rule(bench_dir, tmp_path
 
 def test_numpy_scalars_in_a_record_write_readable_cells(bench_dir, tmp_path):
     """A record holding numpy scalars writes the cells a Python-typed one
-    does, so verify accepts the trace."""
+    does, so verify accepts the trace under the rerun's wall time."""
     copy = tmp_path / "numpy"
     shutil.copytree(bench_dir, copy)
     stem = run_name(_TINY_PLAN.cases[0], "sracr", 0)
-    trace = _rerun(json.loads((copy / f"{stem}.meta.json").read_text()))
+    meta_path = copy / f"{stem}.meta.json"
+    meta = json.loads(meta_path.read_text())
+    trace, meta["wall_s"] = _rerun(meta)
     trace.records[:] = [
         dataclasses.replace(
             rec,
@@ -1059,6 +1068,8 @@ def test_numpy_scalars_in_a_record_write_readable_cells(bench_dir, tmp_path):
     assert _rows_without_millis(copy / f"{stem}.csv") == _rows_without_millis(
         bench_dir / f"{stem}.csv"
     )
+    meta_path.write_text(json.dumps(meta))
+    _rewrite_summary(copy)
     assert verify_traces(RunSet(copy)) == []
 
 
@@ -1159,7 +1170,7 @@ def test_counters_equal_the_work_done(monkeypatch, solver, refine_steps):
     assert trace.outcome.value == "optimality_reached"
     assert (trace.grad_evals, trace.hess_evals) == (reached["grad"], reached["hess"])
     if cfg.mode is not OracleMode.SUBSAMPLED_BOTH:
-        assert trace.n_fail > 0
+        assert trace.iterations - trace.n_success > 0
         assert trace.grad_evals == n * (1 + trace.n_success)
 
 
@@ -1245,7 +1256,7 @@ def test_digest_ignores_timing(bench_dir, tmp_path):
     header = lines[0].split(",")
     col = header.index("millis")
     fields = lines[1].split(",")
-    fields[col] = "9999.0"
+    fields[col] = "0.0"
     lines[1] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
     assert determinism_digest(RunSet(copy)) == determinism_digest(RunSet(bench_dir))
@@ -1265,6 +1276,68 @@ def test_digest_covers_sidecars_but_not_wall_s(bench_dir, tmp_path):
     before = determinism_digest(RunSet(bench_dir))
     assert digest_after("sigma0", "sigma0", 0.5) != before
     assert digest_after("wall_s", "wall_s", 9999.0) == before
+
+
+def _set_millis(text):
+    """Set row 0's ``millis`` cell to ``text(wall_s)``."""
+
+    def edit(directory, stem):
+        wall_s = json.loads((directory / f"{stem}.meta.json").read_text())["wall_s"]
+        path = directory / f"{stem}.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index("millis")] = text(wall_s)
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    return edit
+
+
+def _set_wall_s(value):
+    """Set the sidecar's ``wall_s`` and rewrite the summary with
+    ``riemarc summarize``, so that only the timing law can object."""
+
+    def edit(directory, stem):
+        path = directory / f"{stem}.meta.json"
+        meta = json.loads(path.read_text())
+        meta["wall_s"] = value
+        path.write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
+        summary = directory / "summary.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["summarize", str(directory), "--out", str(summary)]) == 0
+
+    return edit
+
+
+_TIMING_EDITS = {
+    "millis-abc": (_set_millis(lambda w: "abc"), "unreadable row 0: millis is 'abc'"),
+    "millis-empty": (_set_millis(lambda w: ""), "unreadable row 0: millis is ''"),
+    "millis-nan": (_set_millis(lambda w: "nan"), "row 0 millis is nan, "),
+    "millis-inf": (_set_millis(lambda w: "inf"), "row 0 millis is inf, "),
+    "millis-negative": (_set_millis(lambda w: "-1.0"), "row 0 millis is -1.0, "),
+    "millis-past-wall_s": (_set_millis(lambda w: repr(2e3 * w)), "rows take "),
+    "wall_s-nan": (_set_wall_s(math.nan), "wall_s is nan, "),
+    "wall_s-negative": (_set_wall_s(-1.0), "wall_s is -1.0, "),
+    "wall_s-inf": (_set_wall_s(math.inf), "wall_s is inf, "),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_TIMING_EDITS))
+def test_verify_checks_the_timing_cells(bench_dir, tmp_path, capsys, edit):
+    """Every ``millis`` cell and the sidecar's ``wall_s`` are finite and
+    non-negative, and the rows, each timed inside the interval that
+    ``wall_s`` times, take at most ``1000 * wall_s`` milliseconds."""
+    mutate, first = _TIMING_EDITS[edit]
+    copy = tmp_path / edit
+    shutil.copytree(bench_dir, copy)
+    stem = run_name(_TINY_PLAN.cases[0], "racr", 0)
+    mutate(copy, stem)
+
+    problems = verify_traces(RunSet(copy))
+    assert problems and problems[0].startswith(f"{stem}.csv: {first}")
+    assert all(p.startswith(f"{stem}.csv: ") for p in problems)
+    assert cli_main(["verify", str(copy)]) == 1
+    assert f"violation: {problems[0]}" in capsys.readouterr().err
 
 
 def test_a_solver_subset_reproduces_the_full_plans_runs(bench_dir, tmp_path, capsys):
@@ -1338,6 +1411,19 @@ def test_cli_run_verify_summarize(tmp_path, capsys):
     assert cli_main(["summarize", str(out), "--out", str(summary_out)]) == 0
     assert summary_out.exists()
     assert "racr" in capsys.readouterr().out
+
+
+def test_cli_summarize_of_a_directory_without_runs_fails(tmp_path, capsys):
+    """``summarize`` of a missing or empty directory exits 1, as ``verify``
+    does, and writes no summary."""
+    summary_out = tmp_path / "summary.csv"
+    for directory in (tmp_path / "no_such_dir", tmp_path):
+        code = cli_main(["summarize", str(directory), "--out", str(summary_out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: no trace files found in {directory}\n"
+        assert not summary_out.exists()
 
 
 def test_cli_verify_detects_tampering(tmp_path, capsys):

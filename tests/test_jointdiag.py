@@ -405,11 +405,11 @@ def test_moment_kernel_matches_the_direct_kernel(inst, seed):
     every = np.arange(obj.n)
     assert obj.value(x) == pytest.approx(obj.value(x, every), rel=1e-11, abs=0.0)
     eg = obj.euclidean_gradient(x, every)
-    deg = obj.euclidean_gradient_derivative(x, xi, every)
+    deg = obj._at(x, every).egrad_derivative(xi)
     scale = max(np.abs(eg).max(), np.abs(deg).max())
     pairs = [
         (obj.euclidean_gradient(x), eg),
-        (obj.euclidean_gradient_derivative(x, xi), deg),
+        (obj._at(x, None).egrad_derivative(xi), deg),
         (obj.gradient(x).data, obj.gradient(x, every).data),
         (obj.hess_vec(x, xi).data, obj.hess_vec(x, xi, every).data),
     ]
@@ -474,7 +474,7 @@ def test_kernel_matches_the_dense_per_component_reference(case):
     scale = max(np.abs(eg).max(), np.abs(deg).max())
     pairs = [
         (obj.euclidean_gradient(x, idx), eg),
-        (obj.euclidean_gradient_derivative(x, xi, idx), deg),
+        (obj._at(x, idx).egrad_derivative(xi), deg),
         (obj.gradient(x, idx).data, obj.manifold.project(x, eg).data),
         (obj.hess_vec(x, xi, idx).data, hv),
     ]
