@@ -111,9 +111,7 @@ class DriverConfig:
 
     * ``initial_weight()``: sigma0 or delta0;
     * ``step(grad, hvp, weight, x, manifold, probe) -> TrialStep``;
-    * ``next_weight(weight, success) -> weight``;
-    * ``weight_bounds()``: the resolved bound of the weight update,
-      keyed as the run sidecar records it.
+    * ``next_weight(weight, success) -> weight``.
     """
 
     radius_column = "sigma"
@@ -198,9 +196,6 @@ class SolverConfig(DriverConfig):
         if not success:
             return self.gamma * weight
         return max(weight / self.gamma, SIGMA_MIN)
-
-    def weight_bounds(self) -> dict[str, float]:
-        return {"sigma_min": SIGMA_MIN}
 
 
 @dataclass(frozen=True)

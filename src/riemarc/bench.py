@@ -15,18 +15,20 @@ annotation, for plan files and for ``riemarc run --set`` alike.
 
 Each (case, repetition) pair generates one joint-diagonalization
 instance shared by every solver, so solvers are compared on identical
-data. ``solver_config`` maps (plan, solver, n, run seed) to the
-solver's config: plan keys named like config fields carry over, and the
-solver name fixes the step rule and oracle mode. Every run writes a
-trace CSV plus a sidecar ``.meta.json`` holding that config as
-``dataclasses.asdict`` gives it, the step rule's resolved weight bound,
-the master seed and case index the start point is drawn from, and the
-run's outcome and oracle totals; ``summary.csv`` aggregates per (case,
+data. ``start_point`` derives a position's instance and start point,
+``solver_config`` maps (plan, solver, n, run seed) to the solver's
+config: plan keys named like config fields carry over, and the solver
+name fixes the step rule and oracle mode. ``solve`` runs a config's
+step rule. Every run writes a trace CSV plus a sidecar ``.meta.json``
+holding that config as ``dataclasses.asdict`` gives it, enums by value
+and nothing added, the position ``start_point`` reads, and the run's
+outcome and oracle totals; ``summary.csv`` aggregates per (case,
 solver). ``config_from_sidecar`` rebuilds the config with every field
 typed by its annotation and validates it, so a sidecar is enough to
-rerun its run. ``verify_traces`` applies the run laws of ``_RUN_LAWS``,
-in order, to each run whose files parse and are filed under the run's
-own ``run_name``: row count and iteration budget, stop test and probe
+rerun its run, and a sidecar key that no run writes is unreadable.
+``verify_traces`` applies the run laws of ``_RUN_LAWS``, in order, to
+each run whose files parse and are filed under the run's own
+``run_name``: row count and iteration budget, stop test and probe
 policy, the step rule's weight recurrence, objective bookkeeping, oracle
 counters, the totals against the last trace row under the benchmark's
 squared-gradient stop rule, and provenance: the instance and run seeds
@@ -61,6 +63,7 @@ import numpy as np
 from .arc import DriverConfig, Outcome, SolverConfig, StopRule, write_trace_csv
 from .errors import ContractError, PlanError
 from .jointdiag import JointDiagObjective, generate_instance
+from .manifolds import Point
 from .oracles import OracleMode, check_sample_sizes
 from .trust_region import TrustRegionConfig, run_trust_region
 from . import arc
@@ -172,8 +175,8 @@ def parse_plan(text: str) -> BenchmarkPlan:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("case"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "case":
             if len(parts) != 4:
                 raise PlanError(f"line {lineno}: case needs three integers")
             try:
@@ -207,6 +210,18 @@ def _instance_seed(master_seed: int, case_index: int, rep: int) -> int:
 
 def _run_seed(master_seed: int, case_index: int, rep: int, solver: str) -> int:
     return _derived_seed([master_seed, case_index, rep, 17, SOLVERS.index(solver)])
+
+
+def start_point(
+    master_seed: int, case_index: int, rep: int, case: tuple[int, ...], noise: float
+) -> tuple[int, JointDiagObjective, Point]:
+    """The instance seed, objective and start point that every solver
+    runs from at repetition ``rep`` of case ``case_index``, ``case``."""
+    instance_seed = _instance_seed(master_seed, case_index, rep)
+    instance = generate_instance(*case, seed=instance_seed, noise=noise)
+    objective = JointDiagObjective(instance)
+    rng = np.random.default_rng([master_seed, case_index, rep, 13])
+    return instance_seed, objective, objective.manifold.random_point(rng)
 
 
 def sample_sizes(plan: BenchmarkPlan, n: int) -> tuple[int, int]:
@@ -243,18 +258,16 @@ def solver_config(
     )
 
 
-def _config_sidecar(cfg: DriverConfig, n: int) -> dict:
-    """``asdict(cfg)`` with enums by value, an unsampled oracle's sample
-    size as ``n``, plus the weight's trace column and resolved bound."""
-    meta = {}
-    for key, value in asdict(cfg).items():
-        if isinstance(value, Enum):
-            value = value.value
-        elif value is None and key.endswith("_sample_size"):
-            value = n
-        meta[key] = value
-    meta.update(cfg.weight_bounds(), radius_column=cfg.radius_column)
-    return meta
+def solve(objective: JointDiagObjective, x0: Point, cfg: DriverConfig) -> arc.RunTrace:
+    """Run ``cfg``'s step rule from ``x0``: the trust-region driver for a
+    ``TrustRegionConfig``, else the cubic one."""
+    runner = run_trust_region if isinstance(cfg, TrustRegionConfig) else arc.run
+    return runner(objective, x0, cfg)
+
+
+def _config_sidecar(cfg: DriverConfig) -> dict:
+    """``asdict(cfg)`` with enums by value."""
+    return {k: v.value if isinstance(v, Enum) else v for k, v in asdict(cfg).items()}
 
 
 def _typed(meta: dict, key: str, kind):
@@ -273,30 +286,22 @@ def _typed(meta: dict, key: str, kind):
 
 def config_from_sidecar(meta: dict) -> DriverConfig:
     """The validated config a run's sidecar records, the inverse of
-    ``_config_sidecar``. The solver fixes the config class and oracle
-    mode, every field is typed by its annotation (``_json_kind``), and
-    the sidecar must record the config's own mode, radius column and
-    weight bound. An unsampled oracle keeps its recorded size ``n``,
-    which its bundle never reads. Raises ``ValueError`` or
-    ``ContractError`` for a sidecar that no valid run writes."""
+    ``_config_sidecar``. The solver fixes the config class and
+    oracle mode, which the sidecar must record, every field is typed by
+    its annotation (``_json_kind``), and each sampled oracle's size lies
+    in ``[1, n]``. Raises ``ValueError`` or ``ContractError`` for a
+    sidecar that no valid run writes."""
     solver = meta.get("solver")
     if solver not in SOLVERS:
         raise ValueError(f"'solver' is {solver!r}")
     cls, mode = _SOLVER_KINDS[solver]
     values = {key: _typed(meta, key, kind) for key, kind in _CONFIG_TYPES[cls].items()}
-    cfg = cls(**{**values, "mode": mode})
+    if values["mode"] is not mode:
+        raise ValueError(f"'mode' is {meta['mode']!r}, expected {mode.value!r}")
+    cfg = cls(**values)
     cfg.validate()
     n = meta["case"]["n"]
-    # Both recorded sizes, an unsampled one as n, lie where a sampled
-    # one must.
-    check_sample_sizes(
-        OracleMode.SUBSAMPLED_BOTH, n, cfg.grad_sample_size, cfg.hess_sample_size
-    )
-    own = dict(cfg.weight_bounds(), mode=mode.value, radius_column=cfg.radius_column)
-    for key, value in own.items():
-        recorded = meta.get(key)
-        if type(recorded) is not type(value) or recorded != value:
-            raise ValueError(f"{key!r} is {recorded!r}, expected {value!r}")
+    check_sample_sizes(mode, n, cfg.grad_sample_size, cfg.hess_sample_size)
     return cfg
 
 
@@ -334,22 +339,16 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
     for ci, case in enumerate(plan.cases):
         n, d, r = case
         for rep in range(plan.repetitions):
-            instance_seed = _instance_seed(plan.master_seed, ci, rep)
-            instance = generate_instance(n, d, r, seed=instance_seed, noise=plan.noise)
-            objective = JointDiagObjective(instance)
-            x0 = objective.manifold.random_point(
-                np.random.default_rng([plan.master_seed, ci, rep, 13])
+            instance_seed, objective, x0 = start_point(
+                plan.master_seed, ci, rep, case, plan.noise
             )
             for solver in plan.solvers:
                 run_seed = _run_seed(plan.master_seed, ci, rep, solver)
                 cfg = solver_config(plan, solver, n, run_seed)
-                runner = (
-                    run_trust_region if isinstance(cfg, TrustRegionConfig) else arc.run
-                )
                 name = run_name(case, solver, rep)
                 t0 = time.perf_counter()
                 try:
-                    trace = runner(objective, x0, cfg)
+                    trace = solve(objective, x0, cfg)
                 except Exception as exc:  # noqa: BLE001
                     failures.append(f"{name}: {type(exc).__name__}: {exc}")
                     continue
@@ -366,7 +365,7 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                     "case_index": ci,
                     "instance_seed": instance_seed,
                     "noise": plan.noise,
-                    **_config_sidecar(cfg, n),
+                    **_config_sidecar(cfg),
                     "outcome": trace.outcome.value,
                     "iterations": trace.iterations,
                     "final_f": trace.final_f,
@@ -455,7 +454,8 @@ class RunSet(list):
 
 
 # The run keys that verify and summarize read besides the solver and
-# its config's (``config_from_sidecar``), in ``_json_kind``'s form.
+# its config's (``config_from_sidecar``), in ``_json_kind``'s form. A
+# sidecar holds no other keys.
 _SIDECAR_TYPES = {
     "case": (dict,),
     "rep": (int,),
@@ -476,8 +476,8 @@ _SIDECAR_TYPES = {
 def _read_sidecar(trace_path: Path) -> tuple[dict, DriverConfig]:
     """The run's sidecar and the config it records. Raises ``PlanError``
     naming the run when the file cannot be read, is not a JSON object,
-    lacks a key that verify or summarize reads, or holds a value of the
-    wrong type or one no valid run writes (``config_from_sidecar``)."""
+    has other keys than a run writes, or holds a value of the wrong type
+    or one no valid run writes (``config_from_sidecar``)."""
     meta_path = trace_path.with_suffix(".meta.json")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -488,6 +488,9 @@ def _read_sidecar(trace_path: Path) -> tuple[dict, DriverConfig]:
         if not all(type(meta["case"].get(k)) is int for k in "ndr"):
             raise ValueError(f"'case' is {meta['case']!r}")
         cfg = config_from_sidecar(meta)
+        unknown = meta.keys() - {"solver", *_SIDECAR_TYPES, *_CONFIG_TYPES[type(cfg)]}
+        if unknown:
+            raise ValueError(f"unknown key {min(unknown)!r}")
     except FileNotFoundError:
         raise PlanError(f"{trace_path.name}: missing sidecar {meta_path.name}")
     except (OSError, ValueError, TypeError, ContractError) as exc:
@@ -650,8 +653,8 @@ def _check_counters(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
     exact answers at an iterate that did not move, so after a rejected
     row an exact gradient costs nothing, and neither does the exact
     Cauchy product H[G] when it is the cubic rule's only product: no
-    refinement and no probe on the row."""
-    h_size = cfg.hess_sample_size
+    refinement and no probe on the row. An unsampled batch is all n."""
+    h_size = cfg.hess_sample_size or meta["case"]["n"]
     cauchy_only = (
         isinstance(cfg, SolverConfig)
         and cfg.mode is OracleMode.EXACT
@@ -660,7 +663,7 @@ def _check_counters(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
     prev_g, prev_h = 0, 0
     for k, (g_c, h_c) in enumerate(zip(cols["grad_evals"], cols["hess_evals"])):
         moved = k == 0 or cols["success"][k - 1]
-        g_step = _gradient_step(cfg, moved)
+        g_step = _gradient_step(meta, cfg, moved)
         if g_c - prev_g != g_step:
             yield f"gradient counter step {g_c - prev_g} at row {k}, expected {g_step}"
         dh = h_c - prev_h
@@ -675,12 +678,12 @@ def _check_counters(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
         prev_g, prev_h = g_c, h_c
 
 
-def _gradient_step(cfg: DriverConfig, moved: bool) -> int:
-    """Gradient components an iteration charges: one batch, or none when
-    the gradient is exact and the iterate did not move."""
+def _gradient_step(meta: dict, cfg: DriverConfig, moved: bool) -> int:
+    """Gradient components an iteration charges: a batch, all n when
+    unsampled, or none when exact at an iterate that did not move."""
     if cfg.mode is not OracleMode.SUBSAMPLED_BOTH and not moved:
         return 0
-    return cfg.grad_sample_size
+    return cfg.grad_sample_size or meta["case"]["n"]
 
 
 def _check_run_totals(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
@@ -692,7 +695,7 @@ def _check_run_totals(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
     if cfg.stop_rule is not StopRule.GRAD_SQUARED:
         return
     if meta["outcome"] == Outcome.OPTIMALITY_REACHED.value:
-        tail_g = _gradient_step(cfg, (cols["success"] or [True])[-1])
+        tail_g = _gradient_step(meta, cfg, (cols["success"] or [True])[-1])
     elif meta["outcome"] == Outcome.MAX_ITERS.value:
         tail_g = 0
     else:

@@ -3,7 +3,7 @@
 
 class ContractError(ValueError):
     """An input violates a documented precondition (shape, feasibility,
-    tangency, base-point mismatch, or an out-of-range parameter)."""
+    base-point mismatch, or an out-of-range parameter)."""
 
 
 class SingularRetractionError(RuntimeError):

@@ -22,11 +22,8 @@ import numpy as np
 
 from .errors import ContractError, SingularRetractionError
 
-# Absolute residual tolerances for membership checks. Tangency is scaled
-# by max(1, ||xi||_F) so that large but well-formed vectors are not
-# rejected for harmless roundoff.
+# Absolute residual tolerance for manifold membership checks.
 FEASIBILITY_TOL = 1e-10
-TANGENCY_TOL = 1e-10
 
 # Feasibility drift beyond this bound after a retraction triggers one
 # re-orthonormalization pass. Cholesky-QR drifts by about
@@ -109,10 +106,6 @@ class Manifold(ABC):
         """How far an ambient matrix is from lying on the manifold."""
 
     @abstractmethod
-    def tangency_residual(self, base: np.ndarray, data: np.ndarray) -> float:
-        """How far an ambient matrix is from the tangent space at ``base``."""
-
-    @abstractmethod
     def project(self, x: Point, w: np.ndarray) -> Tangent:
         """Orthogonal projection of an ambient matrix onto the tangent
         space at ``x``, with respect to the trace inner product."""
@@ -139,23 +132,6 @@ class Manifold(ABC):
                 f"point is off the manifold, feasibility residual {res:.3e}"
             )
         return p
-
-    def tangent(self, base: Point, data: np.ndarray) -> Tangent:
-        """A vector from outside, checked to be tangent at ``base``."""
-        t = Tangent(data, base)
-        if t.shape != (self.d, self.r):
-            raise ContractError(
-                f"expected a {self.d} x {self.r} tangent, got {t.shape}"
-            )
-        if not np.all(np.isfinite(t.data)):
-            raise ContractError("tangent contains non-finite entries")
-        scale = max(1.0, float(np.linalg.norm(t.data)))
-        res = self.tangency_residual(base.data, t.data)
-        if res > TANGENCY_TOL * scale:
-            raise ContractError(
-                f"vector is not tangent at the base point, residual {res:.3e}"
-            )
-        return t
 
     # -- metric ----------------------------------------------------------
 
@@ -240,9 +216,6 @@ class Stiefel(Manifold):
     def feasibility_residual(self, data: np.ndarray) -> float:
         gram = data.T @ data
         return float(np.linalg.norm(gram - np.eye(self.r)))
-
-    def tangency_residual(self, base: np.ndarray, data: np.ndarray) -> float:
-        return float(np.linalg.norm(data.T @ base + base.T @ data))
 
     def project(self, x: Point, w: np.ndarray) -> Tangent:
         w = np.asarray(w, dtype=float)

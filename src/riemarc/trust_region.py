@@ -10,8 +10,7 @@ where exact arithmetic would have converged, on plain ``d x r`` arrays:
 only the argument of each Hessian product and the returned step are
 wrapped as ``Tangent``. The radius grows to
 ``min(gamma delta, 10 delta0)`` on success and shrinks to
-``delta / gamma`` on rejection; the run sidecar records the cap
-``10 delta0`` as ``delta_max``.
+``delta / gamma`` on rejection.
 
 ``TrustRegionConfig`` is this step rule; ``run_trust_region`` runs it in
 the cubic driver's outer loop (``arc._drive``), so sampling, the
@@ -67,9 +66,6 @@ class TrustRegionConfig(DriverConfig):
         if success:
             return min(self.gamma * weight, self.radius_cap())
         return weight / self.gamma
-
-    def weight_bounds(self) -> dict[str, float]:
-        return {"delta_max": self.radius_cap()}
 
 
 @dataclass

@@ -36,9 +36,6 @@ class Euclidean(Manifold):
     def feasibility_residual(self, data: np.ndarray) -> float:
         return 0.0
 
-    def tangency_residual(self, base: np.ndarray, data: np.ndarray) -> float:
-        return 0.0
-
     def project(self, x: Point, w: np.ndarray) -> Tangent:
         return Tangent(w, x)
 

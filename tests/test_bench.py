@@ -28,7 +28,6 @@ from riemarc.arc import (
     IterationRecord,
     Outcome,
     RunTrace,
-    run,
     write_trace_csv,
 )
 from riemarc.bench import (
@@ -52,7 +51,6 @@ from riemarc.cli import main as cli_main
 from riemarc.errors import PlanError
 from riemarc.jointdiag import JointDiagObjective, generate_instance
 from riemarc.oracles import OracleMode
-from riemarc.trust_region import TrustRegionConfig, run_trust_region
 
 # Small but not tiny: protocol-style fractions at n below ~100 give
 # single-digit sample sizes whose noise stalls the sub-sampled solvers,
@@ -122,6 +120,12 @@ def test_parse_plan_errors():
         parse_plan("case 10 3 2\nmaster_seed = -1\n")
     with pytest.raises(PlanError, match="more than once"):
         parse_plan("case 10 3 2\nsolvers = racr ssrtr racr\n")
+    # Only the word ``case`` starts a case line.
+    for line in ("case500 5 5 5", "casement 10 2 2", "case_a 10 2 2"):
+        with pytest.raises(PlanError, match="line 1: expected 'key = value'"):
+            parse_plan(f"{line}\ncase 10 3 2\n")
+    with pytest.raises(PlanError, match="line 1: cannot override 'cases'"):
+        parse_plan("cases = 3\ncase 10 3 2\n")
 
 
 def test_plan_validates_only_selected_solver_configs():
@@ -200,8 +204,6 @@ def test_meta_fields_by_solver(bench_dir):
     tr_meta = json.loads(
         (bench_dir / "case300x5x5_rep0_ssrtr.meta.json").read_text()
     )
-    assert tr_meta["radius_column"] == "delta"
-    assert tr_meta["delta_max"] == 10.0 * tr_meta["delta0"]
     assert "sigma0" not in tr_meta
     assert tr_meta["grad_sample_size"] == 150
     assert tr_meta["hess_sample_size"] == 30
@@ -209,15 +211,13 @@ def test_meta_fields_by_solver(bench_dir):
     arc_meta = json.loads(
         (bench_dir / "case300x5x5_rep0_racr.meta.json").read_text()
     )
-    assert arc_meta["radius_column"] == "sigma"
-    assert arc_meta["sigma_min"] == 1e-12
-    assert arc_meta["grad_sample_size"] == 300
-    assert arc_meta["hess_sample_size"] == 300
+    assert arc_meta["grad_sample_size"] is None
+    assert arc_meta["hess_sample_size"] is None
 
     sr_meta = json.loads(
         (bench_dir / "case300x5x5_rep0_sracr.meta.json").read_text()
     )
-    assert sr_meta["grad_sample_size"] == 300
+    assert sr_meta["grad_sample_size"] is None
     assert sr_meta["hess_sample_size"] == 30
 
     ss_meta = json.loads(
@@ -227,21 +227,13 @@ def test_meta_fields_by_solver(bench_dir):
     assert ss_meta["hess_sample_size"] == 30
 
 
-def _rerun(meta):
-    """The run a sidecar records, run again from its config, and its
-    wall time, timed as ``run_plan`` times it."""
-    cfg = bench.config_from_sidecar(meta)
-    case = meta["case"]
-    instance = generate_instance(
-        case["n"], case["d"], case["r"], seed=meta["instance_seed"], noise=meta["noise"]
-    )
-    objective = JointDiagObjective(instance)
-    start_seed = [meta["master_seed"], meta["case_index"], meta["rep"], 13]
-    x0 = objective.manifold.random_point(np.random.default_rng(start_seed))
-    runner = run_trust_region if isinstance(cfg, TrustRegionConfig) else run
-    t0 = time.perf_counter()
-    trace = runner(objective, x0, cfg)
-    return trace, time.perf_counter() - t0
+def _start(meta):
+    """The objective and start point ``bench.start_point`` derives from
+    the position a sidecar records."""
+    position = [meta[k] for k in ("master_seed", "case_index", "rep")]
+    case = tuple(meta["case"][k] for k in "ndr")
+    _, objective, x0 = bench.start_point(*position, case, meta["noise"])
+    return objective, x0
 
 
 def _rows_without_millis(path):
@@ -254,9 +246,10 @@ def _rows_without_millis(path):
 def test_sidecar_is_enough_to_rerun(bench_dir, tmp_path, solver):
     stem = run_name(_TINY_PLAN.cases[0], solver, 1)
     meta = json.loads((bench_dir / f"{stem}.meta.json").read_text())
-    trace, _ = _rerun(meta)
+    cfg = bench.config_from_sidecar(meta)
+    trace = bench.solve(*_start(meta), cfg)
     rerun = tmp_path / "rerun.csv"
-    write_trace_csv(trace, rerun, sigma_name=meta["radius_column"])
+    write_trace_csv(trace, rerun, sigma_name=cfg.radius_column)
     assert _rows_without_millis(rerun) == _rows_without_millis(
         bench_dir / f"{stem}.csv"
     )
@@ -288,6 +281,62 @@ def test_rerun_reproduces_digest(bench_dir, tmp_path):
     report = run_plan(_TINY_PLAN, again)
     assert report.failures == []
     assert determinism_digest(RunSet(again)) == determinism_digest(RunSet(bench_dir))
+
+
+@pytest.fixture(scope="module")
+def default_runs(tmp_path_factory):
+    """The default plan and its run directory, as given and under
+    ``refine_steps = 3``, keyed by ``refine_steps``."""
+    runs = {}
+    for refine_steps in (0, 3):
+        plan = dataclasses.replace(default_plan(), refine_steps=refine_steps)
+        out = tmp_path_factory.mktemp(f"default_refine{refine_steps}")
+        assert run_plan(plan, out).failures == []
+        runs[refine_steps] = plan, out
+    return runs
+
+
+@pytest.mark.parametrize("refine_steps", [0, 3])
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_sidecar_config_is_the_config_run(default_runs, solver, refine_steps):
+    """``config_from_sidecar`` gives back the very config ``solver_config``
+    built for each run, an unsampled oracle's size ``None`` included."""
+    plan, out = default_runs[refine_steps]
+    for ci, case in enumerate(plan.cases):
+        for rep in range(plan.repetitions):
+            meta_path = out / f"{run_name(case, solver, rep)}.meta.json"
+            position = [plan.master_seed, ci, rep, 17, SOLVERS.index(solver)]
+            cfg = bench.solver_config(plan, solver, case[0], _derived_seed(position))
+            assert bench.config_from_sidecar(json.loads(meta_path.read_text())) == cfg
+
+
+def test_sidecars_hold_exactly_the_keys_verify_allows(default_runs, bench_dir):
+    """A sidecar holds the run keys verify reads, the solver, and the
+    fields of its config class, and nothing else."""
+    directories = [bench_dir, *(out for _, out in default_runs.values())]
+    paths = [path for out in directories for path in out.glob("*.meta.json")]
+    assert len(paths) == 2 * 36 + 8
+    for path in paths:
+        meta = json.loads(path.read_text())
+        cls = type(bench.config_from_sidecar(meta))
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert meta.keys() == {"solver", *bench._SIDECAR_TYPES, *fields}
+
+
+def test_perfbench_builds_the_instances_run_plan_builds():
+    """perfbench times ``setup_s`` on its own copy of the derivation, so
+    it must give the packed rows and start point ``bench.start_point``
+    gives at the same position."""
+    from perfbench.workloads import build_instance
+
+    noise = BenchmarkPlan().noise
+    for master_seed in (3, 41):
+        for ci, case in enumerate([*default_plan().cases, (5000, 10, 10)]):
+            for rep in range(2):
+                objective, x0 = build_instance(master_seed, ci, rep, case)
+                _, want, want_x0 = bench.start_point(master_seed, ci, rep, case, noise)
+                assert np.array_equal(objective.instance.rows, want.instance.rows)
+                assert np.array_equal(x0.data, want_x0.data)
 
 
 def _tampered(bench_dir, tmp_path, label, mutate):
@@ -732,8 +781,9 @@ def test_a_law_that_raises_is_a_violation_of_its_run(
         ("racr", "max_iters", 2.5, "'max_iters' is 2.5"),
         ("racr", "tau", True, "'tau' is True"),
         ("racr", "tau", math.inf, "tau must be positive and finite, got inf"),
-        ("racr", "sigma_min", 1e-9, "'sigma_min' is 1e-09, expected 1e-12"),
-        ("ssrtr", "delta_max", 99.0, "'delta_max' is 99.0, expected 10.0"),
+        ("racr", "sigma_min", 1e-12, "unknown key 'sigma_min'"),
+        ("ssrtr", "delta_max", 10.0, "unknown key 'delta_max'"),
+        ("sracr", "foo", 1, "unknown key 'foo'"),
         ("racr", "solver", "ssrtr", "missing key 'delta0'"),
         ("sracr", "solver", "racr", "'mode' is 'subsampled_hessian', expected 'exact'"),
     ],
@@ -747,6 +797,7 @@ def test_a_law_that_raises_is_a_violation_of_its_run(
         "infinite-tau",
         "sigma_min",
         "delta_max",
+        "unknown-key",
         "tr-solver-in-a-cubic-run",
         "exact-solver-in-a-sampled-run",
     ],
@@ -757,8 +808,9 @@ def test_impossible_sidecar_value_is_a_violation(
     """A sidecar value that no valid run records is that run's violation,
     and verify exits 1: a config value of a type its annotation does not
     name, or that the config's own ``validate()`` or the oracle bundle's
-    sample-size range rejects, or a mode, radius column or weight bound
-    other than the recorded solver's config gives."""
+    sample-size range rejects, a mode other than the recorded solver's,
+    or a key that no run writes, such as the weight bound or radius
+    column an earlier sidecar format recorded."""
     copy = tmp_path / key
     shutil.copytree(bench_dir, copy)
     stem = run_name(_TINY_PLAN.cases[0], solver, 0)
@@ -925,9 +977,13 @@ def test_verify_accepts_a_run_that_probes_every_iteration(bench_dir, tmp_path, s
     path = copy / f"{stem}.meta.json"
     meta = json.loads(path.read_text())
     meta["eig_policy"] = "every_iteration"
-    trace, wall_s = _rerun(meta)
+    cfg = bench.config_from_sidecar(meta)
+    objective, x0 = _start(meta)
+    t0 = time.perf_counter()
+    trace = bench.solve(objective, x0, cfg)
+    wall_s = time.perf_counter() - t0
     assert all(rec.lambda_min is not None for rec in trace.records)
-    write_trace_csv(trace, copy / f"{stem}.csv", sigma_name=meta["radius_column"])
+    write_trace_csv(trace, copy / f"{stem}.csv", sigma_name=cfg.radius_column)
     meta.update(
         outcome=trace.outcome.value,
         iterations=trace.iterations,
@@ -1052,7 +1108,10 @@ def test_numpy_scalars_in_a_record_write_readable_cells(bench_dir, tmp_path):
     stem = run_name(_TINY_PLAN.cases[0], "sracr", 0)
     meta_path = copy / f"{stem}.meta.json"
     meta = json.loads(meta_path.read_text())
-    trace, meta["wall_s"] = _rerun(meta)
+    objective, x0 = _start(meta)
+    t0 = time.perf_counter()
+    trace = bench.solve(objective, x0, bench.config_from_sidecar(meta))
+    meta["wall_s"] = time.perf_counter() - t0
     trace.records[:] = [
         dataclasses.replace(
             rec,
@@ -1164,8 +1223,7 @@ def test_counters_equal_the_work_done(monkeypatch, solver, refine_steps):
     objective = JointDiagObjective(generate_instance(n, d, r, seed=5, noise=plan.noise))
     x0 = objective.manifold.random_point(np.random.default_rng(6))
     cfg = bench.solver_config(plan, solver, n, 7)
-    runner = run_trust_region if isinstance(cfg, TrustRegionConfig) else run
-    trace = runner(objective, x0, cfg)
+    trace = bench.solve(objective, x0, cfg)
 
     assert trace.outcome.value == "optimality_reached"
     assert (trace.grad_evals, trace.hess_evals) == (reached["grad"], reached["hess"])
@@ -1224,7 +1282,9 @@ def test_verify_checks_totals_of_runs_cut_by_max_iters(tmp_path):
     metas = sorted(out.glob("*.meta.json"))
     assert {json.loads(p.read_text())["outcome"] for p in metas} == {"max_iters"}
     assert verify_traces(RunSet(out)) == []
-    _bump_sidecar(metas[0], "grad_evals", json.loads(metas[0].read_text())["grad_sample_size"])
+    # One more gradient batch for racr, the first run: all n components.
+    assert metas[0].name.endswith("_racr.meta.json")
+    _bump_sidecar(metas[0], "grad_evals", plan.cases[0][0])
     assert any("sidecar grad_evals" in p for p in verify_traces(RunSet(out)))
 
 
