@@ -286,11 +286,11 @@ def _typed(meta: dict, key: str, kind):
 
 def config_from_sidecar(meta: dict) -> DriverConfig:
     """The validated config a run's sidecar records, the inverse of
-    ``_config_sidecar``. The solver fixes the config class and
-    oracle mode, which the sidecar must record, every field is typed by
-    its annotation (``_json_kind``), and each sampled oracle's size lies
-    in ``[1, n]``. Raises ``ValueError`` or ``ContractError`` for a
-    sidecar that no valid run writes."""
+    ``_config_sidecar``. The solver fixes the config class and oracle
+    mode, which the sidecar must record, every field is typed by its
+    annotation (``_json_kind``), and a sampled oracle's size lies in
+    ``[1, n]``, an unsampled one's is None. Raises ``ValueError`` or
+    ``ContractError`` for a sidecar that no valid run writes."""
     solver = meta.get("solver")
     if solver not in SOLVERS:
         raise ValueError(f"'solver' is {solver!r}")
@@ -298,6 +298,12 @@ def config_from_sidecar(meta: dict) -> DriverConfig:
     values = {key: _typed(meta, key, kind) for key, kind in _CONFIG_TYPES[cls].items()}
     if values["mode"] is not mode:
         raise ValueError(f"'mode' is {meta['mode']!r}, expected {mode.value!r}")
+    for key, sampled in (
+        ("grad_sample_size", mode is OracleMode.SUBSAMPLED_BOTH),
+        ("hess_sample_size", mode is not OracleMode.EXACT),
+    ):
+        if not sampled and values[key] is not None:
+            raise ValueError(f"{key!r} is {meta[key]!r}, expected None")
     cfg = cls(**values)
     cfg.validate()
     n = meta["case"]["n"]
@@ -653,8 +659,8 @@ def _check_counters(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
     exact answers at an iterate that did not move, so after a rejected
     row an exact gradient costs nothing, and neither does the exact
     Cauchy product H[G] when it is the cubic rule's only product: no
-    refinement and no probe on the row. An unsampled batch is all n."""
-    h_size = cfg.hess_sample_size or meta["case"]["n"]
+    refinement and no probe on the row."""
+    h_size = _batch(meta, cfg.hess_sample_size)
     cauchy_only = (
         isinstance(cfg, SolverConfig)
         and cfg.mode is OracleMode.EXACT
@@ -678,12 +684,17 @@ def _check_counters(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
         prev_g, prev_h = g_c, h_c
 
 
+def _batch(meta: dict, size: int | None) -> int:
+    """An oracle's batch: ``size`` components, all n when unsampled."""
+    return meta["case"]["n"] if size is None else size
+
+
 def _gradient_step(meta: dict, cfg: DriverConfig, moved: bool) -> int:
-    """Gradient components an iteration charges: a batch, all n when
-    unsampled, or none when exact at an iterate that did not move."""
+    """Gradient components an iteration charges: a batch, or none when
+    exact at an iterate that did not move."""
     if cfg.mode is not OracleMode.SUBSAMPLED_BOTH and not moved:
         return 0
-    return cfg.grad_sample_size or meta["case"]["n"]
+    return _batch(meta, cfg.grad_sample_size)
 
 
 def _check_run_totals(meta: dict, cfg: DriverConfig, cols: dict[str, list]):

@@ -776,6 +776,10 @@ def test_a_law_that_raises_is_a_violation_of_its_run(
     [
         ("racr", "gamma", 0, "gamma must be finite and exceed 1, got 0"),
         ("sracr", "hess_sample_size", 0, "Hessian sample size must lie in [1, 300], got 0"),
+        ("racr", "hess_sample_size", 0, "'hess_sample_size' is 0, expected None"),
+        ("racr", "hess_sample_size", 5, "'hess_sample_size' is 5, expected None"),
+        ("racr", "hess_sample_size", -1, "'hess_sample_size' is -1, expected None"),
+        ("sracr", "grad_sample_size", 0, "'grad_sample_size' is 0, expected None"),
         ("racr", "seed", 1.5, "'seed' is 1.5"),
         ("racr", "seed", -1, "seed must be a non-negative int, got -1"),
         ("racr", "max_iters", 2.5, "'max_iters' is 2.5"),
@@ -790,6 +794,10 @@ def test_a_law_that_raises_is_a_violation_of_its_run(
     ids=[
         "gamma",
         "hess_sample_size",
+        "unsampled-zero-hess_sample_size",
+        "unsampled-hess_sample_size",
+        "unsampled-negative-hess_sample_size",
+        "unsampled-zero-grad_sample_size",
         "fractional-seed",
         "negative-seed",
         "fractional-max_iters",
@@ -808,9 +816,10 @@ def test_impossible_sidecar_value_is_a_violation(
     """A sidecar value that no valid run records is that run's violation,
     and verify exits 1: a config value of a type its annotation does not
     name, or that the config's own ``validate()`` or the oracle bundle's
-    sample-size range rejects, a mode other than the recorded solver's,
-    or a key that no run writes, such as the weight bound or radius
-    column an earlier sidecar format recorded."""
+    sample-size range rejects, a size for an oracle the run does not
+    sample, a mode other than the recorded solver's, or a key that no run
+    writes, such as the weight bound or radius column an earlier sidecar
+    format recorded."""
     copy = tmp_path / key
     shutil.copytree(bench_dir, copy)
     stem = run_name(_TINY_PLAN.cases[0], solver, 0)
