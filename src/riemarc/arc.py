@@ -319,11 +319,14 @@ def _drive(
     x = manifold.point(x0.data)
     weight = cfg.initial_weight()
     f_x = bundle.objective_value(x)
-    exact_hessian = cfg.mode is OracleMode.EXACT
+    exact_hessian = cfg.hess_sample_size is None
     l_hat: float | None = None
     records: list[IterationRecord] = []
     outcome = Outcome.MAX_ITERS
     budget = cfg.iteration_budget()
+    if not math.isfinite(f_x):
+        outcome = Outcome.NUMERICAL_FAILURE
+        budget = 0
 
     k = 0
     while k < budget:
@@ -349,7 +352,7 @@ def _drive(
 
         x_trial = manifold.retract(x, eta)
         f_trial = bundle.objective_value(x_trial)
-        if not (math.isfinite(f_trial) and math.isfinite(f_x)):
+        if not math.isfinite(f_trial):
             outcome = Outcome.NUMERICAL_FAILURE
             break
         rho = (f_x - f_trial) / (-m_val)

@@ -117,6 +117,8 @@ class BenchmarkPlan:
         for n, d, r in self.cases:
             if n < 1 or d < 1 or not 1 <= r <= d:
                 raise PlanError(f"invalid case (n={n}, d={d}, r={r})")
+            if self.cases.count((n, d, r)) > 1:
+                raise PlanError(f"case {n} {d} {r} is listed more than once")
         if not self.solvers:
             raise PlanError("plan has no solvers")
         for s in self.solvers:
@@ -288,8 +290,8 @@ def config_from_sidecar(meta: dict) -> DriverConfig:
     """The validated config a run's sidecar records, the inverse of
     ``_config_sidecar``. The solver fixes the config class and oracle
     mode, which the sidecar must record, every field is typed by its
-    annotation (``_json_kind``), and a sampled oracle's size lies in
-    ``[1, n]``, an unsampled one's is None. Raises ``ValueError`` or
+    annotation (``_json_kind``), and the sizes obey the oracle bundle's
+    own rule, ``check_sample_sizes``. Raises ``ValueError`` or
     ``ContractError`` for a sidecar that no valid run writes."""
     solver = meta.get("solver")
     if solver not in SOLVERS:
@@ -298,12 +300,6 @@ def config_from_sidecar(meta: dict) -> DriverConfig:
     values = {key: _typed(meta, key, kind) for key, kind in _CONFIG_TYPES[cls].items()}
     if values["mode"] is not mode:
         raise ValueError(f"'mode' is {meta['mode']!r}, expected {mode.value!r}")
-    for key, sampled in (
-        ("grad_sample_size", mode is OracleMode.SUBSAMPLED_BOTH),
-        ("hess_sample_size", mode is not OracleMode.EXACT),
-    ):
-        if not sampled and values[key] is not None:
-            raise ValueError(f"{key!r} is {meta[key]!r}, expected None")
     cfg = cls(**values)
     cfg.validate()
     n = meta["case"]["n"]
@@ -491,8 +487,9 @@ def _read_sidecar(trace_path: Path) -> tuple[dict, DriverConfig]:
             raise ValueError("not a JSON object")
         for key, kind in _SIDECAR_TYPES.items():
             _typed(meta, key, kind)
-        if not all(type(meta["case"].get(k)) is int for k in "ndr"):
-            raise ValueError(f"'case' is {meta['case']!r}")
+        case = meta["case"]
+        if len(case) != 3 or not all(type(case.get(k)) is int for k in "ndr"):
+            raise ValueError(f"'case' is {case!r}")
         cfg = config_from_sidecar(meta)
         unknown = meta.keys() - {"solver", *_SIDECAR_TYPES, *_CONFIG_TYPES[type(cfg)]}
         if unknown:
@@ -663,7 +660,7 @@ def _check_counters(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
     h_size = _batch(meta, cfg.hess_sample_size)
     cauchy_only = (
         isinstance(cfg, SolverConfig)
-        and cfg.mode is OracleMode.EXACT
+        and cfg.hess_sample_size is None
         and cfg.refine_steps == 0
     )
     prev_g, prev_h = 0, 0
@@ -692,7 +689,7 @@ def _batch(meta: dict, size: int | None) -> int:
 def _gradient_step(meta: dict, cfg: DriverConfig, moved: bool) -> int:
     """Gradient components an iteration charges: a batch, or none when
     exact at an iterate that did not move."""
-    if cfg.mode is not OracleMode.SUBSAMPLED_BOTH and not moved:
+    if cfg.grad_sample_size is None and not moved:
         return 0
     return _batch(meta, cfg.grad_sample_size)
 

@@ -7,6 +7,8 @@ as uniform with-replacement sub-sample averages
     G = (1/|S_g|) sum_{i in S_g} grad f_i(x)
     H[eta] = (1/|S_H|) sum_{i in S_H} hess f_i(x)[eta].
 
+The mode names the sampled oracles, and ``check_sample_sizes`` is the
+one rule: a sampled size lies in ``[1, n]``, an exact oracle's is None.
 Both index sets are drawn once per outer iteration via
 ``begin_iteration`` and reused for every query inside that iteration.
 Sampling streams are keyed by ``(seed, iteration, purpose)`` so that
@@ -99,7 +101,6 @@ class OracleBundle:
     ):
         check_sample_sizes(mode, objective.n, grad_sample_size, hess_sample_size)
         self.objective = objective
-        self.mode = mode
         self.grad_sample_size = grad_sample_size
         self.hess_sample_size = hess_sample_size
         self.seed = int(seed)
@@ -129,18 +130,15 @@ class OracleBundle:
         """Fix the sample index sets used for iteration ``k``."""
         if k < 0:
             raise ContractError("iteration index must be non-negative")
-        n = self.objective.n
         self._iteration = int(k)
-        if self.mode is OracleMode.SUBSAMPLED_BOTH:
-            rng = self._grad_stream.at(k)
-            self._grad_idx = rng.integers(0, n, size=self.grad_sample_size)
-        else:
-            self._grad_idx = None
-        if self.mode is not OracleMode.EXACT:
-            rng = self._hess_stream.at(k)
-            self._hess_idx = rng.integers(0, n, size=self.hess_sample_size)
-        else:
-            self._hess_idx = None
+        self._grad_idx = self._draw(self._grad_stream, self.grad_sample_size)
+        self._hess_idx = self._draw(self._hess_stream, self.hess_sample_size)
+
+    def _draw(self, stream: KeyedStream, size: int | None) -> np.ndarray | None:
+        """This iteration's indices for an oracle of ``size``, None if exact."""
+        if size is None:
+            return None
+        return stream.at(self._iteration).integers(0, self.objective.n, size=size)
 
     def inexact_gradient(self, x: Point) -> Tangent:
         """Gradient estimate for the current iteration's sample."""
@@ -183,17 +181,17 @@ def check_sample_sizes(
     grad_sample_size: int | None,
     hess_sample_size: int | None,
 ) -> None:
-    """Raise ``ContractError`` unless every oracle ``mode`` samples has a
-    sample size in ``[1, n]``."""
-    sizes = []
-    if mode is OracleMode.SUBSAMPLED_BOTH:
-        sizes.append(("gradient", grad_sample_size))
-    if mode is not OracleMode.EXACT:
-        sizes.append(("Hessian", hess_sample_size))
-    for name, size in sizes:
-        if size is None:
+    """The one sampling rule, for the bundle and ``verify`` alike: raise
+    ``ContractError`` unless each oracle ``mode`` samples has a size in
+    ``[1, n]`` and each exact one the size None, as every reader assumes."""
+    samples = (mode is OracleMode.SUBSAMPLED_BOTH, mode is not OracleMode.EXACT)
+    sizes = zip(("gradient", "Hessian"), (grad_sample_size, hess_sample_size), samples)
+    for name, size, sampled in sizes:
+        if not sampled and size is not None:
+            raise ContractError(f"exact {name} oracle has no sample size, got {size!r}")
+        if sampled and size is None:
             raise ContractError(f"{name} sample size required in this mode")
-        if not 1 <= size <= n:
+        if sampled and not 1 <= size <= n:
             raise ContractError(f"{name} sample size must lie in [1, {n}], got {size}")
 
 

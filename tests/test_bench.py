@@ -48,9 +48,9 @@ from riemarc.bench import (
 )
 from riemarc import bench
 from riemarc.cli import main as cli_main
-from riemarc.errors import PlanError
+from riemarc.errors import ContractError, PlanError
 from riemarc.jointdiag import JointDiagObjective, generate_instance
-from riemarc.oracles import OracleMode
+from riemarc.oracles import OracleBundle, OracleMode
 
 # Small but not tiny: protocol-style fractions at n below ~100 give
 # single-digit sample sizes whose noise stalls the sub-sampled solvers,
@@ -120,6 +120,9 @@ def test_parse_plan_errors():
         parse_plan("case 10 3 2\nmaster_seed = -1\n")
     with pytest.raises(PlanError, match="more than once"):
         parse_plan("case 10 3 2\nsolvers = racr ssrtr racr\n")
+    # A repeated case would write its runs over the first one's files.
+    with pytest.raises(PlanError, match="case 60 4 4 is listed more than once"):
+        parse_plan("case 60 4 4\ncase 60 4 4\nrepetitions = 1\nsolvers = racr\n")
     # Only the word ``case`` starts a case line.
     for line in ("case500 5 5 5", "casement 10 2 2", "case_a 10 2 2"):
         with pytest.raises(PlanError, match="line 1: expected 'key = value'"):
@@ -321,6 +324,65 @@ def test_sidecars_hold_exactly_the_keys_verify_allows(default_runs, bench_dir):
         cls = type(bench.config_from_sidecar(meta))
         fields = {f.name for f in dataclasses.fields(cls)}
         assert meta.keys() == {"solver", *bench._SIDECAR_TYPES, *fields}
+
+
+_SIZES_OBJECTIVE = JointDiagObjective(generate_instance(20, 3, 2, seed=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    solver=st.sampled_from(SOLVERS),
+    grad_size=st.sampled_from([None, -1, 0, 1, 20, 21]),
+    hess_size=st.sampled_from([None, -1, 0, 1, 20, 21]),
+)
+def test_bundle_and_verify_accept_the_same_sample_sizes(solver, grad_size, hess_size):
+    """One sampling rule: the ``OracleBundle`` a run builds accepts a pair
+    of sample sizes exactly when ``config_from_sidecar`` accepts a
+    sidecar that records them, in every oracle mode."""
+    n = _SIZES_OBJECTIVE.n
+    cfg = bench.solver_config(_TINY_PLAN, solver, n, 0)
+    meta = {**bench._config_sidecar(cfg), "solver": solver, "case": {"n": n}}
+    meta.update(grad_sample_size=grad_size, hess_sample_size=hess_size)
+    try:
+        OracleBundle(
+            _SIZES_OBJECTIVE,
+            cfg.mode,
+            grad_sample_size=grad_size,
+            hess_sample_size=hess_size,
+        )
+        bundle_accepts = True
+    except ContractError:
+        bundle_accepts = False
+    try:
+        bench.config_from_sidecar(meta)
+        verify_accepts = True
+    except (ValueError, ContractError):
+        verify_accepts = False
+    assert bundle_accepts == verify_accepts
+
+
+def test_non_finite_start_objective_is_a_numerical_failure(tmp_path, capsys):
+    """An objective that overflows at the start point ends every run at
+    once as a numerical failure with no rows, through both entry points
+    and through ``riemarc run``, which writes each run and exits 2, and
+    whose artifacts verify."""
+    runs = tmp_path / "runs"
+    plan_path = tmp_path / "overflow.plan"
+    plan_path.write_text("case 60 4 4\nrepetitions = 1\nnoise = 1e200\n")
+    with np.errstate(all="ignore"):
+        _, objective, x0 = bench.start_point(7, 0, 0, (60, 4, 4), 1e200)
+        for solver in SOLVERS:
+            cfg = bench.solver_config(_TINY_PLAN, solver, 60, 0)
+            trace = bench.solve(objective, x0, cfg)
+            assert trace.outcome is Outcome.NUMERICAL_FAILURE
+            assert trace.records == [] and not math.isfinite(trace.final_f)
+        assert cli_main(["run", "--out", str(runs), "--plan", str(plan_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("non-finite objective during run") == len(SOLVERS)
+    for solver in SOLVERS:
+        meta = json.loads((runs / f"case60x4x4_rep0_{solver}.meta.json").read_text())
+        assert (meta["outcome"], meta["iterations"]) == ("numerical_failure", 0)
+    assert cli_main(["verify", str(runs)]) == 0
 
 
 def test_perfbench_builds_the_instances_run_plan_builds():
@@ -776,10 +838,10 @@ def test_a_law_that_raises_is_a_violation_of_its_run(
     [
         ("racr", "gamma", 0, "gamma must be finite and exceed 1, got 0"),
         ("sracr", "hess_sample_size", 0, "Hessian sample size must lie in [1, 300], got 0"),
-        ("racr", "hess_sample_size", 0, "'hess_sample_size' is 0, expected None"),
-        ("racr", "hess_sample_size", 5, "'hess_sample_size' is 5, expected None"),
-        ("racr", "hess_sample_size", -1, "'hess_sample_size' is -1, expected None"),
-        ("sracr", "grad_sample_size", 0, "'grad_sample_size' is 0, expected None"),
+        ("racr", "hess_sample_size", 0, "exact Hessian oracle has no sample size, got 0"),
+        ("racr", "hess_sample_size", 5, "exact Hessian oracle has no sample size, got 5"),
+        ("racr", "hess_sample_size", -1, "exact Hessian oracle has no sample size, got -1"),
+        ("sracr", "grad_sample_size", 0, "exact gradient oracle has no sample size, got 0"),
         ("racr", "seed", 1.5, "'seed' is 1.5"),
         ("racr", "seed", -1, "seed must be a non-negative int, got -1"),
         ("racr", "max_iters", 2.5, "'max_iters' is 2.5"),
@@ -788,6 +850,12 @@ def test_a_law_that_raises_is_a_violation_of_its_run(
         ("racr", "sigma_min", 1e-12, "unknown key 'sigma_min'"),
         ("ssrtr", "delta_max", 10.0, "unknown key 'delta_max'"),
         ("sracr", "foo", 1, "unknown key 'foo'"),
+        (
+            "racr",
+            "case",
+            {"n": 300, "d": 5, "r": 5, "foo": 1},
+            "'case' is {'n': 300, 'd': 5, 'r': 5, 'foo': 1}",
+        ),
         ("racr", "solver", "ssrtr", "missing key 'delta0'"),
         ("sracr", "solver", "racr", "'mode' is 'subsampled_hessian', expected 'exact'"),
     ],
@@ -806,6 +874,7 @@ def test_a_law_that_raises_is_a_violation_of_its_run(
         "sigma_min",
         "delta_max",
         "unknown-key",
+        "unknown-case-key",
         "tr-solver-in-a-cubic-run",
         "exact-solver-in-a-sampled-run",
     ],

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from riemarc.arc import SolverConfig, run
 from riemarc.errors import ContractError, StaleSampleError
 from riemarc.manifolds import Tangent
 from riemarc.oracles import (
@@ -13,6 +14,7 @@ from riemarc.oracles import (
     SampleSizeParams,
     required_sample_sizes,
 )
+from riemarc.trust_region import TrustRegionConfig, run_trust_region
 
 from concentration import concentration_trial
 from euclidean import CosineSum, QuadraticSum, SaddleQuartic
@@ -246,8 +248,13 @@ def test_gradient_before_begin_iteration_raises():
     """No query picks an iteration's sample for the caller, exact or not."""
     obj = CosineSum.random(20, 3, seed=33)
     x = obj.manifold.random_point(34)
+    sizes = {
+        OracleMode.EXACT: {},
+        OracleMode.SUBSAMPLED_HESSIAN: {"hess_sample_size": 3},
+        OracleMode.SUBSAMPLED_BOTH: {"grad_sample_size": 5, "hess_sample_size": 3},
+    }
     for mode in OracleMode:
-        bundle = OracleBundle(obj, mode, grad_sample_size=5, hess_sample_size=3)
+        bundle = OracleBundle(obj, mode, **sizes[mode])
         with pytest.raises(StaleSampleError):
             bundle.inexact_gradient(x)
         assert bundle.counters.grad_components == 0
@@ -319,6 +326,19 @@ def test_bundle_validates_sample_sizes():
         OracleBundle(obj, OracleMode.SUBSAMPLED_HESSIAN, hess_sample_size=0)
     with pytest.raises(ContractError):
         OracleBundle(obj, OracleMode.SUBSAMPLED_HESSIAN)
+    # An exact oracle's size is None, whatever its value would be.
+    with pytest.raises(ContractError, match="exact gradient oracle"):
+        OracleBundle(obj, OracleMode.EXACT, grad_sample_size=-3, hess_sample_size=10**9)
+    with pytest.raises(ContractError, match="exact gradient oracle"):
+        OracleBundle(
+            obj, OracleMode.SUBSAMPLED_HESSIAN, grad_sample_size=0, hess_sample_size=2
+        )
+    # The entry points build their bundle from the config, so the same rule holds.
+    x0 = obj.manifold.random_point(40)
+    with pytest.raises(ContractError, match="exact Hessian oracle"):
+        run(obj, x0, SolverConfig.for_variant("racr", hess_sample_size=5))
+    with pytest.raises(ContractError, match="exact gradient oracle"):
+        run_trust_region(obj, x0, TrustRegionConfig(grad_sample_size=3))
 
 
 def test_required_sample_sizes_hand_value():
