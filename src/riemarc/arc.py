@@ -73,8 +73,9 @@ class EigPolicy(Enum):
     ``ON_SMALL_GRADIENT`` runs it only once the gradient norm falls to
     the level where the second-order test or an eigen step could matter.
     ``EVERY_ITERATION`` runs it on every iteration. Under
-    ``StopRule.GRAD_SQUARED`` neither runs it on the terminating
-    iteration, whose stop test does not read it.
+    ``StopRule.GRAD_SQUARED`` that level is the stop level, so
+    ``ON_SMALL_GRADIENT`` never runs it, and ``EVERY_ITERATION`` skips
+    the terminating iteration, whose stop test does not read it.
     """
 
     ON_SMALL_GRADIENT = "on_small_gradient"
@@ -95,10 +96,10 @@ _VARIANT_MODES = {
 }
 
 
-# A step rule's trial step: ``(eta, m(eta), taylor)``. ``taylor`` is
-# ``(<G, eta>, <H[eta], eta>, ||eta||)`` when the rule tracks the
-# empirical Hessian Lipschitz constant ``RunTrace.l_hat``, else None.
-TrialStep = tuple[Tangent, float, "tuple[float, float, float] | None"]
+# A step rule's trial step: ``(eta, m(eta), reg)``. ``reg`` is the term
+# the model adds to its quadratic part ``<G, eta> + 0.5 <H[eta], eta>``
+# when the rule tracks ``RunTrace.l_hat``, else None.
+TrialStep = tuple[Tangent, float, "float | None"]
 
 
 @dataclass
@@ -110,7 +111,9 @@ class DriverConfig:
     column in ``radius_column``, and supplies the rule's methods:
 
     * ``initial_weight()``: sigma0 or delta0;
-    * ``step(grad, hvp, weight, x, manifold, probe) -> TrialStep``;
+    * ``step(grad, hvp, weight, x, manifold, probe) -> TrialStep``: the
+      trial step, its model value, and the model's regularization term,
+      or None where the rule does not track ``RunTrace.l_hat``;
     * ``next_weight(weight, success) -> weight``.
     """
 
@@ -189,8 +192,8 @@ class SolverConfig(DriverConfig):
     def step(self, grad, hvp, weight, x, manifold, probe) -> TrialStep:
         model = CubicModel(grad, hvp, weight, x, manifold)
         result = solve_subproblem(model, probe=probe, refine_steps=self.refine_steps)
-        taylor = (result.g_eta, result.h_eta, result.step_norm)
-        return result.step, result.m_val, taylor
+        reg = (weight / 3.0) * manifold.norm(result.step) ** 3
+        return result.step, result.m_val, reg
 
     def next_weight(self, weight: float, success: bool) -> float:
         if not success:
@@ -241,7 +244,13 @@ def trace_header(radius_column: str) -> list[str]:
 
 @dataclass
 class RunTrace:
-    """Full record of one solver run."""
+    """Full record of one solver run.
+
+    ``l_hat`` estimates the Hessian Lipschitz constant as the largest
+    ``2 |f(R(eta)) - f(x) - <G, eta> - 0.5 <H[eta], eta>| / ||eta||^3``
+    over the run's trial steps. It is None unless the cubic rule ran
+    with an exact Hessian.
+    """
 
     records: list[IterationRecord]
     outcome: Outcome
@@ -278,15 +287,14 @@ def should_terminate(
 
 def runs_probe(grad_norm: float, cfg: DriverConfig) -> bool:
     """Whether the driver probes the curvature at an iterate with this
-    gradient norm: never where the squared-gradient test, which does not
-    read the estimate, stops the run; else as ``cfg.eig_policy`` says,
-    the small-gradient level being ``sqrt(tau)`` or ``eps_g``."""
+    gradient norm, as ``cfg.eig_policy`` says. The optimality test's
+    small-gradient level is ``eps_g``. The squared-gradient test does
+    not read the estimate and stops at its small-gradient level, so
+    under it only ``EVERY_ITERATION`` probes, where the run goes on."""
     every = cfg.eig_policy is EigPolicy.EVERY_ITERATION
     if cfg.stop_rule is StopRule.OPTIMALITY:
         return every or grad_norm <= cfg.eps_g
-    if should_terminate(grad_norm, None, cfg):
-        return False
-    return every or grad_norm <= math.sqrt(cfg.tau)
+    return not should_terminate(grad_norm, None, cfg) and every
 
 
 def run(objective: SeparableObjective, x0: Point, cfg: SolverConfig) -> RunTrace:
@@ -345,7 +353,7 @@ def _drive(
             outcome = Outcome.OPTIMALITY_REACHED
             break
 
-        eta, m_val, taylor = cfg.step(grad, hvp, weight, x, manifold, probe)
+        eta, m_val, reg = cfg.step(grad, hvp, weight, x, manifold, probe)
         if not m_val < -1e-16 * max(1.0, abs(f_x)):
             outcome = Outcome.SUBSOLVER_FAILURE
             break
@@ -358,12 +366,12 @@ def _drive(
         rho = (f_x - f_trial) / (-m_val)
         success = rho >= cfg.rho_threshold
 
-        if exact_hessian and taylor is not None and taylor[2] > 0.0:
-            # Third-order remainder of the exact quadratic model along the
-            # actual trajectory, an empirical Hessian Lipschitz constant.
-            g_eta, h_eta, step_norm = taylor
-            remainder = abs(f_trial - f_x - g_eta - 0.5 * h_eta)
-            sample = 2.0 * remainder / step_norm**3
+        if exact_hessian and reg is not None and reg > 0.0:
+            # Third-order remainder of the exact quadratic model, m - reg,
+            # along the actual trajectory, an empirical Hessian Lipschitz
+            # constant. A positive reg has a positive ||eta||^3.
+            remainder = abs(f_trial - f_x - (m_val - reg))
+            sample = 2.0 * remainder / manifold.norm(eta) ** 3
             l_hat = sample if l_hat is None else max(l_hat, sample)
 
         millis = (time.perf_counter() - t_start) * 1e3

@@ -350,7 +350,10 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                 name = run_name(case, solver, rep)
                 t0 = time.perf_counter()
                 try:
-                    trace = solve(objective, x0, cfg)
+                    # An overflow ends the run as a numerical failure,
+                    # reported below; numpy's own warnings would repeat it.
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        trace = solve(objective, x0, cfg)
                 except Exception as exc:  # noqa: BLE001
                     failures.append(f"{name}: {type(exc).__name__}: {exc}")
                     continue

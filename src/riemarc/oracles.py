@@ -8,7 +8,7 @@ as uniform with-replacement sub-sample averages
     H[eta] = (1/|S_H|) sum_{i in S_H} hess f_i(x)[eta].
 
 The mode names the sampled oracles, and ``check_sample_sizes`` is the
-one rule: a sampled size lies in ``[1, n]``, an exact oracle's is None.
+one rule: a sampled size is an ``int`` in ``[1, n]``, an exact one None.
 Both index sets are drawn once per outer iteration via
 ``begin_iteration`` and reused for every query inside that iteration.
 Sampling streams are keyed by ``(seed, iteration, purpose)`` so that
@@ -182,15 +182,16 @@ def check_sample_sizes(
     hess_sample_size: int | None,
 ) -> None:
     """The one sampling rule, for the bundle and ``verify`` alike: raise
-    ``ContractError`` unless each oracle ``mode`` samples has a size in
-    ``[1, n]`` and each exact one the size None, as every reader assumes."""
+    ``ContractError`` unless each oracle ``mode`` samples has an ``int``
+    size (not a ``bool``) in ``[1, n]`` and each exact one the size None,
+    as every reader assumes."""
     samples = (mode is OracleMode.SUBSAMPLED_BOTH, mode is not OracleMode.EXACT)
     sizes = zip(("gradient", "Hessian"), (grad_sample_size, hess_sample_size), samples)
     for name, size, sampled in sizes:
         if not sampled and size is not None:
             raise ContractError(f"exact {name} oracle has no sample size, got {size!r}")
-        if sampled and size is None:
-            raise ContractError(f"{name} sample size required in this mode")
+        if sampled and type(size) is not int:
+            raise ContractError(f"{name} sample size must be an int, got {size!r}")
         if sampled and not 1 <= size <= n:
             raise ContractError(f"{name} sample size must lie in [1, {n}], got {size}")
 

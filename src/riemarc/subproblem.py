@@ -4,7 +4,8 @@
 
 over the tangent space at the current iterate.
 
-The solver returns the better of two closed-form candidates, optionally
+The solver returns a step and its model value: the better of two
+closed-form candidates, each with its value in closed form, optionally
 polished by a bounded number of gradient steps on ``m``:
 
 * the Cauchy point ``-alpha* G``, where ``alpha*`` is the unique positive
@@ -77,14 +78,9 @@ def _positive_quadratic_root(a: float, b: float, c: float) -> float:
     return (disc - b) / (2.0 * a)
 
 
-def _cauchy_candidate(model: CubicModel) -> tuple[Tangent, float, float, float, float]:
-    """Cauchy step with its scalar decomposition.
-
-    Returns ``(eta, m_val, g_eta, h_eta, step_norm)`` where the scalars
-    are ``<G, eta>``, ``<H[eta], eta>`` and ``||eta||``, available in
-    closed form because the step is a multiple of ``-G``. Costs a single
-    Hessian product.
-    """
+def _cauchy_candidate(model: CubicModel) -> tuple[Tangent, float]:
+    """Cauchy step and its model value, in closed form because the step
+    is a multiple of ``-G``. Costs a single Hessian product."""
     g = model.gradient
     gnorm = model.manifold.norm(g)
     if gnorm == 0.0:
@@ -92,11 +88,9 @@ def _cauchy_candidate(model: CubicModel) -> tuple[Tangent, float, float, float, 
     ghg = model.manifold.inner(model.hvp(g), g)
     alpha = _positive_quadratic_root(model.sigma * gnorm**3, ghg, gnorm**2)
     eta = Tangent(-alpha * g.data, model.base)
-    g_eta = -alpha * gnorm**2
     h_eta = alpha**2 * ghg
-    step_norm = alpha * gnorm
-    m_val = g_eta + 0.5 * h_eta + (model.sigma / 3.0) * step_norm**3
-    return eta, m_val, g_eta, h_eta, step_norm
+    m_val = -alpha * gnorm**2 + 0.5 * h_eta + (model.sigma / 3.0) * (alpha * gnorm) ** 3
+    return eta, m_val
 
 
 @dataclass
@@ -188,13 +182,10 @@ def min_eig_estimate(
 
 def _eigen_candidate(
     model: CubicModel, v: Tangent, curvature: float
-) -> tuple[Tangent, float, float, float, float]:
-    """Eigen step with its scalar decomposition.
-
-    Returns ``(eta, m_val, g_eta, h_eta, step_norm)``; the scalars come
-    for free because the step is a multiple of the unit vector ``v``
-    whose Rayleigh quotient is ``curvature``. No Hessian product needed.
-    """
+) -> tuple[Tangent, float]:
+    """Eigen step and its model value, free because the step is a
+    multiple of the unit vector ``v`` whose Rayleigh quotient is
+    ``curvature``. No Hessian product needed."""
     if not curvature < 0.0:
         raise ContractError(f"eigen step needs negative curvature, got {curvature}")
     gv = model.manifold.inner(model.gradient, v)
@@ -202,10 +193,9 @@ def _eigen_candidate(
     lin = s * gv  # <= 0
     beta = _positive_quadratic_root(model.sigma, curvature, -lin)
     eta = Tangent(beta * s * v.data, model.base)
-    g_eta = beta * lin
     h_eta = beta**2 * curvature
-    m_val = g_eta + 0.5 * h_eta + (model.sigma / 3.0) * beta**3
-    return eta, m_val, g_eta, h_eta, beta
+    m_val = beta * lin + 0.5 * h_eta + (model.sigma / 3.0) * beta**3
+    return eta, m_val
 
 
 @dataclass
@@ -213,19 +203,13 @@ class SubsolverResult:
     """Chosen step with the model values of every candidate.
 
     ``m_val <= cauchy_m`` always holds, and ``m_val <= eigen_m`` holds
-    whenever negative curvature was detected. ``g_eta``, ``h_eta`` and
-    ``step_norm`` are the inner products ``<G, eta>``, ``<H[eta], eta>``
-    and ``||eta||`` of the returned step, kept so callers can reuse the
-    model decomposition without extra Hessian products.
+    whenever negative curvature was detected.
     """
 
     step: Tangent
     m_val: float
     cauchy_m: float
     eigen_m: float | None
-    g_eta: float
-    h_eta: float
-    step_norm: float
 
 
 def _refine(
@@ -233,13 +217,12 @@ def _refine(
     eta: np.ndarray,
     h_eta_vec: np.ndarray,
     steps: int,
-) -> tuple[np.ndarray, float, float, float]:
+) -> tuple[np.ndarray, float]:
     """Normalized gradient descent on ``m`` with Armijo backtracking.
 
     Keeps ``H[eta]`` updated through linearity, so each step costs one
-    Hessian product. Returns the final iterate with its scalar
-    decomposition. The model value is monotonically non-increasing
-    across accepted steps.
+    Hessian product. Returns the final iterate and its model value,
+    which is monotonically non-increasing across accepted steps.
     """
     g = model.gradient.data
     sigma = model.sigma
@@ -282,7 +265,7 @@ def _refine(
         nrm2 = max(nrm2 - 2.0 * t * ed + t * t, 0.0)
         m_cur = g_eta + 0.5 * h_eta + (sigma / 3.0) * nrm2 ** 1.5
 
-    return eta, g_eta, h_eta, m_cur
+    return eta, m_cur
 
 
 def solve_subproblem(
@@ -301,15 +284,14 @@ def solve_subproblem(
     and no negative curvature is detected, since the caller should have
     terminated.
     """
-    man = model.manifold
-    gnorm = man.norm(model.gradient)
+    gnorm = model.manifold.norm(model.gradient)
 
-    cauchy: tuple[Tangent, float, float, float, float] | None = None
+    cauchy: tuple[Tangent, float] | None = None
     if gnorm > 0.0:
         cauchy = _cauchy_candidate(model)
     cauchy_m = cauchy[1] if cauchy is not None else 0.0
 
-    eigen: tuple[Tangent, float, float, float, float] | None = None
+    eigen: tuple[Tangent, float] | None = None
     if probe is not None and probe.value < -NEGATIVE_CURVATURE_REL_TOL * max(
         1.0, probe.op_norm_est
     ):
@@ -323,26 +305,16 @@ def solve_subproblem(
 
     # Ties go to the Cauchy point.
     if cauchy is not None and (eigen_m is None or cauchy_m <= eigen_m):
-        best, best_m, g_eta, h_eta, step_norm = cauchy
+        best, best_m = cauchy
     else:
         assert eigen is not None
-        best, best_m, g_eta, h_eta, step_norm = eigen
+        best, best_m = eigen
 
     if refine_steps > 0:
         h_best = model.hvp(best).data
-        eta, g_ref, h_ref, m_ref = _refine(model, best.data, h_best, refine_steps)
+        eta, m_ref = _refine(model, best.data, h_best, refine_steps)
         if m_ref < best_m:
             best = Tangent(eta, model.base)
             best_m = m_ref
-            g_eta, h_eta = g_ref, h_ref
-            step_norm = man.norm(best)
 
-    return SubsolverResult(
-        step=best,
-        m_val=best_m,
-        cauchy_m=cauchy_m,
-        eigen_m=eigen_m,
-        g_eta=g_eta,
-        h_eta=h_eta,
-        step_norm=step_norm,
-    )
+    return SubsolverResult(step=best, m_val=best_m, cauchy_m=cauchy_m, eigen_m=eigen_m)

@@ -20,8 +20,7 @@ def cauchy_point(model: CubicModel) -> tuple[Tangent, float]:
     Uses a single Hessian product. Raises ``ZeroGradientError`` when the
     gradient vanishes, since no gradient direction exists.
     """
-    eta, m_val, _, _, _ = _cauchy_candidate(model)
-    return eta, m_val
+    return _cauchy_candidate(model)
 
 
 def eigen_point(
@@ -35,5 +34,4 @@ def eigen_point(
     root of ``sigma b^2 + curvature b + s <G, v> = 0``, which satisfies
     ``beta* >= |curvature| / sigma``.
     """
-    eta, m_val, _, _, _ = _eigen_candidate(model, v, curvature)
-    return eta, m_val
+    return _eigen_candidate(model, v, curvature)

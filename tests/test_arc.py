@@ -15,10 +15,12 @@ from riemarc.arc import (
     SolverConfig,
     StopRule,
     run,
+    runs_probe,
     should_terminate,
     write_trace_csv,
 )
 from riemarc.errors import ContractError, MissingEigenEstimateError
+from riemarc.jointdiag import JointDiagObjective, generate_instance
 from riemarc.oracles import OracleMode
 from riemarc.trust_region import TrustRegionConfig, run_trust_region
 
@@ -236,6 +238,19 @@ def test_should_terminate_frozen_examples():
     assert not should_terminate(0.04, None, sq)  # 1.6e-3 > 1e-3
 
 
+def test_gradient_stop_probes_only_on_every_iteration():
+    """Under GRAD_SQUARED the small-gradient level is the stop level, so
+    ON_SMALL_GRADIENT never probes, even where rounding puts a gradient
+    norm at ``sqrt(tau)`` above the stop test: 0.1 ** 2 > 0.01."""
+    for policy in EigPolicy:
+        cfg = SolverConfig(stop_rule=StopRule.GRAD_SQUARED, tau=0.01, eig_policy=policy)
+        assert not should_terminate(0.1, None, cfg)
+        every = policy is EigPolicy.EVERY_ITERATION
+        assert runs_probe(0.1, cfg) is every
+        assert runs_probe(1e-3, cfg) is False
+        assert runs_probe(10.0, cfg) is every
+
+
 def test_variant_presets():
     assert SolverConfig.for_variant("racr").mode is OracleMode.EXACT
     assert SolverConfig.for_variant("sracr").mode is OracleMode.SUBSAMPLED_HESSIAN
@@ -350,6 +365,60 @@ def test_l_hat_tracks_third_order_behaviour():
     xq = quartic.manifold.random_point(6)
     t_quartic = run(quartic, xq, SolverConfig(seed=18))
     assert t_quartic.l_hat is not None and t_quartic.l_hat > 1e-3
+
+
+def _l_hat_from_steps(objective, x0, cfg, monkeypatch):
+    """Run ``cfg`` capturing each trial step, and return the trace with
+    ``max 2 |f(R(eta)) - f(x) - <G, eta> - 0.5 <H[eta], eta>| / ||eta||^3``
+    over the steps, recomputed from the exact oracles, and the steps."""
+    steps = []
+    step = SolverConfig.step
+
+    def capture(self, grad, hvp, weight, x, manifold, probe):
+        trial = step(self, grad, hvp, weight, x, manifold, probe)
+        steps.append((x, trial[0], probe))
+        return trial
+
+    monkeypatch.setattr(SolverConfig, "step", capture)
+    trace = run(objective, x0, cfg)
+    man = objective.manifold
+    samples = []
+    for x, eta, _ in steps:
+        quad = man.inner(objective.gradient(x), eta)
+        quad += 0.5 * man.inner(objective.hess_vec(x, eta), eta)
+        f_trial = objective.value(man.retract(x, eta))
+        remainder = abs(f_trial - objective.value(x) - quad)
+        samples.append(2.0 * remainder / man.norm(eta) ** 3)
+    return trace, max(samples), steps
+
+
+@pytest.mark.parametrize("refine_steps", [0, 3])
+def test_l_hat_is_the_largest_remainder_ratio(refine_steps, monkeypatch):
+    obj = JointDiagObjective(generate_instance(100, 5, 5, seed=301, noise=1e-3))
+    x0 = obj.manifold.random_point(302)
+    cfg = SolverConfig(
+        stop_rule=StopRule.GRAD_SQUARED, seed=303, refine_steps=refine_steps
+    )
+    trace, expected, _ = _l_hat_from_steps(obj, x0, cfg, monkeypatch)
+    assert trace.outcome is Outcome.OPTIMALITY_REACHED
+    assert trace.l_hat == pytest.approx(expected, rel=1e-9)
+
+
+def test_l_hat_covers_eigen_steps(monkeypatch):
+    obj = SaddleQuartic.random(25, 5, seed=1)
+    x0 = obj.manifold.point(np.full((5, 1), 0.05))
+    cfg = SolverConfig(seed=4, eig_policy=EigPolicy.EVERY_ITERATION)
+    trace, expected, steps = _l_hat_from_steps(obj, x0, cfg, monkeypatch)
+    assert trace.outcome is Outcome.OPTIMALITY_REACHED
+    assert trace.l_hat == pytest.approx(expected, rel=1e-9)
+    # Some steps run along the probe's negative-curvature vector.
+    man = obj.manifold
+    along = [
+        abs(man.inner(eta, probe.vector)) == pytest.approx(man.norm(eta), rel=1e-12)
+        for _, eta, probe in steps
+        if probe is not None and probe.value < 0.0
+    ]
+    assert any(along)
 
 
 def test_fail_count_and_sigma_cap_bounds():

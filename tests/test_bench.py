@@ -332,8 +332,8 @@ _SIZES_OBJECTIVE = JointDiagObjective(generate_instance(20, 3, 2, seed=5))
 @settings(max_examples=200, deadline=None)
 @given(
     solver=st.sampled_from(SOLVERS),
-    grad_size=st.sampled_from([None, -1, 0, 1, 20, 21]),
-    hess_size=st.sampled_from([None, -1, 0, 1, 20, 21]),
+    grad_size=st.sampled_from([None, -1, 0, 1, 20, 21, 2.5, True, 3.0]),
+    hess_size=st.sampled_from([None, -1, 0, 1, 20, 21, 2.5, True, 3.0]),
 )
 def test_bundle_and_verify_accept_the_same_sample_sizes(solver, grad_size, hess_size):
     """One sampling rule: the ``OracleBundle`` a run builds accepts a pair
@@ -383,6 +383,24 @@ def test_non_finite_start_objective_is_a_numerical_failure(tmp_path, capsys):
         meta = json.loads((runs / f"case60x4x4_rep0_{solver}.meta.json").read_text())
         assert (meta["outcome"], meta["iterations"]) == ("numerical_failure", 0)
     assert cli_main(["verify", str(runs)]) == 0
+
+
+def test_cli_reports_an_overflowing_run_by_its_failure_line_alone(tmp_path, capsys):
+    """``riemarc run`` on an instance that overflows, outside any
+    ``np.errstate``, prints one ``failure:`` line per run and none of
+    numpy's warnings, and writes every run."""
+    runs = tmp_path / "runs"
+    plan_path = tmp_path / "overflow.plan"
+    plan_path.write_text("case 60 4 4\nrepetitions = 1\nnoise = 1e200\n")
+    assert cli_main(["run", "--out", str(runs), "--plan", str(plan_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(SOLVERS)
+    for line in lines:
+        assert line.startswith("failure: ")
+        assert line.endswith(": non-finite objective during run")
+    for solver in SOLVERS:
+        meta = json.loads((runs / f"case60x4x4_rep0_{solver}.meta.json").read_text())
+        assert meta["outcome"] == "numerical_failure"
 
 
 def test_perfbench_builds_the_instances_run_plan_builds():

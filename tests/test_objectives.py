@@ -326,6 +326,10 @@ def test_bundle_validates_sample_sizes():
         OracleBundle(obj, OracleMode.SUBSAMPLED_HESSIAN, hess_sample_size=0)
     with pytest.raises(ContractError):
         OracleBundle(obj, OracleMode.SUBSAMPLED_HESSIAN)
+    # A sampled size is an int, and a bool is not one.
+    for size in (2.5, True, 3.0):
+        with pytest.raises(ContractError, match="Hessian sample size must be an int"):
+            OracleBundle(obj, OracleMode.SUBSAMPLED_HESSIAN, hess_sample_size=size)
     # An exact oracle's size is None, whatever its value would be.
     with pytest.raises(ContractError, match="exact gradient oracle"):
         OracleBundle(obj, OracleMode.EXACT, grad_sample_size=-3, hess_sample_size=10**9)
