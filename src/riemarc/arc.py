@@ -44,7 +44,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, get_type_hints
 
-from .errors import ContractError, MissingEigenEstimateError
+from .errors import ContractError, MissingEigenEstimateError, SingularRetractionError
 from .manifolds import Point, Tangent
 from .objectives import SeparableObjective
 from .oracles import KeyedStream, OracleBundle, OracleMode
@@ -98,7 +98,7 @@ _VARIANT_MODES = {
 
 # A step rule's trial step: ``(eta, m(eta), reg)``. ``reg`` is the term
 # the model adds to its quadratic part ``<G, eta> + 0.5 <H[eta], eta>``
-# when the rule tracks ``RunTrace.l_hat``, else None.
+# where ``RunTrace.l_hat`` applies, else None.
 TrialStep = tuple[Tangent, float, "float | None"]
 
 
@@ -113,7 +113,8 @@ class DriverConfig:
     * ``initial_weight()``: sigma0 or delta0;
     * ``step(grad, hvp, weight, x, manifold, probe) -> TrialStep``: the
       trial step, its model value, and the model's regularization term,
-      or None where the rule does not track ``RunTrace.l_hat``;
+      or None wherever ``RunTrace.l_hat`` does not apply: the
+      trust-region rule, or a cubic rule with a sampled oracle;
     * ``next_weight(weight, success) -> weight``.
     """
 
@@ -192,7 +193,8 @@ class SolverConfig(DriverConfig):
     def step(self, grad, hvp, weight, x, manifold, probe) -> TrialStep:
         model = CubicModel(grad, hvp, weight, x, manifold)
         result = solve_subproblem(model, probe=probe, refine_steps=self.refine_steps)
-        reg = (weight / 3.0) * manifold.norm(result.step) ** 3
+        exact = self.grad_sample_size is None and self.hess_sample_size is None
+        reg = (weight / 3.0) * manifold.norm(result.step) ** 3 if exact else None
         return result.step, result.m_val, reg
 
     def next_weight(self, weight: float, success: bool) -> float:
@@ -249,7 +251,7 @@ class RunTrace:
     ``l_hat`` estimates the Hessian Lipschitz constant as the largest
     ``2 |f(R(eta)) - f(x) - <G, eta> - 0.5 <H[eta], eta>| / ||eta||^3``
     over the run's trial steps. It is None unless the cubic rule ran
-    with an exact Hessian.
+    with an exact gradient and an exact Hessian.
     """
 
     records: list[IterationRecord]
@@ -327,7 +329,6 @@ def _drive(
     x = manifold.point(x0.data)
     weight = cfg.initial_weight()
     f_x = bundle.objective_value(x)
-    exact_hessian = cfg.hess_sample_size is None
     l_hat: float | None = None
     records: list[IterationRecord] = []
     outcome = Outcome.MAX_ITERS
@@ -353,20 +354,22 @@ def _drive(
             outcome = Outcome.OPTIMALITY_REACHED
             break
 
-        eta, m_val, reg = cfg.step(grad, hvp, weight, x, manifold, probe)
-        if not m_val < -1e-16 * max(1.0, abs(f_x)):
-            outcome = Outcome.SUBSOLVER_FAILURE
-            break
-
-        x_trial = manifold.retract(x, eta)
-        f_trial = bundle.objective_value(x_trial)
+        try:
+            eta, m_val, reg = cfg.step(grad, hvp, weight, x, manifold, probe)
+            if not m_val < -1e-16 * max(1.0, abs(f_x)):
+                outcome = Outcome.SUBSOLVER_FAILURE
+                break
+            x_trial = manifold.retract(x, eta)
+            f_trial = bundle.objective_value(x_trial)
+        except (OverflowError, SingularRetractionError):  # beyond the float range
+            f_trial = math.nan
         if not math.isfinite(f_trial):
             outcome = Outcome.NUMERICAL_FAILURE
             break
         rho = (f_x - f_trial) / (-m_val)
         success = rho >= cfg.rho_threshold
 
-        if exact_hessian and reg is not None and reg > 0.0:
+        if reg is not None and reg > 0.0:
             # Third-order remainder of the exact quadratic model, m - reg,
             # along the actual trajectory, an empirical Hessian Lipschitz
             # constant. A positive reg has a positive ||eta||^3.

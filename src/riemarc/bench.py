@@ -10,8 +10,9 @@ line per problem size:
     case 500 5 5
     case 2015 5 5
 
-``set_plan_value`` parses every scalar key by its ``BenchmarkPlan``
-annotation, for plan files and for ``riemarc run --set`` alike.
+``set_plan_value`` parses ``solvers`` and every scalar key by its
+``BenchmarkPlan`` annotation, for plan files and for ``riemarc run``'s
+``--solvers`` and ``--set`` alike.
 
 Each (case, repetition) pair generates one joint-diagonalization
 instance shared by every solver, so solvers are compared on identical
@@ -150,8 +151,12 @@ _PLAN_TYPES = get_type_hints(BenchmarkPlan)
 
 
 def set_plan_value(plan: BenchmarkPlan, key: str, text: str) -> None:
-    """Set the scalar plan field ``key`` from ``text``, parsed as the
-    field's annotated type. Rejects non-finite numbers."""
+    """Set the plan field ``key`` from ``text``: ``solvers`` as names
+    split on commas or whitespace, a scalar parsed as the field's
+    annotated type. Rejects non-finite numbers."""
+    if key == "solvers":
+        plan.solvers = text.replace(",", " ").split()
+        return
     kind = _PLAN_TYPES.get(key)
     if kind not in (int, float):
         reason = "unknown key" if kind is None else "cannot override"
@@ -172,7 +177,6 @@ def default_plan() -> BenchmarkPlan:
 
 def parse_plan(text: str) -> BenchmarkPlan:
     plan = BenchmarkPlan()
-    plan.cases = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -190,12 +194,8 @@ def parse_plan(text: str) -> BenchmarkPlan:
         if "=" not in line:
             raise PlanError(f"line {lineno}: expected 'key = value' or 'case n d r'")
         key, _, value = line.partition("=")
-        key = key.strip()
-        if key == "solvers":
-            plan.solvers = [s for s in value.replace(",", " ").split() if s]
-            continue
         try:
-            set_plan_value(plan, key, value)
+            set_plan_value(plan, key.strip(), value)
         except PlanError as exc:
             raise PlanError(f"line {lineno}: {exc}") from exc
     plan.validate()
@@ -373,14 +373,16 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                     **_config_sidecar(cfg),
                     "outcome": trace.outcome.value,
                     "iterations": trace.iterations,
-                    "final_f": trace.final_f,
+                    # JSON has no NaN: a non-finite start objective is null.
+                    "final_f": trace.final_f if math.isfinite(trace.final_f) else None,
                     "wall_s": wall_s,
                     "grad_evals": trace.grad_evals,
                     "hess_evals": trace.hess_evals,
                     "objective_evals": trace.objective_evals,
                 }
                 (out / f"{name}.meta.json").write_text(
-                    json.dumps(meta, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+                    json.dumps(meta, indent=1, sort_keys=True, allow_nan=False) + "\n",
+                    encoding="utf-8",
                 )
 
     runs = RunSet(out)
@@ -473,7 +475,7 @@ _SIDECAR_TYPES = {
     "hess_evals": (int,),
     "objective_evals": (int,),
     "iterations": (int,),
-    "final_f": (int, float),
+    "final_f": (int, float, type(None)),
     "wall_s": (int, float),
 }
 
@@ -635,7 +637,12 @@ def _check_objective(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
     """Objective bookkeeping, with the sidecar's ``final_f`` after the
     last row: rejected iterations keep f, accepted ones never increase it
     and store ``rho_k = (f_k - f_{k+1}) / -m_k``, and each success flag
-    is the stored rho against the threshold."""
+    is the stored rho against the threshold. Only a run that took no
+    step, a numerical failure, may end on a null ``final_f``."""
+    if meta["final_f"] is None:
+        if meta["outcome"] != Outcome.NUMERICAL_FAILURE.value or cols["k"]:
+            yield f"final_f is null with outcome {meta['outcome']}, {len(cols['k'])} rows"
+        return
     succ = cols["success"]
     f_vals = cols["f"] + [float(meta["final_f"])]
     for k, m_k in enumerate(cols["model_val"]):

@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         "--solvers",
         type=str,
         default=None,
-        help=f"comma-separated subset of {','.join(SOLVERS)}",
+        help=f"subset of {','.join(SOLVERS)}, split on commas or spaces",
     )
     p_run.add_argument(
         "--set",
@@ -77,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.seed is not None:
                 plan.master_seed = args.seed
             if args.solvers is not None:
-                plan.solvers = [s for s in args.solvers.split(",") if s]
+                set_plan_value(plan, "solvers", args.solvers)
             for pair in args.overrides:
                 key, sep, value = pair.partition("=")
                 if not sep:

@@ -78,13 +78,10 @@ def _positive_quadratic_root(a: float, b: float, c: float) -> float:
     return (disc - b) / (2.0 * a)
 
 
-def _cauchy_candidate(model: CubicModel) -> tuple[Tangent, float]:
+def _cauchy_candidate(model: CubicModel, gnorm: float) -> tuple[Tangent, float]:
     """Cauchy step and its model value, in closed form because the step
-    is a multiple of ``-G``. Costs a single Hessian product."""
+    is a multiple of ``-G``, of norm ``gnorm > 0``. One Hessian product."""
     g = model.gradient
-    gnorm = model.manifold.norm(g)
-    if gnorm == 0.0:
-        raise ZeroGradientError("Cauchy point undefined for a zero gradient")
     ghg = model.manifold.inner(model.hvp(g), g)
     alpha = _positive_quadratic_root(model.sigma * gnorm**3, ghg, gnorm**2)
     eta = Tangent(-alpha * g.data, model.base)
@@ -280,35 +277,29 @@ def solve_subproblem(
     one used by the outer termination test); without one, the eigen step
     is not a candidate. ``refine_steps`` bounds the normalized gradient
     steps on ``m`` that polish the winning candidate (0 disables
-    refinement). Raises ``ZeroGradientError`` when the gradient is zero
-    and no negative curvature is detected, since the caller should have
-    terminated.
+    refinement). The candidate with the lower model value wins, and the
+    Cauchy point wins a tie. Raises ``ZeroGradientError`` when the
+    gradient is zero and no negative curvature is detected, since the
+    caller should have terminated.
     """
     gnorm = model.manifold.norm(model.gradient)
+    candidates = [_cauchy_candidate(model, gnorm)] if gnorm > 0.0 else []
+    cauchy_m = candidates[0][1] if candidates else 0.0
 
-    cauchy: tuple[Tangent, float] | None = None
-    if gnorm > 0.0:
-        cauchy = _cauchy_candidate(model)
-    cauchy_m = cauchy[1] if cauchy is not None else 0.0
-
-    eigen: tuple[Tangent, float] | None = None
+    eigen_m: float | None = None
     if probe is not None and probe.value < -NEGATIVE_CURVATURE_REL_TOL * max(
         1.0, probe.op_norm_est
     ):
-        eigen = _eigen_candidate(model, probe.vector, probe.value)
-    eigen_m = eigen[1] if eigen is not None else None
+        candidates.append(_eigen_candidate(model, probe.vector, probe.value))
+        eigen_m = candidates[-1][1]
 
-    if cauchy is None and eigen is None:
+    if not candidates:
         raise ZeroGradientError(
             "zero gradient without detected negative curvature, nothing to solve"
         )
 
-    # Ties go to the Cauchy point.
-    if cauchy is not None and (eigen_m is None or cauchy_m <= eigen_m):
-        best, best_m = cauchy
-    else:
-        assert eigen is not None
-        best, best_m = eigen
+    # ``min`` keeps the first of equal values, the Cauchy point.
+    best, best_m = min(candidates, key=lambda candidate: candidate[1])
 
     if refine_steps > 0:
         h_best = model.hvp(best).data

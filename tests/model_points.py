@@ -2,6 +2,7 @@
 candidates as stand-alone steps, shared by the sub-solver tests and the
 acceptance checklist."""
 
+from riemarc.errors import ZeroGradientError
 from riemarc.manifolds import Tangent
 from riemarc.subproblem import CubicModel, _cauchy_candidate, _eigen_candidate
 
@@ -20,7 +21,10 @@ def cauchy_point(model: CubicModel) -> tuple[Tangent, float]:
     Uses a single Hessian product. Raises ``ZeroGradientError`` when the
     gradient vanishes, since no gradient direction exists.
     """
-    return _cauchy_candidate(model)
+    gnorm = model.manifold.norm(model.gradient)
+    if gnorm == 0.0:
+        raise ZeroGradientError("Cauchy point undefined for a zero gradient")
+    return _cauchy_candidate(model, gnorm)
 
 
 def eigen_point(

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -419,6 +420,29 @@ def test_l_hat_covers_eigen_steps(monkeypatch):
         if probe is not None and probe.value < 0.0
     ]
     assert any(along)
+
+
+@pytest.mark.parametrize(
+    "variant, sizes",
+    [
+        ("racr", {}),
+        ("sracr", {"hess_sample_size": 9}),
+        ("ssracr", {"grad_sample_size": 15, "hess_sample_size": 9}),
+    ],
+)
+def test_cubic_step_reports_reg_only_with_both_oracles_exact(variant, sizes):
+    """``reg = sigma/3 ||eta||^3`` is what ``l_hat`` reads off ``m(eta)``,
+    and the remainder of the exact quadratic model needs an exact G and
+    an exact H, so the rule reports it only with both oracles exact."""
+    obj = _low_dispersion_quadratic()
+    man = obj.manifold
+    x = man.random_point(2)
+    cfg = SolverConfig.for_variant(variant, **sizes)
+    eta, _, reg = cfg.step(obj.gradient(x), partial(obj.hess_vec, x), 0.5, x, man, None)
+    if variant == "racr":
+        assert reg == (0.5 / 3.0) * man.norm(eta) ** 3 and reg > 0.0
+    else:
+        assert reg is None
 
 
 def test_fail_count_and_sigma_cap_bounds():

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -19,7 +20,7 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riemarc.arc import (
@@ -50,6 +51,7 @@ from riemarc import bench
 from riemarc.cli import main as cli_main
 from riemarc.errors import ContractError, PlanError
 from riemarc.jointdiag import JointDiagObjective, generate_instance
+from riemarc.manifolds import Manifold
 from riemarc.oracles import OracleBundle, OracleMode
 
 # Small but not tiny: protocol-style fractions at n below ~100 give
@@ -365,7 +367,12 @@ def test_non_finite_start_objective_is_a_numerical_failure(tmp_path, capsys):
     """An objective that overflows at the start point ends every run at
     once as a numerical failure with no rows, through both entry points
     and through ``riemarc run``, which writes each run and exits 2, and
-    whose artifacts verify."""
+    whose artifacts verify. JSON has no NaN, so each sidecar holds a
+    null ``final_f`` and parses as strict JSON."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
     runs = tmp_path / "runs"
     plan_path = tmp_path / "overflow.plan"
     plan_path.write_text("case 60 4 4\nrepetitions = 1\nnoise = 1e200\n")
@@ -380,9 +387,12 @@ def test_non_finite_start_objective_is_a_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("non-finite objective during run") == len(SOLVERS)
     for solver in SOLVERS:
-        meta = json.loads((runs / f"case60x4x4_rep0_{solver}.meta.json").read_text())
+        text = (runs / f"case60x4x4_rep0_{solver}.meta.json").read_text()
+        meta = json.loads(text, parse_constant=reject)
         assert (meta["outcome"], meta["iterations"]) == ("numerical_failure", 0)
+        assert meta["final_f"] is None
     assert cli_main(["verify", str(runs)]) == 0
+    assert capsys.readouterr().out.startswith("ok, digest ")
 
 
 def test_cli_reports_an_overflowing_run_by_its_failure_line_alone(tmp_path, capsys):
@@ -401,6 +411,25 @@ def test_cli_reports_an_overflowing_run_by_its_failure_line_alone(tmp_path, caps
     for solver in SOLVERS:
         meta = json.loads((runs / f"case60x4x4_rep0_{solver}.meta.json").read_text())
         assert meta["outcome"] == "numerical_failure"
+
+
+def test_verify_allows_a_null_final_f_only_after_no_step(bench_dir, tmp_path):
+    """A null ``final_f`` stands for a start objective that was not
+    finite, so a run that took steps and claims optimality may not end
+    on one."""
+    stem = run_name(_TINY_PLAN.cases[0], "racr", 0)
+
+    def mutate(copy):
+        path = copy / f"{stem}.meta.json"
+        meta = json.loads(path.read_text())
+        meta["final_f"] = None
+        path.write_text(json.dumps(meta))
+
+    problems = _tampered(bench_dir, tmp_path, "null_final_f", mutate)
+    rows = len(_success_flags(bench_dir / f"{stem}.csv"))
+    assert problems == [
+        f"{stem}.csv: final_f is null with outcome optimality_reached, {rows} rows"
+    ]
 
 
 def test_perfbench_builds_the_instances_run_plan_builds():
@@ -1328,6 +1357,32 @@ def test_counters_equal_the_work_done(monkeypatch, solver, refine_steps):
         assert trace.grad_evals == n * (1 + trace.n_success)
 
 
+def test_each_norm_is_taken_once_per_cubic_iteration(monkeypatch):
+    """On the default cases, ``Manifold.norm`` runs twice per trace row,
+    for the driver's gradient norm and the sub-solver's, and once for the
+    terminating iteration. A ``racr`` row adds the step norm of ``reg``
+    and of ``l_hat``, which only a run with both oracles exact reads."""
+    calls = collections.Counter()
+    norm = Manifold.norm
+
+    def counted(self, xi):
+        calls["norm"] += 1
+        return norm(self, xi)
+
+    monkeypatch.setattr(Manifold, "norm", counted)
+    plan = default_plan()
+    for ci, case in enumerate(plan.cases):
+        _, objective, x0 = bench.start_point(plan.master_seed, ci, 0, case, plan.noise)
+        for solver, per_row in (("racr", 4), ("sracr", 2), ("ssracr", 2)):
+            seed = bench._run_seed(plan.master_seed, ci, 0, solver)
+            calls.clear()
+            cfg = bench.solver_config(plan, solver, case[0], seed)
+            trace = bench.solve(objective, x0, cfg)
+            assert trace.outcome is Outcome.OPTIMALITY_REACHED
+            assert (trace.l_hat is not None) == (solver == "racr")
+            assert calls["norm"] == per_row * trace.iterations + 1, (case, solver)
+
+
 def test_summary_totals_equal_sidecar_sums(bench_dir):
     """Every oracle total in summary.csv is the sum of its runs' sidecar
     counters, the terminating iteration included."""
@@ -1694,3 +1749,88 @@ def test_cli_set_overrides_apply(tmp_path, capsys):
     meta = json.loads((out / "case30x3x2_rep0_racr.meta.json").read_text())
     assert meta["max_iters"] == 40
     assert meta["sigma0"] == 1e-2
+
+
+def test_solvers_split_alike_in_a_plan_and_on_the_command_line(tmp_path, capsys):
+    """``--solvers`` and ``--set solvers=`` parse the plan's ``solvers``
+    key as a plan line does, split on commas or whitespace."""
+    argv = ["run", "--plan", str(_write_plan(tmp_path)), "--out"]
+    for flags, want in (
+        (["--solvers", "racr, ssrtr"], ["racr", "ssrtr"]),
+        (["--set", "solvers=ssrtr"], ["ssrtr"]),
+        (["--set", "solvers= sracr\tracr ,"], ["racr", "sracr"]),
+    ):
+        out = tmp_path / "_".join(want)
+        assert cli_main(argv + [str(out)] + flags) == 0
+        metas = [json.loads(path.read_text()) for path in out.glob("*.meta.json")]
+        assert sorted(meta["solver"] for meta in metas) == want
+    capsys.readouterr()
+
+
+# A case with n in 1..40 and 1 <= r <= d <= 5.
+_TINY_CASES = st.integers(1, 5).flatmap(
+    lambda d: st.tuples(st.integers(1, 40), st.just(d), st.integers(1, d))
+)
+# Magnitudes over 600 decades, with zero, a negative and the non-finite
+# values, for every float plan key; the parser rejects what is out of range.
+_MAGNITUDES = st.one_of(
+    st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    st.sampled_from([0.0, -1.0, math.inf, math.nan]),
+)
+_PLAN_VALUES = {
+    "repetitions": st.integers(-1, 2),
+    "master_seed": st.integers(-1, 2**64),
+    "refine_steps": st.integers(-1, 21),
+    **{
+        key: _MAGNITUDES
+        for key, kind in get_type_hints(BenchmarkPlan).items()
+        if kind is float
+    },
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cases=st.lists(_TINY_CASES, min_size=1, max_size=2),
+    values=st.fixed_dictionaries(
+        {"max_iters": st.integers(-1, 30)}, optional=_PLAN_VALUES
+    ),
+    solvers=st.lists(st.sampled_from(SOLVERS), min_size=1, max_size=4),
+    separator=st.sampled_from([",", ", ", " ", " , "]),
+)
+@example(
+    cases=[(1, 1, 1), (1, 2, 1)],
+    values={"max_iters": 30},
+    solvers=list(SOLVERS),
+    separator=", ",
+)
+# A Cauchy model value that overflows.
+@example(
+    cases=[(1, 3, 1)],
+    values={"max_iters": 30, "sigma0": 1e-103},
+    solvers=["racr"],
+    separator=",",
+)
+# A trial point whose Gram the retraction cannot factor.
+@example(
+    cases=[(1, 2, 1)],
+    values={"max_iters": 30, "delta0": 1e155},
+    solvers=["ssrtr"],
+    separator=",",
+)
+def test_every_accepted_tiny_plan_runs_and_verifies(cases, values, solvers, separator):
+    """Every plan the parser accepts runs without a raised run: a run
+    fails only as a numerical failure, a step beyond the float range
+    included, and the artifacts verify."""
+    lines = [f"case {n} {d} {r}" for n, d, r in cases]
+    lines += [f"{key} = {value!r}" for key, value in values.items()]
+    lines.append(f"solvers = {separator.join(solvers)}")
+    try:
+        plan = parse_plan("\n".join(lines))
+    except PlanError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        report = run_plan(plan, out)
+        for failure in report.failures:
+            assert failure.endswith(": non-finite objective during run"), failure
+        assert verify_traces(RunSet(out)) == []

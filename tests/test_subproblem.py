@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riemarc import subproblem
 from riemarc.errors import ContractError, ZeroGradientError
 from riemarc.jointdiag import JointDiagObjective, generate_instance
 from riemarc.manifolds import Stiefel, Tangent
@@ -406,6 +407,23 @@ def test_zero_gradient_negative_curvature_takes_eigen_step():
     assert res.cauchy_m == 0.0
     assert res.eigen_m is not None and res.m_val == res.eigen_m
     assert res.m_val == pytest.approx(-1.0 / 6.0, abs=1e-12)
+
+
+def test_a_tie_between_the_candidates_goes_to_the_cauchy_point(monkeypatch):
+    """With the Cauchy and eigen candidates at one model value, the
+    sub-solver returns the Cauchy step."""
+    model, man, x = _euclidean_model([1.0, 0.0], np.diag([1.0, -2.0]), 1.0)
+    cauchy = Tangent(np.array([[-1.0], [0.0]]), x)
+    eigen = Tangent(np.array([[0.0], [1.0]]), x)
+    monkeypatch.setattr(
+        subproblem, "_cauchy_candidate", lambda model, gnorm: (cauchy, -0.5)
+    )
+    monkeypatch.setattr(
+        subproblem, "_eigen_candidate", lambda model, v, curvature: (eigen, -0.5)
+    )
+    res = solve_subproblem(model, probe=_probe(model, 1))
+    assert res.step is cauchy
+    assert (res.m_val, res.cauchy_m, res.eigen_m) == (-0.5, -0.5, -0.5)
 
 
 def test_zero_gradient_psd_raises():
