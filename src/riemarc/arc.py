@@ -32,7 +32,8 @@ weight.
 
 Three cubic variants are named after their oracle modes: ``racr``
 (exact gradient and Hessian), ``sracr`` (exact gradient, sub-sampled
-Hessian) and ``ssracr`` (both sub-sampled).
+Hessian) and ``ssracr`` (both sub-sampled). A run's ``RunTrace`` holds
+its rows in memory; the benchmark harness, ``bench``, writes them as CSV.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, get_type_hints
+from typing import Callable
 
-from .errors import ContractError, MissingEigenEstimateError, SingularRetractionError
+from .errors import ContractError, SingularRetractionError
 from .manifolds import Point, Tangent
 from .objectives import SeparableObjective
 from .oracles import KeyedStream, OracleBundle, OracleMode
@@ -170,8 +171,10 @@ class SolverConfig(DriverConfig):
 
     def validate(self) -> None:
         super().validate()
-        if not 0.0 < self.sigma0 < math.inf:
-            raise ContractError(f"sigma0 must be positive and finite, got {self.sigma0}")
+        if not SIGMA_MIN <= self.sigma0 < math.inf:
+            raise ContractError(
+                f"sigma0 must lie in [{SIGMA_MIN}, inf), got {self.sigma0}"
+            )
         if not 0 <= self.refine_steps <= 20:
             raise ContractError(
                 f"refine_steps must lie in [0, 20], got {self.refine_steps}"
@@ -220,30 +223,6 @@ class IterationRecord:
     millis: float
 
 
-# A trace cell's ``(format, parse)`` for each ``IterationRecord``
-# annotation: a flag is ``1`` or ``0``, a count its digits, a float its
-# ``repr`` and an absent one empty. Numpy scalars format as Python's.
-_CELL_CODECS = {
-    bool: (lambda v: "1" if v else "0", lambda text: bool(("0", "1").index(text))),
-    int: (lambda v: str(int(v)), int),
-    float: (lambda v: repr(float(v)), float),
-    float | None: (
-        lambda v: "" if v is None else repr(float(v)),
-        lambda text: None if text == "" else float(text),
-    ),
-}
-# Each trace column's codec, in ``IterationRecord`` field order.
-TRACE_CODECS = {
-    name: _CELL_CODECS[kind] for name, kind in get_type_hints(IterationRecord).items()
-}
-TRACE_COLUMNS = tuple(TRACE_CODECS)
-
-
-def trace_header(radius_column: str) -> list[str]:
-    """``TRACE_COLUMNS`` with the weight's column named ``radius_column``."""
-    return [c if c != "sigma" else radius_column for c in TRACE_COLUMNS]
-
-
 @dataclass
 class RunTrace:
     """Full record of one solver run.
@@ -281,7 +260,7 @@ def should_terminate(
     if grad_norm > cfg.eps_g:
         return False
     if lambda_est is None:
-        raise MissingEigenEstimateError(
+        raise ContractError(
             "second-order termination test reached without an eigenvalue estimate"
         )
     return lambda_est >= -cfg.eps_h
@@ -410,14 +389,3 @@ def _drive(
         objective_evals=bundle.counters.objective_components,
         l_hat=l_hat,
     )
-
-
-def write_trace_csv(trace: RunTrace, path, *, sigma_name: str = "sigma") -> None:
-    """Write the trace's records as CSV in ``TRACE_COLUMNS`` order.
-    ``sigma_name`` lets trust-region traces label the radius column
-    ``delta``."""
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.write(",".join(trace_header(sigma_name)) + "\n")
-        for rec in trace.records:
-            row = [fmt(getattr(rec, c)) for c, (fmt, _) in TRACE_CODECS.items()]
-            stream.write(",".join(row) + "\n")

@@ -37,11 +37,11 @@ squared-gradient stop rule, and provenance: the instance and run seeds
 timing: finite, non-negative ``millis`` cells that sum to at most the
 sidecar's finite, non-negative ``wall_s``. It then checks that
 ``summary.csv`` is the summary the sidecars give. A law that raises is
-reported as a violation of its run. Every trace cell is parsed by its
-``arc.TRACE_CODECS`` entry, and a trace that holds a carriage return is
-unreadable. ``summarize_traces``, ``verify_traces`` and
-``determinism_digest`` take one ``RunSet``, the runs of one directory,
-read once.
+reported as a violation of its run. Traces and the summary are written
+in one dialect, ``csv_text``'s: a trace in any other text is unreadable,
+and each trace cell is parsed by its ``TRACE_CODECS`` entry.
+``summarize_traces``, ``verify_traces`` and ``determinism_digest`` take
+one ``RunSet``, the runs of one directory, read once.
 Traces and sidecars are deterministic for a fixed plan and master seed
 up to their wall times, which the content digest therefore excludes.
 """
@@ -57,11 +57,11 @@ from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import Iterable, Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from .arc import DriverConfig, Outcome, SolverConfig, StopRule, write_trace_csv
+from .arc import DriverConfig, IterationRecord, Outcome, SolverConfig, StopRule
 from .errors import ContractError, PlanError
 from .jointdiag import JointDiagObjective, generate_instance
 from .manifolds import Point
@@ -135,8 +135,8 @@ class BenchmarkPlan:
             raise PlanError("sample fractions must lie in (0, 1]")
         if self.max_iters < 1:
             raise PlanError("max_iters must be at least 1")
-        if not self.noise >= 0.0:
-            raise PlanError(f"noise must be non-negative, got {self.noise}")
+        if not 0.0 <= self.noise < math.inf:
+            raise PlanError(f"noise must be finite and non-negative, got {self.noise}")
         # Configs differ by case only in sample sizes, which validation
         # does not read, so one config per solver covers every case.
         n = self.cases[0][0]
@@ -391,24 +391,60 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
     return PlanReport(rows=rows, failures=failures, runs=runs)
 
 
+# -- the CSV dialect ------------------------------------------------------
+
+# A trace cell's ``(format, parse)`` for each ``IterationRecord``
+# annotation: a flag is ``1`` or ``0``, a count its digits, a float its
+# ``repr`` and an absent one empty. Numpy scalars format as Python's.
+_CELL_CODECS = {
+    bool: (lambda v: "1" if v else "0", lambda text: bool(("0", "1").index(text))),
+    int: (lambda v: str(int(v)), int),
+    float: (lambda v: repr(float(v)), float),
+    float | None: (
+        lambda v: "" if v is None else repr(float(v)),
+        lambda text: None if text == "" else float(text),
+    ),
+}
+# Each trace column's codec, in ``IterationRecord`` field order.
+TRACE_CODECS = {
+    name: _CELL_CODECS[kind] for name, kind in get_type_hints(IterationRecord).items()
+}
+TRACE_COLUMNS = tuple(TRACE_CODECS)
+
+
+def trace_header(radius_column: str) -> list[str]:
+    """``TRACE_COLUMNS`` with the weight's column named ``radius_column``."""
+    return [c if c != "sigma" else radius_column for c in TRACE_COLUMNS]
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """The one CSV dialect of traces and ``summary.csv``: cells joined by
+    ``,`` and every line, the header's too, ended by ``\n``."""
+    return "\n".join(map(",".join, [header, *rows])) + "\n"
+
+
+def write_trace_csv(trace: arc.RunTrace, path, *, sigma_name: str = "sigma") -> None:
+    """Write the trace's records in ``TRACE_COLUMNS`` order, the weight's
+    column named ``sigma_name``: ``delta`` for a trust-region run."""
+    codecs = TRACE_CODECS.items()
+    rows = ([fmt(getattr(rec, c)) for c, (fmt, _) in codecs] for rec in trace.records)
+    Path(path).write_text(csv_text(trace_header(sigma_name), rows), encoding="utf-8")
+
+
 def _read_trace(path: Path) -> tuple[list[str], list[list[str]]]:
-    # Bytes, as for the summary: universal newlines would read a carriage
-    # return edited into a line end as part of the line end, and
-    # ``float`` skips one after the last cell, ``millis``, as whitespace.
-    text = path.read_bytes().decode("utf-8")
-    if "\r" in text:
-        raise PlanError(f"{path.name}: unreadable trace: carriage return")
-    return _split_csv(text, path.name)
+    # Bytes: universal newlines would hide a carriage return in a line end.
+    return _split_csv(path.read_bytes().decode("utf-8"), path.name)
 
 
 def _split_csv(text: str, name: str) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of CSV text. Only a newline ends a line, the one
-    line end ``write_trace_csv`` and ``write_summary`` write."""
-    if not text:
-        raise PlanError(f"{name}: empty trace file")
-    lines = text.split("\n")
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:] if line]
+    """Header and rows of text as ``csv_text`` writes it, with no carriage
+    return or empty line; any other text raises ``PlanError`` for ``name``."""
+    if "\r" in text:
+        raise PlanError(f"{name}: unreadable trace: carriage return")
+    lines = text[:-1].split("\n")
+    if not text.endswith("\n") or "" in lines:
+        raise PlanError(f"{name}: unreadable trace: an empty line or no final newline")
+    header, *rows = (line.split(",") for line in lines)
     return header, rows
 
 
@@ -546,17 +582,16 @@ def summarize_traces(runs: RunSet) -> list[SummaryRow]:
 
 
 def format_summary(rows: list[SummaryRow]) -> str:
-    """Summary rows as CSV text under a header, without a final newline."""
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for row in rows:
-        values = asdict(row).values()
-        cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in values)
-        lines.append(",".join(cells))
-    return "\n".join(lines)
+    """Summary rows as CSV text under a header."""
+    cells = (
+        [repr(float(v)) if isinstance(v, float) else str(v) for v in asdict(row).values()]
+        for row in rows
+    )
+    return csv_text(SUMMARY_COLUMNS, cells)
 
 
 def write_summary(rows: list[SummaryRow], path) -> None:
-    Path(path).write_text(format_summary(rows) + "\n", encoding="utf-8")
+    Path(path).write_text(format_summary(rows), encoding="utf-8")
 
 
 # -- verification ---------------------------------------------------------
@@ -564,12 +599,12 @@ def write_summary(rows: list[SummaryRow], path) -> None:
 
 def _parse_columns(header: list[str], rows: list[list[str]]) -> dict[str, list]:
     """The trace columns, keyed by ``IterationRecord`` field and parsed
-    by its ``arc.TRACE_CODECS`` entry, from a trace whose header is
-    ``arc.trace_header``'s. Raises ``ValueError`` naming the first row
+    by its ``TRACE_CODECS`` entry, from a trace whose header is
+    ``trace_header``'s. Raises ``ValueError`` naming the first row
     with the wrong cell count or a cell that does not parse."""
     readers = [
-        (i, header[i], col, arc.TRACE_CODECS[col][1])
-        for i, col in enumerate(arc.TRACE_COLUMNS)
+        (i, header[i], col, TRACE_CODECS[col][1])
+        for i, col in enumerate(TRACE_COLUMNS)
     ]
     columns: dict[str, list] = {col: [] for _, _, col, _ in readers}
     for k, row in enumerate(rows):
@@ -783,7 +818,7 @@ def _check_summary(runs: RunSet):
         yield "missing"
         return
     got = runs.summary.splitlines(keepends=True)
-    want = (format_summary(rows) + "\n").splitlines(keepends=True)
+    want = format_summary(rows).splitlines(keepends=True)
     if len(got) != len(want):
         yield f"{len(got)} lines, expected {len(want)}"
     for i, (line, line_want) in enumerate(zip(got, want), start=1):
@@ -813,7 +848,7 @@ def verify_traces(runs: RunSet) -> list[str]:
         try:
             meta, cfg = run.sidecar
             header, rows = run.trace
-            if header != arc.trace_header(cfg.radius_column):
+            if header != trace_header(cfg.radius_column):
                 raise ValueError(f"unexpected columns {header}")
             case = tuple(meta["case"][k] for k in "ndr")
             own = run_name(case, meta["solver"], meta["rep"])
@@ -836,9 +871,12 @@ def verify_traces(runs: RunSet) -> list[str]:
 # -- determinism digest -----------------------------------------------------
 
 
-def _strip_columns(header: list[str], rows: list[list[str]], drop: set[str]):
+def _hashed_csv(header: list[str], rows: list[list[str]], drop: set[str]) -> bytes:
+    """The table's CSV text without the ``drop`` columns and without its
+    final newline, as the digest hashes it."""
     keep = [i for i, name in enumerate(header) if name not in drop]
-    return [header[i] for i in keep], [[row[i] for i in keep] for row in rows]
+    text = csv_text([header[i] for i in keep], ([row[i] for i in keep] for row in rows))
+    return text[:-1].encode()
 
 
 def determinism_digest(runs: RunSet) -> str:
@@ -847,13 +885,11 @@ def determinism_digest(runs: RunSet) -> str:
     summary's ``time_s_mean``."""
     digest = hashlib.sha256()
     for run in runs:
-        header, rows = _strip_columns(*run.trace, {"millis"})
         digest.update(run.path.name.encode())
-        digest.update("\n".join(",".join(r) for r in [header, *rows]).encode())
+        digest.update(_hashed_csv(*run.trace, {"millis"}))
         meta = {k: v for k, v in run.sidecar[0].items() if k != "wall_s"}
         digest.update(json.dumps(meta, sort_keys=True).encode())
     if runs.summary is not None:
         summary = _split_csv(runs.summary, "summary.csv")
-        header, rows = _strip_columns(*summary, {"time_s_mean"})
-        digest.update("\n".join(",".join(r) for r in [header, *rows]).encode())
+        digest.update(_hashed_csv(*summary, {"time_s_mean"}))
     return digest.hexdigest()

@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
                     raise PlanError(f"--set expects key=value, got {pair!r}")
                 set_plan_value(plan, key.strip(), value)
             report = run_plan(plan, args.out)
-            print(format_summary(report.rows))
+            print(format_summary(report.rows), end="")
             print(f"digest {determinism_digest(report.runs)}")
             if report.failures:
                 for failure in report.failures:
@@ -107,8 +107,7 @@ def main(argv: list[str] | None = None) -> int:
             if not runs:
                 raise PlanError(f"no trace files found in {args.traces}")
             rows = summarize_traces(runs)
-            text = format_summary(rows)
-            print(text)
+            print(format_summary(rows), end="")
             if args.out is not None:
                 write_summary(rows, args.out)
             return 0

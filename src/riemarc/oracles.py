@@ -26,7 +26,7 @@ only the component evaluations that reach the objective, so such an
 iteration charges no gradient batch, and no Hessian batch for ``H[G]``.
 Every other exact product, and every sampled query, is evaluated
 afresh. Either query before the first ``begin_iteration`` raises
-``StaleSampleError``.
+``ContractError``.
 
 ``required_sample_sizes`` computes sizes under which the sample averages
 match the exact quantities to accuracy ``delta_g`` and ``delta_h`` with
@@ -44,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ContractError, StaleSampleError
+from .errors import ContractError
 from .manifolds import Point, Tangent
 from .objectives import SeparableObjective
 
@@ -124,7 +124,7 @@ class OracleBundle:
 
     def _check_begun(self) -> None:
         if self._iteration is None:
-            raise StaleSampleError("oracle queried before begin_iteration")
+            raise ContractError("oracle queried before begin_iteration")
 
     def begin_iteration(self, k: int) -> None:
         """Fix the sample index sets used for iteration ``k``."""

@@ -22,7 +22,8 @@ Lanczos iteration on the Hessian operator restricted to the tangent
 space, with full reorthogonalization, to the fixed relative residual
 tolerance ``LANCZOS_TOL`` within a budget of one iteration per tangent
 dimension, and the outer driver passes the probe it already ran for its
-stop test. Without a probe only the Cauchy point is a candidate.
+stop test. Without a probe only the Cauchy point is a candidate. A zero
+gradient without detected negative curvature raises ``ContractError``.
 
 The Lanczos and refinement loops run on plain arrays, the Lanczos basis
 as the rows of one matrix; a vector becomes a ``Tangent`` only as an
@@ -37,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, ZeroGradientError
+from .errors import ContractError
 from .manifolds import Manifold, Point, Tangent
 
 # Curvature counts as negative only below this relative threshold, so
@@ -278,7 +279,7 @@ def solve_subproblem(
     is not a candidate. ``refine_steps`` bounds the normalized gradient
     steps on ``m`` that polish the winning candidate (0 disables
     refinement). The candidate with the lower model value wins, and the
-    Cauchy point wins a tie. Raises ``ZeroGradientError`` when the
+    Cauchy point wins a tie. Raises ``ContractError`` when the
     gradient is zero and no negative curvature is detected, since the
     caller should have terminated.
     """
@@ -294,7 +295,7 @@ def solve_subproblem(
         eigen_m = candidates[-1][1]
 
     if not candidates:
-        raise ZeroGradientError(
+        raise ContractError(
             "zero gradient without detected negative curvature, nothing to solve"
         )
 

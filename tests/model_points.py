@@ -2,7 +2,7 @@
 candidates as stand-alone steps, shared by the sub-solver tests and the
 acceptance checklist."""
 
-from riemarc.errors import ZeroGradientError
+from riemarc.errors import ContractError
 from riemarc.manifolds import Tangent
 from riemarc.subproblem import CubicModel, _cauchy_candidate, _eigen_candidate
 
@@ -18,12 +18,12 @@ def model_value(model: CubicModel, eta: Tangent) -> float:
 def cauchy_point(model: CubicModel) -> tuple[Tangent, float]:
     """Exact minimizer of ``m`` along ``-G`` and its model value.
 
-    Uses a single Hessian product. Raises ``ZeroGradientError`` when the
+    Uses a single Hessian product. Raises ``ContractError`` when the
     gradient vanishes, since no gradient direction exists.
     """
     gnorm = model.manifold.norm(model.gradient)
     if gnorm == 0.0:
-        raise ZeroGradientError("Cauchy point undefined for a zero gradient")
+        raise ContractError("Cauchy point undefined for a zero gradient")
     return _cauchy_candidate(model, gnorm)
 
 

@@ -1,6 +1,5 @@
 """Adaptive cubic-regularization driver: trace laws, stopping, accounting."""
 
-import csv
 import math
 from functools import partial
 
@@ -9,7 +8,6 @@ import pytest
 
 from riemarc.arc import (
     SIGMA_MIN,
-    TRACE_COLUMNS,
     EigPolicy,
     Outcome,
     RunTrace,
@@ -18,9 +16,8 @@ from riemarc.arc import (
     run,
     runs_probe,
     should_terminate,
-    write_trace_csv,
 )
-from riemarc.errors import ContractError, MissingEigenEstimateError
+from riemarc.errors import ContractError
 from riemarc.jointdiag import JointDiagObjective, generate_instance
 from riemarc.oracles import OracleMode
 from riemarc.trust_region import TrustRegionConfig, run_trust_region
@@ -231,7 +228,10 @@ def test_should_terminate_frozen_examples():
     assert should_terminate(0.0, 0.0, cfg)
     assert not should_terminate(cfg.eps_g / 2.0, -2.0 * cfg.eps_h, cfg)
     assert not should_terminate(2.0 * cfg.eps_g, None, cfg)
-    with pytest.raises(MissingEigenEstimateError):
+    with pytest.raises(
+        ContractError,
+        match="second-order termination test reached without an eigenvalue estimate",
+    ):
         should_terminate(cfg.eps_g / 2.0, None, cfg)
 
     sq = SolverConfig(stop_rule=StopRule.GRAD_SQUARED, tau=1e-3)
@@ -278,6 +278,14 @@ def test_config_validation():
         SolverConfig(tau=math.nan).validate()
     with pytest.raises(ContractError):
         SolverConfig(max_iters=-1).validate()
+
+
+def test_sigma0_may_not_start_below_its_clamp():
+    """``sigma0`` lies in ``[SIGMA_MIN, inf)``, the range the weight
+    update keeps sigma in."""
+    SolverConfig(sigma0=SIGMA_MIN).validate()
+    with pytest.raises(ContractError, match=r"sigma0 must lie in \[1e-12, inf\)"):
+        SolverConfig(sigma0=SIGMA_MIN / 10.0).validate()
 
 
 @pytest.mark.parametrize(
@@ -456,41 +464,3 @@ def test_fail_count_and_sigma_cap_bounds():
     assert max(rec.sigma for rec in trace.records) <= cap
     allowance = math.log(2.0 * cfg.gamma * trace.l_hat / cfg.sigma0, cfg.gamma)
     assert trace.iterations - trace.n_success <= trace.n_success + allowance
-
-
-def test_trace_csv_roundtrip(tmp_path):
-    obj = SaddleQuartic.random(10, 3, seed=21)
-    x0 = obj.manifold.random_point(9)
-    cfg = SolverConfig(seed=22, eig_policy=EigPolicy.EVERY_ITERATION, max_iters=25)
-    trace = run(obj, x0, cfg)
-    assert trace.iterations > 0
-
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    with open(path, newline="", encoding="utf-8") as stream:
-        rows = list(csv.reader(stream))
-    assert rows[0] == list(TRACE_COLUMNS)
-    assert len(rows) == trace.iterations + 1
-    for rec, row in zip(trace.records, rows[1:]):
-        parsed = dict(zip(rows[0], row))
-        assert int(parsed["k"]) == rec.k
-        assert float(parsed["f"]) == rec.f  # repr round-trips exactly
-        assert float(parsed["sigma"]) == rec.sigma
-        assert float(parsed["rho"]) == rec.rho
-        assert parsed["success"] == ("1" if rec.success else "0")
-        if rec.lambda_min is None:
-            assert parsed["lambda_min"] == ""
-        else:
-            assert float(parsed["lambda_min"]) == rec.lambda_min
-        assert int(parsed["grad_evals"]) == rec.grad_evals
-
-
-def test_trace_csv_sigma_column_renaming(tmp_path):
-    obj = QuadraticSum.random(8, 3, seed=23, definite=True)
-    x0 = obj.manifold.random_point(10)
-    trace = run(obj, x0, SolverConfig(seed=24, max_iters=5))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path, sigma_name="delta")
-    header = path.read_text().splitlines()[0].split(",")
-    assert "delta" in header and "sigma" not in header
-

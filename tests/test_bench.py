@@ -3,6 +3,7 @@
 import builtins
 import collections
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -24,18 +25,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riemarc.arc import (
-    TRACE_CODECS,
-    TRACE_COLUMNS,
+    EigPolicy,
     IterationRecord,
     Outcome,
     RunTrace,
-    write_trace_csv,
+    SolverConfig,
+    run,
 )
 from riemarc.bench import (
+    TRACE_CODECS,
+    TRACE_COLUMNS,
     BenchmarkPlan,
     RunSet,
     SOLVERS,
     _derived_seed,
+    csv_text,
     default_plan,
     determinism_digest,
     iter_run_files,
@@ -46,6 +50,7 @@ from riemarc.bench import (
     summarize_traces,
     verify_traces,
     write_summary,
+    write_trace_csv,
 )
 from riemarc import bench
 from riemarc.cli import main as cli_main
@@ -53,6 +58,8 @@ from riemarc.errors import ContractError, PlanError
 from riemarc.jointdiag import JointDiagObjective, generate_instance
 from riemarc.manifolds import Manifold
 from riemarc.oracles import OracleBundle, OracleMode
+
+from euclidean import QuadraticSum, SaddleQuartic
 
 # Small but not tiny: protocol-style fractions at n below ~100 give
 # single-digit sample sizes whose noise stalls the sub-sampled solvers,
@@ -131,6 +138,19 @@ def test_parse_plan_errors():
             parse_plan(f"{line}\ncase 10 3 2\n")
     with pytest.raises(PlanError, match="line 1: cannot override 'cases'"):
         parse_plan("cases = 3\ncase 10 3 2\n")
+
+
+@pytest.mark.parametrize("noise", [math.inf, math.nan, -1.0])
+def test_plan_noise_must_be_finite_and_non_negative(tmp_path, noise):
+    """A plan built in code is held to ``generate_instance``'s noise rule
+    before any run, so ``run_plan`` writes nothing."""
+    plan = BenchmarkPlan(cases=[(40, 4, 3)], repetitions=1, noise=noise)
+    message = f"noise must be finite and non-negative, got {noise}"
+    with pytest.raises(PlanError, match=message):
+        plan.validate()
+    with pytest.raises(PlanError, match=message):
+        run_plan(plan, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_plan_validates_only_selected_solver_configs():
@@ -1017,12 +1037,18 @@ def test_verify_flags_a_run_filed_under_another_name(bench_dir, tmp_path):
     ]
 
 
+_UNENDED_OR_EMPTY = "unreadable trace: an empty line or no final newline"
+
+
 @pytest.mark.parametrize(
     "edit, first",
     [
         ("header-crlf", "unreadable trace: carriage return"),
         ("last-row-crlf", "unreadable trace: carriage return"),
         ("header-form-feed", "unexpected columns "),
+        ("blank-line", _UNENDED_OR_EMPTY),
+        ("no-final-newline", _UNENDED_OR_EMPTY),
+        ("double-final-newline", _UNENDED_OR_EMPTY),
     ],
 )
 def test_only_a_newline_ends_a_trace_line(bench_dir, tmp_path, capsys, edit, first):
@@ -1030,7 +1056,10 @@ def test_only_a_newline_ends_a_trace_line(bench_dir, tmp_path, capsys, edit, fir
     end, as universal newlines would: after the header, and after the
     last row, where ``float`` would skip it as whitespace in ``millis``.
     A form feed in place of the header's line end joins the header to
-    row 0 instead of breaking the line, as ``str.splitlines`` would."""
+    row 0 instead of breaking the line, as ``str.splitlines`` would.
+    A trace is read only as the writer writes it, every line non-empty
+    and ended by a newline: an inserted empty line, a lost final newline
+    or a doubled one is reported, not skipped."""
     copy = tmp_path / edit
     shutil.copytree(bench_dir, copy)
     stem = run_name(_TINY_PLAN.cases[0], "racr", 0)
@@ -1040,8 +1069,15 @@ def test_only_a_newline_ends_a_trace_line(bench_dir, tmp_path, capsys, edit, fir
         data = data.replace(b"\n", b"\r\n", 1)
     elif edit == "last-row-crlf":
         data = data[:-1] + b"\r\n"
-    else:
+    elif edit == "header-form-feed":
         data = data.replace(b"\n", b"\x0c", 1)
+    elif edit == "blank-line":
+        lines = data.split(b"\n")
+        data = b"\n".join([*lines[:2], b"", *lines[2:]])
+    elif edit == "no-final-newline":
+        data = data[:-1]
+    else:
+        data = data + b"\n"
     path.write_bytes(data)
 
     problems = verify_traces(RunSet(copy))
@@ -1320,6 +1356,71 @@ def test_trace_cells_write_the_reference_text_and_parse_back(codec_dir, records)
                 assert back == plain and type(back) is type(plain)
 
 
+def test_trace_csv_roundtrip(tmp_path):
+    obj = SaddleQuartic.random(10, 3, seed=21)
+    x0 = obj.manifold.random_point(9)
+    cfg = SolverConfig(seed=22, eig_policy=EigPolicy.EVERY_ITERATION, max_iters=25)
+    trace = run(obj, x0, cfg)
+    assert trace.iterations > 0
+
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    with open(path, newline="", encoding="utf-8") as stream:
+        rows = list(csv.reader(stream))
+    assert rows[0] == list(TRACE_COLUMNS)
+    assert len(rows) == trace.iterations + 1
+    for rec, row in zip(trace.records, rows[1:]):
+        parsed = dict(zip(rows[0], row))
+        assert int(parsed["k"]) == rec.k
+        assert float(parsed["f"]) == rec.f  # repr round-trips exactly
+        assert float(parsed["sigma"]) == rec.sigma
+        assert float(parsed["rho"]) == rec.rho
+        assert parsed["success"] == ("1" if rec.success else "0")
+        if rec.lambda_min is None:
+            assert parsed["lambda_min"] == ""
+        else:
+            assert float(parsed["lambda_min"]) == rec.lambda_min
+        assert int(parsed["grad_evals"]) == rec.grad_evals
+
+
+def test_trace_csv_sigma_column_renaming(tmp_path):
+    obj = QuadraticSum.random(8, 3, seed=23, definite=True)
+    x0 = obj.manifold.random_point(10)
+    trace = run(obj, x0, SolverConfig(seed=24, max_iters=5))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path, sigma_name="delta")
+    header = path.read_text().splitlines()[0].split(",")
+    assert "delta" in header and "sigma" not in header
+
+
+# Cells of the one CSV dialect: any text without ``,``, ``\n`` or
+# ``\r``. A line of one empty cell is an empty line, which no trace or
+# summary holds.
+_CELLS = st.text(st.characters(codec="utf-8", exclude_characters=",\n\r"), max_size=4)
+_LINES = st.lists(_CELLS, min_size=1, max_size=4).filter(lambda line: line != [""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=_LINES, rows=st.lists(_LINES, max_size=4), data=st.data())
+def test_the_reader_reads_exactly_what_the_dialect_writes(
+    codec_dir, header, rows, data
+):
+    """The trace reader gives back the header and rows ``csv_text``
+    wrote, and rejects the text with one empty line inserted anywhere,
+    or with its final newline lost."""
+    path = codec_dir / "dialect.csv"
+    text = csv_text(header, rows)
+    path.write_bytes(text.encode("utf-8"))
+    assert bench._read_trace(path) == (header, rows)
+
+    lines = text[:-1].split("\n")
+    at = data.draw(st.integers(0, len(lines)))
+    for edited in ("\n".join([*lines[:at], "", *lines[at:]]) + "\n", text[:-1]):
+        path.write_bytes(edited.encode("utf-8"))
+        with pytest.raises(PlanError, match=_UNENDED_OR_EMPTY):
+            bench._read_trace(path)
+
+
 @pytest.mark.parametrize(
     "solver, refine_steps", [*((s, 0) for s in SOLVERS), ("racr", 3)]
 )
@@ -1453,6 +1554,28 @@ def test_python_dash_m_riemarc_verifies(bench_dir, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("ok, digest ")
+
+
+def test_the_solvers_import_without_the_harness(tmp_path):
+    """``riemarc.arc`` and ``riemarc.trust_region`` do not import
+    ``riemarc.bench``: the solver stands without the harness."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, riemarc.arc, riemarc.trust_region; "
+        "print('riemarc.bench' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_verify_empty_directory(tmp_path):
@@ -1703,6 +1826,7 @@ def test_cli_rejects_bad_inputs(tmp_path, capsys):
         "noise=nan",
         "tau=nan",
         "sigma0=inf",
+        "sigma0=1e-13",
         "master_seed=-3",
     ],
 )
@@ -1807,7 +1931,7 @@ _PLAN_VALUES = {
 # A Cauchy model value that overflows.
 @example(
     cases=[(1, 3, 1)],
-    values={"max_iters": 30, "sigma0": 1e-103},
+    values={"max_iters": 30, "noise": 1e60},
     solvers=["racr"],
     separator=",",
 )

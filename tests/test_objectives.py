@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from riemarc.arc import SolverConfig, run
-from riemarc.errors import ContractError, StaleSampleError
+from riemarc.errors import ContractError
 from riemarc.manifolds import Tangent
 from riemarc.oracles import (
     OracleBundle,
@@ -255,7 +255,7 @@ def test_gradient_before_begin_iteration_raises():
     }
     for mode in OracleMode:
         bundle = OracleBundle(obj, mode, **sizes[mode])
-        with pytest.raises(StaleSampleError):
+        with pytest.raises(ContractError, match="oracle queried before begin_iteration"):
             bundle.inexact_gradient(x)
         assert bundle.counters.grad_components == 0
 
@@ -310,7 +310,7 @@ def test_hvp_before_begin_iteration_raises():
     x = obj.manifold.random_point(36)
     xi = obj.manifold.random_tangent(x, 37)
     bundle = OracleBundle(obj, OracleMode.SUBSAMPLED_HESSIAN, hess_sample_size=3)
-    with pytest.raises(StaleSampleError):
+    with pytest.raises(ContractError, match="oracle queried before begin_iteration"):
         bundle.inexact_hvp(x, xi)
 
 
