@@ -21,27 +21,28 @@ data. ``start_point`` derives a position's instance and start point,
 config: plan keys named like config fields carry over, and the solver
 name fixes the step rule and oracle mode. ``solve`` runs a config's
 step rule. Every run writes a trace CSV plus a sidecar ``.meta.json``
-holding that config as ``dataclasses.asdict`` gives it, enums by value
-and nothing added, the position ``start_point`` reads, and the run's
-outcome and oracle totals; ``summary.csv`` aggregates per (case,
-solver). ``config_from_sidecar`` rebuilds the config with every field
-typed by its annotation and validates it, so a sidecar is enough to
-rerun its run, and a sidecar key that no run writes is unreadable.
+holding its ``RunRecord`` and that config, each as ``dataclasses.asdict``
+gives it, enums by value; ``summary.csv`` aggregates per (case,
+solver). Sidecar keys and trace and summary cells are each read or
+written by their field's annotation, and ``config_from_sidecar``
+rebuilds and validates the config, so a sidecar is enough to rerun its
+run, and a sidecar key that no run writes is unreadable.
 ``verify_traces`` applies the run laws of ``_RUN_LAWS``, in order, to
 each run whose files parse and are filed under the run's own
 ``run_name``: row count and iteration budget, stop test and probe
 policy, the step rule's weight recurrence, objective bookkeeping, oracle
 counters, the totals against the last trace row under the benchmark's
 squared-gradient stop rule, and provenance: the instance and run seeds
-``run_plan`` derives from the run's position, and a valid noise, and
-timing: finite, non-negative ``millis`` cells that sum to at most the
-sidecar's finite, non-negative ``wall_s``. It then checks that
-``summary.csv`` is the summary the sidecars give. A law that raises is
-reported as a violation of its run. Traces and the summary are written
-in one dialect, ``csv_text``'s: a trace in any other text is unreadable,
-and each trace cell is parsed by its ``TRACE_CODECS`` entry.
-``summarize_traces``, ``verify_traces`` and ``determinism_digest`` take
-one ``RunSet``, the runs of one directory, read once.
+``run_plan`` derives from the run's position, and a case and noise that
+``jointdiag.check_instance`` accepts, and timing: finite, non-negative
+``millis`` cells that sum to at most the sidecar's finite, non-negative
+``wall_s``. It then checks that ``summary.csv`` is the summary the
+sidecars give. A law that raises is reported as a violation of its run.
+Traces and the summary are written in one dialect, ``csv_text``'s: a
+trace in any other text is unreadable, and each trace cell is parsed by
+its ``TRACE_CODECS`` entry. ``summarize_traces``, ``verify_traces`` and
+``determinism_digest`` take one ``RunSet``, the runs of one directory,
+read once; a path that is not a directory is a ``PlanError``.
 Traces and sidecars are deterministic for a fixed plan and master seed
 up to their wall times, which the content digest therefore excludes.
 """
@@ -53,7 +54,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -63,7 +64,7 @@ import numpy as np
 
 from .arc import DriverConfig, IterationRecord, Outcome, SolverConfig, StopRule
 from .errors import ContractError, PlanError
-from .jointdiag import JointDiagObjective, generate_instance
+from .jointdiag import JointDiagObjective, check_instance, generate_instance
 from .manifolds import Point
 from .oracles import OracleMode, check_sample_sizes
 from .trust_region import TrustRegionConfig, run_trust_region
@@ -102,22 +103,24 @@ class BenchmarkPlan:
     repetitions: int = 3
     master_seed: int = 7
     noise: float = 1e-3
-    sigma0: float = 1e-3
-    delta0: float = 1.0
-    rho_threshold: float = 0.9
-    gamma: float = 2.0
-    tau: float = 1e-3
+    sigma0: float = SolverConfig.sigma0
+    delta0: float = TrustRegionConfig.delta0
+    rho_threshold: float = DriverConfig.rho_threshold
+    gamma: float = DriverConfig.gamma
+    tau: float = DriverConfig.tau
     max_iters: int = 2000
     grad_frac: float = 0.25
     hess_frac: float = 0.025
-    refine_steps: int = 0
+    refine_steps: int = SolverConfig.refine_steps
 
     def validate(self) -> None:
         if not self.cases:
             raise PlanError("plan has no cases")
         for n, d, r in self.cases:
-            if n < 1 or d < 1 or not 1 <= r <= d:
-                raise PlanError(f"invalid case (n={n}, d={d}, r={r})")
+            try:
+                check_instance(n, d, r, self.noise)
+            except ContractError as exc:
+                raise PlanError(f"case {n} {d} {r}: {exc}") from exc
             if self.cases.count((n, d, r)) > 1:
                 raise PlanError(f"case {n} {d} {r} is listed more than once")
         if not self.solvers:
@@ -135,8 +138,6 @@ class BenchmarkPlan:
             raise PlanError("sample fractions must lie in (0, 1]")
         if self.max_iters < 1:
             raise PlanError("max_iters must be at least 1")
-        if not 0.0 <= self.noise < math.inf:
-            raise PlanError(f"noise must be finite and non-negative, got {self.noise}")
         # Configs differ by case only in sample sizes, which validation
         # does not read, so one config per solver covers every case.
         n = self.cases[0][0]
@@ -267,9 +268,9 @@ def solve(objective: JointDiagObjective, x0: Point, cfg: DriverConfig) -> arc.Ru
     return runner(objective, x0, cfg)
 
 
-def _config_sidecar(cfg: DriverConfig) -> dict:
-    """``asdict(cfg)`` with enums by value."""
-    return {k: v.value if isinstance(v, Enum) else v for k, v in asdict(cfg).items()}
+def _config_sidecar(record) -> dict:
+    """``asdict(record)`` with enums by value, for a config or a ``RunRecord``."""
+    return {k: v.value if isinstance(v, Enum) else v for k, v in asdict(record).items()}
 
 
 def _typed(meta: dict, key: str, kind):
@@ -308,6 +309,30 @@ def config_from_sidecar(meta: dict) -> DriverConfig:
 
 
 @dataclass
+class RunRecord:
+    """A sidecar's run keys, beside its config's fields. ``final_f`` is None
+    where the objective is not finite: JSON has no NaN."""
+
+    case: dict
+    solver: str
+    rep: int
+    master_seed: int
+    case_index: int
+    instance_seed: int
+    noise: float
+    outcome: Outcome
+    iterations: int
+    final_f: float | None
+    wall_s: float
+    grad_evals: int
+    hess_evals: int
+    objective_evals: int
+
+
+_RUN_TYPES = {key: _json_kind(kind) for key, kind in get_type_hints(RunRecord).items()}
+
+
+@dataclass
 class SummaryRow:
     case: str
     solver: str
@@ -319,9 +344,6 @@ class SummaryRow:
     grad_evals_total: int
     hess_evals_total: int
     objective_evals_total: int
-
-
-SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
 @dataclass
@@ -362,24 +384,23 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                     failures.append(f"{name}: non-finite objective during run")
                 csv_path = out / f"{name}.csv"
                 write_trace_csv(trace, csv_path, sigma_name=cfg.radius_column)
-                meta = {
-                    "case": {"n": n, "d": d, "r": r},
-                    "solver": solver,
-                    "rep": rep,
-                    "master_seed": plan.master_seed,
-                    "case_index": ci,
-                    "instance_seed": instance_seed,
-                    "noise": plan.noise,
-                    **_config_sidecar(cfg),
-                    "outcome": trace.outcome.value,
-                    "iterations": trace.iterations,
-                    # JSON has no NaN: a non-finite start objective is null.
-                    "final_f": trace.final_f if math.isfinite(trace.final_f) else None,
-                    "wall_s": wall_s,
-                    "grad_evals": trace.grad_evals,
-                    "hess_evals": trace.hess_evals,
-                    "objective_evals": trace.objective_evals,
-                }
+                record = RunRecord(
+                    case={"n": n, "d": d, "r": r},
+                    solver=solver,
+                    rep=rep,
+                    master_seed=plan.master_seed,
+                    case_index=ci,
+                    instance_seed=instance_seed,
+                    noise=plan.noise,
+                    outcome=trace.outcome,
+                    iterations=trace.iterations,
+                    final_f=trace.final_f if math.isfinite(trace.final_f) else None,
+                    wall_s=wall_s,
+                    grad_evals=trace.grad_evals,
+                    hess_evals=trace.hess_evals,
+                    objective_evals=trace.objective_evals,
+                )
+                meta = _config_sidecar(record) | _config_sidecar(cfg)
                 (out / f"{name}.meta.json").write_text(
                     json.dumps(meta, indent=1, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8",
@@ -393,10 +414,11 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
 
 # -- the CSV dialect ------------------------------------------------------
 
-# A trace cell's ``(format, parse)`` for each ``IterationRecord``
-# annotation: a flag is ``1`` or ``0``, a count its digits, a float its
-# ``repr`` and an absent one empty. Numpy scalars format as Python's.
+# A trace or summary cell's ``(format, parse)`` for each annotation: a
+# flag is ``1`` or ``0``, a count its digits, a float its ``repr``, an
+# absent one empty and a name itself. Numpy scalars format as Python's.
 _CELL_CODECS = {
+    str: (str, str),
     bool: (lambda v: "1" if v else "0", lambda text: bool(("0", "1").index(text))),
     int: (lambda v: str(int(v)), int),
     float: (lambda v: repr(float(v)), float),
@@ -405,10 +427,11 @@ _CELL_CODECS = {
         lambda text: None if text == "" else float(text),
     ),
 }
-# Each trace column's codec, in ``IterationRecord`` field order.
-TRACE_CODECS = {
-    name: _CELL_CODECS[kind] for name, kind in get_type_hints(IterationRecord).items()
-}
+# Each trace and summary column's codec, in field order.
+TRACE_CODECS, _SUMMARY_CODECS = (
+    {name: _CELL_CODECS[kind] for name, kind in get_type_hints(cls).items()}
+    for cls in (IterationRecord, SummaryRow)
+)
 TRACE_COLUMNS = tuple(TRACE_CODECS)
 
 
@@ -452,6 +475,8 @@ def iter_run_files(directory) -> list[Path]:
     """The trace path of every run in ``directory``: each ``.csv`` but the
     summary, and the ``.csv`` of each sidecar, whether it exists or not."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise PlanError(f"{directory}: no such directory")
     names = [p.name for p in directory.glob("*")]
     stems = {n.removesuffix(".csv") for n in names if n.endswith(".csv")}
     stems |= {n.removesuffix(".meta.json") for n in names if n.endswith(".meta.json")}
@@ -496,43 +521,23 @@ class RunSet(list):
             return None
 
 
-# The run keys that verify and summarize read besides the solver and
-# its config's (``config_from_sidecar``), in ``_json_kind``'s form. A
-# sidecar holds no other keys.
-_SIDECAR_TYPES = {
-    "case": (dict,),
-    "rep": (int,),
-    "master_seed": (int,),
-    "case_index": (int,),
-    "instance_seed": (int,),
-    "noise": (int, float),
-    "outcome": Outcome,
-    "grad_evals": (int,),
-    "hess_evals": (int,),
-    "objective_evals": (int,),
-    "iterations": (int,),
-    "final_f": (int, float, type(None)),
-    "wall_s": (int, float),
-}
-
-
 def _read_sidecar(trace_path: Path) -> tuple[dict, DriverConfig]:
     """The run's sidecar and the config it records. Raises ``PlanError``
     naming the run when the file cannot be read, is not a JSON object,
-    has other keys than a run writes, or holds a value of the wrong type
-    or one no valid run writes (``config_from_sidecar``)."""
+    has keys other than ``RunRecord``'s and its config's, or holds a value
+    of the wrong type or one no valid run writes (``config_from_sidecar``)."""
     meta_path = trace_path.with_suffix(".meta.json")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
-        for key, kind in _SIDECAR_TYPES.items():
+        for key, kind in _RUN_TYPES.items():
             _typed(meta, key, kind)
         case = meta["case"]
         if len(case) != 3 or not all(type(case.get(k)) is int for k in "ndr"):
             raise ValueError(f"'case' is {case!r}")
         cfg = config_from_sidecar(meta)
-        unknown = meta.keys() - {"solver", *_SIDECAR_TYPES, *_CONFIG_TYPES[type(cfg)]}
+        unknown = meta.keys() - {*_RUN_TYPES, *_CONFIG_TYPES[type(cfg)]}
         if unknown:
             raise ValueError(f"unknown key {min(unknown)!r}")
     except FileNotFoundError:
@@ -582,12 +587,10 @@ def summarize_traces(runs: RunSet) -> list[SummaryRow]:
 
 
 def format_summary(rows: list[SummaryRow]) -> str:
-    """Summary rows as CSV text under a header."""
-    cells = (
-        [repr(float(v)) if isinstance(v, float) else str(v) for v in asdict(row).values()]
-        for row in rows
-    )
-    return csv_text(SUMMARY_COLUMNS, cells)
+    """Summary rows as CSV text under a header, each cell by its codec."""
+    codecs = _SUMMARY_CODECS.items()
+    cells = ([fmt(getattr(row, c)) for c, (fmt, _) in codecs] for row in rows)
+    return csv_text(tuple(_SUMMARY_CODECS), cells)
 
 
 def write_summary(rows: list[SummaryRow], path) -> None:
@@ -766,8 +769,8 @@ def _check_run_totals(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
 def _check_provenance(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
     """The instance seed and the run seed are the ones ``run_plan``
     derives from the master seed, case index, repetition and solver, so
-    the run's instance and samples can be drawn again, and the noise is
-    one ``generate_instance`` accepts."""
+    the run's instance and samples can be drawn again, and the recorded
+    case and noise obey the instance rule, ``check_instance``."""
     position = (meta["master_seed"], meta["case_index"], meta["rep"])
     instance_seed = _instance_seed(*position)
     if meta["instance_seed"] != instance_seed:
@@ -775,8 +778,10 @@ def _check_provenance(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
     run_seed = _run_seed(*position, meta["solver"])
     if cfg.seed != run_seed:
         yield f"seed is {cfg.seed!r}, expected {run_seed}"
-    if not 0.0 <= meta["noise"] < math.inf:
-        yield f"noise is {meta['noise']!r}, expected finite and non-negative"
+    try:
+        check_instance(*(meta["case"][k] for k in "ndr"), meta["noise"])
+    except ContractError as exc:
+        yield str(exc)
 
 
 def _check_timing(meta: dict, cfg: DriverConfig, cols: dict[str, list]):

@@ -47,7 +47,9 @@ and returns ``D W + Z S``: row ``j`` of ``W`` holds the packed entries
 deviations of ``noise * (E_i + E_i^T) / 2``. Matrices from elsewhere
 enter through ``JDInstance.from_matrices(c, r)``. An instance holds the
 family and ``r`` only; the seed and noise it was drawn with are the
-run sidecar's record.
+run sidecar's record. ``check_instance`` is the one instance rule,
+``n >= 1``, ``1 <= r <= d`` and ``0 <= noise < inf``, of the builder,
+``JDInstance``, the benchmark plan and ``verify``.
 """
 
 from __future__ import annotations
@@ -64,15 +66,26 @@ from .objectives import SeparableObjective
 SYMMETRY_TOL = 1e-8
 
 
+def check_instance(n: int, d: int, r: int, noise: float = 0.0) -> None:
+    """The instance rule: at least one matrix, ``1 <= r <= d`` and a noise
+    level in ``[0, inf)``. Raises ``ContractError`` naming the broken part."""
+    if n < 1:
+        raise ContractError(f"need at least one matrix, got n={n}")
+    if not 1 <= r <= d:
+        raise ContractError(f"need 1 <= r <= d, got r={r}, d={d}")
+    if not 0.0 <= noise < math.inf:
+        raise ContractError(f"noise must be finite and non-negative, got {noise}")
+
+
 @dataclass(frozen=True)
 class JDInstance:
     """A problem instance: the matrix family and the rank ``r``.
 
     ``rows`` holds the family as read-only ``(n, d(d+1)/2)`` packed
     rows, the upper-triangle entries of each ``C_m`` in
-    ``np.triu_indices(d)`` order. A read-only array that owns its memory
-    is kept as it is; any other is copied, so the caller's array is never
-    frozen or shared."""
+    ``np.triu_indices(d)`` order, under ``check_instance``. A read-only
+    array that owns its memory is kept as it is; any other is copied, so
+    the caller's array is never frozen or shared."""
 
     rows: np.ndarray  # (n, d(d+1)/2)
     d: int
@@ -83,10 +96,7 @@ class JDInstance:
         t = self.d * (self.d + 1) // 2
         if rows.ndim != 2 or rows.shape[1] != t:
             raise ContractError(f"expected (n, {t}) rows, d={self.d}, got {rows.shape}")
-        if rows.shape[0] < 1:
-            raise ContractError("need at least one matrix, got n=0")
-        if not 1 <= self.r <= self.d:
-            raise ContractError(f"need 1 <= r <= d, got r={self.r}, d={self.d}")
+        check_instance(rows.shape[0], self.d, self.r)
         if rows.flags.writeable or not rows.flags.owndata:
             rows = rows.copy()
         rows.setflags(write=False)
@@ -122,12 +132,7 @@ def generate_instance(
     n: int, d: int, r: int, seed: int, noise: float = 1e-3
 ) -> JDInstance:
     """Draw an instance with a shared planted congruence."""
-    if n < 1:
-        raise ContractError(f"need at least one matrix, got n={n}")
-    if not 1 <= r <= d:
-        raise ContractError(f"need 1 <= r <= d, got r={r}, d={d}")
-    if not 0.0 <= noise < math.inf:
-        raise ContractError(f"noise must be finite and non-negative, got {noise}")
+    check_instance(n, d, r, noise)
     rng = np.random.default_rng([seed, 3])
     q = qr_orthonormal_factor(rng.standard_normal((d, d)))
     diags = rng.uniform(1.0, 2.0, size=(n, d))

@@ -18,6 +18,7 @@ import time
 import tracemalloc
 from pathlib import Path
 from typing import get_type_hints
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -151,6 +152,56 @@ def test_plan_noise_must_be_finite_and_non_negative(tmp_path, noise):
     with pytest.raises(PlanError, match=message):
         run_plan(plan, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+_NOISE = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    d=st.integers(0, 6),
+    r=st.integers(0, 6),
+    noise=_NOISE,
+)
+@example(n=1, d=1, r=1, noise=-0.0)
+@example(n=0, d=0, r=0, noise=math.nan)
+@example(n=5, d=3, r=4, noise=1e-3)
+def test_one_instance_rule_for_plans_instances_and_sidecars(n, d, r, noise):
+    """The plan check, the instance builder and verify's provenance law
+    reject exactly the same cases and noise levels, with the one message
+    of ``check_instance``: the plan's names the case, and the builder
+    raises before it draws anything."""
+    valid = n >= 1 and 1 <= r <= d and 0.0 <= noise < math.inf
+    plan = BenchmarkPlan(cases=[(n, d, r)], repetitions=1, noise=noise)
+    meta = {
+        "case": {"n": n, "d": d, "r": r},
+        "solver": "racr",
+        "master_seed": 7,
+        "case_index": 0,
+        "rep": 0,
+        "instance_seed": bench._instance_seed(7, 0, 0),
+        "noise": noise,
+    }
+    cfg = SolverConfig(seed=bench._run_seed(7, 0, 0, "racr"))
+    violations = list(bench._check_provenance(meta, cfg, {}))
+    if valid:
+        plan.validate()
+        assert generate_instance(n, d, r, seed=3, noise=noise).n == n
+        assert violations == []
+        return
+    with mock.patch("numpy.random.default_rng", side_effect=AssertionError("drew")):
+        with pytest.raises(ContractError) as raised:
+            generate_instance(n, d, r, seed=3, noise=noise)
+    rule = str(raised.value)
+    with pytest.raises(PlanError) as plan_error:
+        plan.validate()
+    assert str(plan_error.value) == f"case {n} {d} {r}: {rule}"
+    assert violations == [rule]
 
 
 def test_plan_validates_only_selected_solver_configs():
@@ -336,16 +387,47 @@ def test_sidecar_config_is_the_config_run(default_runs, solver, refine_steps):
 
 
 def test_sidecars_hold_exactly_the_keys_verify_allows(default_runs, bench_dir):
-    """A sidecar holds the run keys verify reads, the solver, and the
-    fields of its config class, and nothing else."""
+    """A sidecar holds the fields of ``RunRecord`` and of its config class,
+    which share no name, and nothing else."""
     directories = [bench_dir, *(out for _, out in default_runs.values())]
     paths = [path for out in directories for path in out.glob("*.meta.json")]
     assert len(paths) == 2 * 36 + 8
+    run_keys = {f.name for f in dataclasses.fields(bench.RunRecord)}
     for path in paths:
         meta = json.loads(path.read_text())
         cls = type(bench.config_from_sidecar(meta))
         fields = {f.name for f in dataclasses.fields(cls)}
-        assert meta.keys() == {"solver", *bench._SIDECAR_TYPES, *fields}
+        assert not run_keys & fields
+        assert meta.keys() == run_keys | fields
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_a_sidecar_reads_back_as_the_record_and_config_written(
+    tmp_path, monkeypatch, solver
+):
+    """Each sidecar ``run_plan`` writes parses back through
+    ``_read_sidecar`` to the ``RunRecord`` and the config it was written
+    from, each run key typed by its ``RunRecord`` annotation."""
+    written = []
+    to_sidecar = bench._config_sidecar
+
+    def spy(record):
+        written.append(record)
+        return to_sidecar(record)
+
+    monkeypatch.setattr(bench, "_config_sidecar", spy)
+    plan = dataclasses.replace(_TINY_PLAN, solvers=[solver])
+    out = tmp_path / "runs"
+    assert run_plan(plan, out).failures == []
+    assert len(written) == 2 * plan.repetitions
+    for record, cfg in zip(written[::2], written[1::2]):
+        case = tuple(record.case[k] for k in "ndr")
+        path = out / f"{run_name(case, solver, record.rep)}.csv"
+        meta, read_cfg = bench._read_sidecar(path)
+        assert read_cfg == cfg
+        run_types = bench._RUN_TYPES.items()
+        typed = {key: bench._typed(meta, key, kind) for key, kind in run_types}
+        assert bench.RunRecord(**typed) == record
 
 
 _SIZES_OBJECTIVE = JointDiagObjective(generate_instance(20, 3, 2, seed=5))
@@ -973,7 +1055,7 @@ def test_impossible_sidecar_value_is_a_violation(
     "key, value, first",
     [
         ("noise", "abc", "unreadable sidecar: 'noise' is 'abc'"),
-        ("noise", -5.0, "noise is -5.0, expected finite and non-negative"),
+        ("noise", -5.0, "noise must be finite and non-negative, got -5.0"),
         ("rep", 1.5, "unreadable sidecar: 'rep' is 1.5"),
         ("rep", 2, "the sidecar is that of run case300x5x5_rep2_racr"),
         ("rep", 7, "the sidecar is that of run case300x5x5_rep7_racr"),
@@ -1748,15 +1830,44 @@ def test_cli_run_verify_summarize(tmp_path, capsys):
 
 
 def test_cli_summarize_of_a_directory_without_runs_fails(tmp_path, capsys):
-    """``summarize`` of a missing or empty directory exits 1, as ``verify``
-    does, and writes no summary."""
+    """``summarize`` of an empty directory exits 1, as ``verify`` does, and
+    writes no summary."""
     summary_out = tmp_path / "summary.csv"
-    for directory in (tmp_path / "no_such_dir", tmp_path):
+    code = cli_main(["summarize", str(tmp_path), "--out", str(summary_out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: no trace files found in {tmp_path}\n"
+    assert not summary_out.exists()
+
+
+def _not_a_directory(tmp_path):
+    """A path where nothing is, and one where a file is."""
+    a_file = tmp_path / "summary.csv"
+    a_file.write_text("case,solver\n", encoding="utf-8")
+    return [tmp_path / "no_such_dir", a_file]
+
+
+def test_cli_verify_of_a_missing_directory_names_the_path(tmp_path, capsys):
+    """``verify`` of a path that is not a directory says so, rather than
+    blaming runs that were never there, and exits 1."""
+    for directory in _not_a_directory(tmp_path):
+        assert cli_main(["verify", str(directory)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {directory}: no such directory\n"
+
+
+def test_cli_summarize_of_a_missing_directory_names_the_path(tmp_path, capsys):
+    """``summarize`` of a path that is not a directory says so, exits 1
+    and writes no summary."""
+    summary_out = tmp_path / "rebuilt.csv"
+    for directory in _not_a_directory(tmp_path):
         code = cli_main(["summarize", str(directory), "--out", str(summary_out)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == f"error: no trace files found in {directory}\n"
+        assert captured.err == f"error: {directory}: no such directory\n"
         assert not summary_out.exists()
 
 

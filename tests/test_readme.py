@@ -1,9 +1,15 @@
-"""README's examples, run as written."""
+"""README's examples, run as written, and its lists of sidecar fields."""
 
+import dataclasses
 import re
 from pathlib import Path
 
+import pytest
+
+from riemarc.arc import DriverConfig, SolverConfig
+from riemarc.bench import RunRecord
 from riemarc.cli import main as cli_main
+from riemarc.trust_region import TrustRegionConfig
 
 _README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +35,27 @@ def test_readme_examples_run(tmp_path, capsys):
     assert cli_main(["run", "--plan", str(plan), "--out", str(out)]) == 0
     assert cli_main(["verify", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("ok, digest ")
+
+
+def _names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize(
+    "label, fields",
+    [
+        ("shared fields", _names(DriverConfig)),
+        (
+            "step rule",
+            (_names(SolverConfig) | _names(TrustRegionConfig)) - _names(DriverConfig),
+        ),
+        ("the run", _names(RunRecord)),
+    ],
+)
+def test_readme_sidecar_lists_name_exactly_the_fields(label, fields):
+    """Each sidecar bullet in README names, in backticks, exactly the
+    fields it documents: the shared config's, those the two step rules
+    add, and ``RunRecord``'s."""
+    text = _README.read_text(encoding="utf-8")
+    bullet = re.search(rf"^- {label}: (.*?)\n(?=- |\n)", text, re.MULTILINE | re.DOTALL)
+    assert set(re.findall(r"`([^`]*)`", bullet.group(1))) == fields
