@@ -48,13 +48,11 @@ from typing import Callable
 from .errors import ContractError, SingularRetractionError
 from .manifolds import Point, Tangent
 from .objectives import SeparableObjective
-from .oracles import KeyedStream, OracleBundle, OracleMode
+from .oracles import PURPOSE_LANCZOS, KeyedStream, OracleBundle, OracleMode
 from .subproblem import CubicModel, MinEigResult, min_eig_estimate, solve_subproblem
 
 SIGMA_MIN = 1e-12
 
-# Seed stream purposes 0 and 1 belong to the oracle bundle.
-_PURPOSE_LANCZOS = 2
 
 class StopRule(Enum):
     """Outer termination test.
@@ -304,7 +302,7 @@ def _drive(
         hess_sample_size=cfg.hess_sample_size,
         seed=cfg.seed,
     )
-    lanczos_stream = KeyedStream(cfg.seed, _PURPOSE_LANCZOS)
+    lanczos_stream = KeyedStream(cfg.seed, PURPOSE_LANCZOS)
     x = manifold.point(x0.data)
     weight = cfg.initial_weight()
     f_x = bundle.objective_value(x)
@@ -367,8 +365,8 @@ def _drive(
                 rho=rho,
                 success=success,
                 lambda_min=lambda_est,
-                grad_evals=bundle.counters.grad_components,
-                hess_evals=bundle.counters.hess_components,
+                grad_evals=bundle.counters.grad_evals,
+                hess_evals=bundle.counters.hess_evals,
                 millis=millis,
             )
         )
@@ -384,8 +382,6 @@ def _drive(
         outcome=outcome,
         final_point=x,
         final_f=f_x,
-        grad_evals=bundle.counters.grad_components,
-        hess_evals=bundle.counters.hess_components,
-        objective_evals=bundle.counters.objective_components,
         l_hat=l_hat,
+        **vars(bundle.counters),
     )

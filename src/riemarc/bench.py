@@ -21,30 +21,26 @@ data. ``start_point`` derives a position's instance and start point,
 config: plan keys named like config fields carry over, and the solver
 name fixes the step rule and oracle mode. ``solve`` runs a config's
 step rule. Every run writes a trace CSV plus a sidecar ``.meta.json``
-holding its ``RunRecord`` and that config, each as ``dataclasses.asdict``
-gives it, enums by value; ``summary.csv`` aggregates per (case,
-solver). Sidecar keys and trace and summary cells are each read or
-written by their field's annotation, and ``config_from_sidecar``
-rebuilds and validates the config, so a sidecar is enough to rerun its
-run, and a sidecar key that no run writes is unreadable.
+that ``_sidecar`` makes of its ``RunRecord`` and that config, enums by
+value; ``summary.csv`` aggregates per (case, solver). ``_read_sidecar``
+reads a sidecar back as the ``RunRecord`` and config that wrote it,
+each key typed by its field's annotation as trace and summary cells
+are, and ``config_from_sidecar`` validates the config, so a sidecar is
+enough to rerun its run, and a key that no run writes is unreadable.
 ``verify_traces`` applies the run laws of ``_RUN_LAWS``, in order, to
 each run whose files parse and are filed under the run's own
-``run_name``: row count and iteration budget, stop test and probe
-policy, the step rule's weight recurrence, objective bookkeeping, oracle
-counters, the totals against the last trace row under the benchmark's
-squared-gradient stop rule, and provenance: the instance and run seeds
-``run_plan`` derives from the run's position, and a case and noise that
-``jointdiag.check_instance`` accepts, and timing: finite, non-negative
-``millis`` cells that sum to at most the sidecar's finite, non-negative
-``wall_s``. It then checks that ``summary.csv`` is the summary the
-sidecars give. A law that raises is reported as a violation of its run.
-Traces and the summary are written in one dialect, ``csv_text``'s: a
-trace in any other text is unreadable, and each trace cell is parsed by
-its ``TRACE_CODECS`` entry. ``summarize_traces``, ``verify_traces`` and
+``run_name``: row count, stop test and probe, weight recurrence,
+objective, counters, run totals, provenance and timing. It then checks
+that ``summary.csv`` is the summary the sidecars give. A law that
+raises is reported as a violation of its run. Traces and the summary
+are written in one dialect, ``csv_text``'s: a trace in any other text
+is unreadable, and each trace cell is parsed by its ``TRACE_CODECS``
+entry. ``summarize_traces``, ``verify_traces`` and
 ``determinism_digest`` take one ``RunSet``, the runs of one directory,
-read once; a path that is not a directory is a ``PlanError``.
-Traces and sidecars are deterministic for a fixed plan and master seed
-up to their wall times, which the content digest therefore excludes.
+read once; a path that is not a directory is a ``PlanError``. Traces
+and sidecars are deterministic for a fixed plan and master seed up to
+their wall times, which the content digest therefore excludes. It
+hashes each sidecar as ``_sidecar`` makes it of the record read back.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -269,8 +265,13 @@ def solve(objective: JointDiagObjective, x0: Point, cfg: DriverConfig) -> arc.Ru
 
 
 def _config_sidecar(record) -> dict:
-    """``asdict(record)`` with enums by value, for a config or a ``RunRecord``."""
-    return {k: v.value if isinstance(v, Enum) else v for k, v in asdict(record).items()}
+    """The fields of a config or a ``RunRecord``, enums by value."""
+    return {k: v.value if isinstance(v, Enum) else v for k, v in vars(record).items()}
+
+
+def _sidecar(record: RunRecord, cfg: DriverConfig) -> dict:
+    """The sidecar ``run_plan`` writes and ``determinism_digest`` hashes."""
+    return _config_sidecar(record) | _config_sidecar(cfg)
 
 
 def _typed(meta: dict, key: str, kind):
@@ -332,6 +333,11 @@ class RunRecord:
 _RUN_TYPES = {key: _json_kind(kind) for key, kind in get_type_hints(RunRecord).items()}
 
 
+def _dims(run: RunRecord) -> tuple[int, int, int]:
+    """The run's case as ``(n, d, r)``."""
+    return run.case["n"], run.case["d"], run.case["r"]
+
+
 @dataclass
 class SummaryRow:
     case: str
@@ -361,14 +367,13 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
     failures: list[str] = []
 
     for ci, case in enumerate(plan.cases):
-        n, d, r = case
         for rep in range(plan.repetitions):
             instance_seed, objective, x0 = start_point(
                 plan.master_seed, ci, rep, case, plan.noise
             )
             for solver in plan.solvers:
                 run_seed = _run_seed(plan.master_seed, ci, rep, solver)
-                cfg = solver_config(plan, solver, n, run_seed)
+                cfg = solver_config(plan, solver, case[0], run_seed)
                 name = run_name(case, solver, rep)
                 t0 = time.perf_counter()
                 try:
@@ -382,10 +387,9 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                 wall_s = time.perf_counter() - t0
                 if trace.outcome is Outcome.NUMERICAL_FAILURE:
                     failures.append(f"{name}: non-finite objective during run")
-                csv_path = out / f"{name}.csv"
-                write_trace_csv(trace, csv_path, sigma_name=cfg.radius_column)
+                write_trace_csv(trace, out / f"{name}.csv", sigma_name=cfg.radius_column)
                 record = RunRecord(
-                    case={"n": n, "d": d, "r": r},
+                    case=dict(zip("ndr", case)),
                     solver=solver,
                     rep=rep,
                     master_seed=plan.master_seed,
@@ -400,11 +404,10 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                     hess_evals=trace.hess_evals,
                     objective_evals=trace.objective_evals,
                 )
-                meta = _config_sidecar(record) | _config_sidecar(cfg)
-                (out / f"{name}.meta.json").write_text(
-                    json.dumps(meta, indent=1, sort_keys=True, allow_nan=False) + "\n",
-                    encoding="utf-8",
+                meta = json.dumps(
+                    _sidecar(record, cfg), indent=1, sort_keys=True, allow_nan=False
                 )
+                (out / f"{name}.meta.json").write_text(meta + "\n", encoding="utf-8")
 
     runs = RunSet(out)
     rows = summarize_traces(runs)
@@ -497,7 +500,7 @@ class RunFiles:
         return _read_trace(self.path)
 
     @cached_property
-    def sidecar(self) -> tuple[dict, DriverConfig]:
+    def sidecar(self) -> tuple[RunRecord, DriverConfig]:
         return _read_sidecar(self.path)
 
 
@@ -521,19 +524,19 @@ class RunSet(list):
             return None
 
 
-def _read_sidecar(trace_path: Path) -> tuple[dict, DriverConfig]:
-    """The run's sidecar and the config it records. Raises ``PlanError``
-    naming the run when the file cannot be read, is not a JSON object,
-    has keys other than ``RunRecord``'s and its config's, or holds a value
-    of the wrong type or one no valid run writes (``config_from_sidecar``)."""
+def _read_sidecar(trace_path: Path) -> tuple[RunRecord, DriverConfig]:
+    """The ``RunRecord`` and the config the run's sidecar holds, the
+    inverse of ``_sidecar``. Raises ``PlanError`` naming the run when the
+    file cannot be read, is not a JSON object, has keys other than
+    ``RunRecord``'s and its config's, or holds a value of the wrong type
+    or one no valid run writes (``config_from_sidecar``)."""
     meta_path = trace_path.with_suffix(".meta.json")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
-        for key, kind in _RUN_TYPES.items():
-            _typed(meta, key, kind)
-        case = meta["case"]
+        record = RunRecord(**{k: _typed(meta, k, t) for k, t in _RUN_TYPES.items()})
+        case = record.case
         if len(case) != 3 or not all(type(case.get(k)) is int for k in "ndr"):
             raise ValueError(f"'case' is {case!r}")
         cfg = config_from_sidecar(meta)
@@ -544,7 +547,7 @@ def _read_sidecar(trace_path: Path) -> tuple[dict, DriverConfig]:
         raise PlanError(f"{trace_path.name}: missing sidecar {meta_path.name}")
     except (OSError, ValueError, TypeError, ContractError) as exc:
         raise PlanError(f"{trace_path.name}: unreadable sidecar: {exc}") from exc
-    return meta, cfg
+    return record, cfg
 
 
 def summarize_traces(runs: RunSet) -> list[SummaryRow]:
@@ -552,37 +555,34 @@ def summarize_traces(runs: RunSet) -> list[SummaryRow]:
     counts, times and oracle totals are the sidecars', which include the
     start-point objective and the terminating iteration. Raises
     ``PlanError`` listing every unreadable sidecar."""
-    groups: dict[tuple[str, str], list[dict]] = {}
+    groups: dict[tuple[str, str], list[RunRecord]] = {}
     problems: list[str] = []
     for run in runs:
         try:
-            meta, _ = run.sidecar
+            record, _ = run.sidecar
         except PlanError as exc:
             problems.append(str(exc))
             continue
-        case = meta["case"]
-        key = (_case_id((case["n"], case["d"], case["r"])), meta["solver"])
-        groups.setdefault(key, []).append(meta)
+        groups.setdefault((_case_id(_dims(record)), record.solver), []).append(record)
     if problems:
         raise PlanError("; ".join(problems))
 
-    success = Outcome.OPTIMALITY_REACHED.value
     return [
         SummaryRow(
             case=case_id,
             solver=solver,
-            reps=len(metas),
-            iters_mean=statistics.fmean(m["iterations"] for m in metas),
-            iters_median=float(statistics.median(m["iterations"] for m in metas)),
-            time_s_mean=statistics.fmean(m["wall_s"] for m in metas),
+            reps=len(group),
+            iters_mean=statistics.fmean(r.iterations for r in group),
+            iters_median=float(statistics.median(r.iterations for r in group)),
+            time_s_mean=statistics.fmean(r.wall_s for r in group),
             success_rate=statistics.fmean(
-                1.0 if m["outcome"] == success else 0.0 for m in metas
+                1.0 if r.outcome is Outcome.OPTIMALITY_REACHED else 0.0 for r in group
             ),
-            grad_evals_total=sum(m["grad_evals"] for m in metas),
-            hess_evals_total=sum(m["hess_evals"] for m in metas),
-            objective_evals_total=sum(m["objective_evals"] for m in metas),
+            grad_evals_total=sum(r.grad_evals for r in group),
+            hess_evals_total=sum(r.hess_evals for r in group),
+            objective_evals_total=sum(r.objective_evals for r in group),
         )
-        for (case_id, solver), metas in sorted(groups.items())
+        for (case_id, solver), group in sorted(groups.items())
     ]
 
 
@@ -623,24 +623,24 @@ def _parse_columns(header: list[str], rows: list[list[str]]) -> dict[str, list]:
     return columns
 
 
-def _check_row_count(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+def _check_row_count(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
     """Rows ``0..n-1``, as many as the sidecar's iterations, and the
     driver stops at its iteration budget."""
     n_rows = len(cols["k"])
     budget = cfg.iteration_budget()
     if cols["k"] != list(range(n_rows)):
         yield f"iteration indices are not 0..{n_rows - 1}"
-    if meta["iterations"] != n_rows:
-        yield f"sidecar says {meta['iterations']} iterations, trace has {n_rows}"
-    cut = meta["outcome"] == Outcome.MAX_ITERS.value
+    if run.iterations != n_rows:
+        yield f"sidecar says {run.iterations} iterations, trace has {n_rows}"
+    cut = run.outcome is Outcome.MAX_ITERS
     if n_rows > budget or cut != (n_rows == budget):
         yield (
-            f"{n_rows} rows and outcome {meta['outcome']} "
+            f"{n_rows} rows and outcome {run.outcome.value} "
             f"under an iteration budget of {budget}"
         )
 
 
-def _check_stop_and_probe(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+def _check_stop_and_probe(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
     """Each row is an iteration the stop test did not end, and it holds a
     curvature estimate exactly when the driver probes. A norm whose
     square overflows would have ended the driver's own stop test."""
@@ -660,7 +660,7 @@ def _check_stop_and_probe(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
             yield f"row {k} meets the stop test"
 
 
-def _check_recurrence(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+def _check_recurrence(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
     """The weight column against the step rule's own recurrence: row 0
     holds ``cfg.initial_weight()``, each later row ``cfg.next_weight`` of
     the row before and its success flag."""
@@ -671,18 +671,19 @@ def _check_recurrence(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
             yield f"row {k} {cfg.radius_column} is {value!r}, expected {want!r}"
 
 
-def _check_objective(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+def _check_objective(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
     """Objective bookkeeping, with the sidecar's ``final_f`` after the
     last row: rejected iterations keep f, accepted ones never increase it
     and store ``rho_k = (f_k - f_{k+1}) / -m_k``, and each success flag
     is the stored rho against the threshold. Only a run that took no
     step, a numerical failure, may end on a null ``final_f``."""
-    if meta["final_f"] is None:
-        if meta["outcome"] != Outcome.NUMERICAL_FAILURE.value or cols["k"]:
-            yield f"final_f is null with outcome {meta['outcome']}, {len(cols['k'])} rows"
+    if run.final_f is None:
+        if run.outcome is not Outcome.NUMERICAL_FAILURE or cols["k"]:
+            rows = len(cols["k"])
+            yield f"final_f is null with outcome {run.outcome.value}, {rows} rows"
         return
     succ = cols["success"]
-    f_vals = cols["f"] + [float(meta["final_f"])]
+    f_vals = cols["f"] + [float(run.final_f)]
     for k, m_k in enumerate(cols["model_val"]):
         f_k, f_next = f_vals[k], f_vals[k + 1]
         if not succ[k]:
@@ -699,13 +700,13 @@ def _check_objective(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
             yield f"success flag contradicts rho at row {k}"
 
 
-def _check_counters(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+def _check_counters(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
     """Oracle counters are cumulative, in whole batches. The bundle reuses
     exact answers at an iterate that did not move, so after a rejected
     row an exact gradient costs nothing, and neither does the exact
     Cauchy product H[G] when it is the cubic rule's only product: no
     refinement and no probe on the row."""
-    h_size = _batch(meta, cfg.hess_sample_size)
+    h_size = _batch(run, cfg.hess_sample_size)
     cauchy_only = (
         isinstance(cfg, SolverConfig)
         and cfg.hess_sample_size is None
@@ -714,7 +715,7 @@ def _check_counters(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
     prev_g, prev_h = 0, 0
     for k, (g_c, h_c) in enumerate(zip(cols["grad_evals"], cols["hess_evals"])):
         moved = k == 0 or cols["success"][k - 1]
-        g_step = _gradient_step(meta, cfg, moved)
+        g_step = _gradient_step(run, cfg, moved)
         if g_c - prev_g != g_step:
             yield f"gradient counter step {g_c - prev_g} at row {k}, expected {g_step}"
         dh = h_c - prev_h
@@ -729,20 +730,20 @@ def _check_counters(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
         prev_g, prev_h = g_c, h_c
 
 
-def _batch(meta: dict, size: int | None) -> int:
+def _batch(run: RunRecord, size: int | None) -> int:
     """An oracle's batch: ``size`` components, all n when unsampled."""
-    return meta["case"]["n"] if size is None else size
+    return run.case["n"] if size is None else size
 
 
-def _gradient_step(meta: dict, cfg: DriverConfig, moved: bool) -> int:
+def _gradient_step(run: RunRecord, cfg: DriverConfig, moved: bool) -> int:
     """Gradient components an iteration charges: a batch, or none when
     exact at an iterate that did not move."""
     if cfg.grad_sample_size is None and not moved:
         return 0
-    return _batch(meta, cfg.grad_sample_size)
+    return _batch(run, cfg.grad_sample_size)
 
 
-def _check_run_totals(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+def _check_run_totals(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
     """Under the squared-gradient stop rule the sidecar's totals are the
     last row's counters plus the terminating iteration's work: a gradient
     step after the last row when the run reached optimality, and never a
@@ -750,56 +751,56 @@ def _check_run_totals(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
     row."""
     if cfg.stop_rule is not StopRule.GRAD_SQUARED:
         return
-    if meta["outcome"] == Outcome.OPTIMALITY_REACHED.value:
-        tail_g = _gradient_step(meta, cfg, (cols["success"] or [True])[-1])
-    elif meta["outcome"] == Outcome.MAX_ITERS.value:
+    if run.outcome is Outcome.OPTIMALITY_REACHED:
+        tail_g = _gradient_step(run, cfg, (cols["success"] or [True])[-1])
+    elif run.outcome is Outcome.MAX_ITERS:
         tail_g = 0
     else:
         return
     expected = {
         "grad_evals": (cols["grad_evals"] or [0])[-1] + tail_g,
         "hess_evals": (cols["hess_evals"] or [0])[-1],
-        "objective_evals": meta["case"]["n"] * (len(cols["k"]) + 1),
+        "objective_evals": run.case["n"] * (len(cols["k"]) + 1),
     }
     for key, value in expected.items():
-        if meta[key] != value:
-            yield f"sidecar {key} is {meta[key]!r}, expected {value}"
+        if getattr(run, key) != value:
+            yield f"sidecar {key} is {getattr(run, key)!r}, expected {value}"
 
 
-def _check_provenance(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+def _check_provenance(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
     """The instance seed and the run seed are the ones ``run_plan``
     derives from the master seed, case index, repetition and solver, so
     the run's instance and samples can be drawn again, and the recorded
     case and noise obey the instance rule, ``check_instance``."""
-    position = (meta["master_seed"], meta["case_index"], meta["rep"])
+    position = (run.master_seed, run.case_index, run.rep)
     instance_seed = _instance_seed(*position)
-    if meta["instance_seed"] != instance_seed:
-        yield f"instance_seed is {meta['instance_seed']!r}, expected {instance_seed}"
-    run_seed = _run_seed(*position, meta["solver"])
+    if run.instance_seed != instance_seed:
+        yield f"instance_seed is {run.instance_seed!r}, expected {instance_seed}"
+    run_seed = _run_seed(*position, run.solver)
     if cfg.seed != run_seed:
         yield f"seed is {cfg.seed!r}, expected {run_seed}"
     try:
-        check_instance(*(meta["case"][k] for k in "ndr"), meta["noise"])
+        check_instance(*_dims(run), run.noise)
     except ContractError as exc:
         yield str(exc)
 
 
-def _check_timing(meta: dict, cfg: DriverConfig, cols: dict[str, list]):
+def _check_timing(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
     """Each row's ``millis`` and the sidecar's ``wall_s`` are finite and
     non-negative, and the rows, each timed inside the interval that
     ``wall_s`` times, take at most ``1000 * wall_s`` milliseconds."""
     for k, millis in enumerate(cols["millis"]):
         if not 0.0 <= millis < math.inf:
             yield f"row {k} millis is {millis!r}, expected finite and non-negative"
-    wall_s, total = meta["wall_s"], sum(cols["millis"])
+    wall_s, total = run.wall_s, sum(cols["millis"])
     if not 0.0 <= wall_s < math.inf:
         yield f"wall_s is {wall_s!r}, expected finite and non-negative"
     elif total > 1e3 * wall_s:
         yield f"rows take {total!r} ms, more than wall_s {wall_s!r} s"
 
 
-# Each run law takes a run's sidecar, the config it records and its parsed
-# trace columns, and yields the run's violations, in this order.
+# Each run law takes a run's ``RunRecord``, the config its sidecar records
+# and its parsed trace columns, and yields the run's violations, in this order.
 _RUN_LAWS = (
     _check_row_count,
     _check_stop_and_probe,
@@ -851,12 +852,11 @@ def verify_traces(runs: RunSet) -> list[str]:
         name = run.path.name
         meta_path = run.path.with_suffix(".meta.json")
         try:
-            meta, cfg = run.sidecar
+            record, cfg = run.sidecar
             header, rows = run.trace
             if header != trace_header(cfg.radius_column):
                 raise ValueError(f"unexpected columns {header}")
-            case = tuple(meta["case"][k] for k in "ndr")
-            own = run_name(case, meta["solver"], meta["rep"])
+            own = run_name(_dims(record), record.solver, record.rep)
             if run.path.stem != own:
                 raise ValueError(f"the sidecar is that of run {own}")
             cols = _parse_columns(header, rows)
@@ -868,7 +868,7 @@ def verify_traces(runs: RunSet) -> list[str]:
             violations.append(f"{name}: {exc}")
         else:
             for law in _RUN_LAWS:
-                violations.extend(_violations(name, law, meta, cfg, cols))
+                violations.extend(_violations(name, law, record, cfg, cols))
     violations.extend(_violations("summary.csv", _check_summary, runs))
     return violations
 
@@ -892,7 +892,7 @@ def determinism_digest(runs: RunSet) -> str:
     for run in runs:
         digest.update(run.path.name.encode())
         digest.update(_hashed_csv(*run.trace, {"millis"}))
-        meta = {k: v for k, v in run.sidecar[0].items() if k != "wall_s"}
+        meta = {k: v for k, v in _sidecar(*run.sidecar).items() if k != "wall_s"}
         digest.update(json.dumps(meta, sort_keys=True).encode())
     if runs.summary is not None:
         summary = _split_csv(runs.summary, "summary.csv")

@@ -139,10 +139,6 @@ class Manifold(ABC):
         """Trace inner product of two tangent vectors at the same base."""
         if eta.base is not xi.base and not np.array_equal(eta.base.data, xi.base.data):
             raise ContractError("tangent vectors have different base points")
-        if eta.shape != xi.shape:
-            raise ContractError(
-                f"tangent shapes {eta.shape} and {xi.shape} do not match"
-            )
         return float(np.vdot(eta.data, xi.data))
 
     def norm(self, xi: Tangent) -> float:

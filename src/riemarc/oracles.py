@@ -39,7 +39,7 @@ probability at least ``1 - delta`` each, given uniform component bounds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,8 +48,9 @@ from .errors import ContractError
 from .manifolds import Point, Tangent
 from .objectives import SeparableObjective
 
-_PURPOSE_GRADIENT = 0
-_PURPOSE_HESSIAN = 1
+# Keyed-stream purposes: the bundle's gradient and Hessian samples, and
+# the driver's Lanczos start vectors.
+PURPOSE_GRADIENT, PURPOSE_HESSIAN, PURPOSE_LANCZOS = 0, 1, 2
 
 
 class OracleMode(Enum):
@@ -60,11 +61,11 @@ class OracleMode(Enum):
 
 @dataclass
 class OracleCounters:
-    """Cumulative component-evaluation counts."""
+    """Cumulative component-evaluation counts, named as ``RunTrace`` names them."""
 
-    grad_components: int = 0
-    hess_components: int = 0
-    objective_components: int = 0
+    grad_evals: int = 0
+    hess_evals: int = 0
+    objective_evals: int = 0
 
 
 # ``PCG64.jumped(k)`` advances the state by ``k`` times this step.
@@ -105,8 +106,8 @@ class OracleBundle:
         self.hess_sample_size = hess_sample_size
         self.seed = int(seed)
         self.counters = OracleCounters()
-        self._grad_stream = KeyedStream(self.seed, _PURPOSE_GRADIENT)
-        self._hess_stream = KeyedStream(self.seed, _PURPOSE_HESSIAN)
+        self._grad_stream = KeyedStream(self.seed, PURPOSE_GRADIENT)
+        self._hess_stream = KeyedStream(self.seed, PURPOSE_HESSIAN)
         self._iteration: int | None = None
         self._grad_idx: np.ndarray | None = None
         self._hess_idx: np.ndarray | None = None
@@ -145,12 +146,12 @@ class OracleBundle:
         self._check_begun()
         if self._grad_idx is not None:
             g = self.objective.gradient(x, self._grad_idx)
-            self.counters.grad_components += self._grad_idx.size
+            self.counters.grad_evals += self._grad_idx.size
             return g
         self._exact_answers_at(x)
         if self._exact_grad is None:
             self._exact_grad = self.objective.gradient(x)
-            self.counters.grad_components += self.objective.n
+            self.counters.grad_evals += self.objective.n
         return self._exact_grad
 
     def inexact_hvp(self, x: Point, eta: Tangent) -> Tangent:
@@ -158,20 +159,20 @@ class OracleBundle:
         self._check_begun()
         if self._hess_idx is not None:
             h = self.objective.hess_vec(x, eta, self._hess_idx)
-            self.counters.hess_components += self._hess_idx.size
+            self.counters.hess_evals += self._hess_idx.size
             return h
         self._exact_answers_at(x)
         if eta is self._exact_grad and self._exact_hg is not None:
             return self._exact_hg
         h = self.objective.hess_vec(x, eta)
-        self.counters.hess_components += self.objective.n
+        self.counters.hess_evals += self.objective.n
         if eta is self._exact_grad:
             self._exact_hg = h
         return h
 
     def objective_value(self, x: Point) -> float:
         """Exact full objective, used for acceptance ratios in all modes."""
-        self.counters.objective_components += self.objective.n
+        self.counters.objective_evals += self.objective.n
         return self.objective.value(x)
 
 
@@ -196,36 +197,24 @@ def check_sample_sizes(
             raise ContractError(f"{name} sample size must lie in [1, {n}], got {size}")
 
 
-@dataclass(frozen=True)
-class SampleSizeParams:
-    """Inputs of the sample-size bounds.
+def required_sample_sizes(
+    *, k_grad: float, k_hess: float, delta: float, delta_g: float, delta_h: float
+) -> tuple[int, int]:
+    """Smallest integer sample sizes satisfying the concentration bounds.
 
     ``k_grad`` and ``k_hess`` are uniform bounds on the component
     gradient norms and component Hessian operator norms, ``delta`` is
     the per-oracle failure probability and ``delta_g``, ``delta_h`` the
     target accuracies.
     """
-
-    k_grad: float
-    k_hess: float
-    delta: float
-    delta_g: float
-    delta_h: float
-
-    def validate(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ContractError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.k_grad < 0.0 or self.k_hess < 0.0:
-            raise ContractError("component bounds must be non-negative")
-        if self.delta_g <= 0.0 or self.delta_h <= 0.0:
-            raise ContractError("target accuracies must be positive")
-
-
-def required_sample_sizes(params: SampleSizeParams) -> tuple[int, int]:
-    """Smallest integer sample sizes satisfying the concentration bounds."""
-    params.validate()
-    log_term = math.log(1.0 / params.delta)
-    ng = (32.0 * params.k_grad**2 * log_term + 0.25) / params.delta_g**2
-    nh = (32.0 * params.k_hess**2 * log_term + 0.25) / params.delta_h**2
+    if not 0.0 < delta < 1.0:
+        raise ContractError(f"delta must lie in (0, 1), got {delta}")
+    if k_grad < 0.0 or k_hess < 0.0:
+        raise ContractError("component bounds must be non-negative")
+    if delta_g <= 0.0 or delta_h <= 0.0:
+        raise ContractError("target accuracies must be positive")
+    log_term = math.log(1.0 / delta)
+    ng = (32.0 * k_grad**2 * log_term + 0.25) / delta_g**2
+    nh = (32.0 * k_hess**2 * log_term + 0.25) / delta_h**2
     return int(math.ceil(ng)), int(math.ceil(nh))
 

@@ -22,12 +22,7 @@ from riemarc.bench import (
 )
 from riemarc.jointdiag import JointDiagObjective, generate_instance
 from riemarc.manifolds import Point, Stiefel, Tangent, sym
-from riemarc.oracles import (
-    OracleBundle,
-    OracleMode,
-    SampleSizeParams,
-    required_sample_sizes,
-)
+from riemarc.oracles import OracleBundle, OracleMode, required_sample_sizes
 from riemarc.subproblem import CubicModel, min_eig_estimate, solve_subproblem
 
 from concentration import concentration_trial
@@ -267,19 +262,18 @@ def test_criterion_07_sample_size_rule():
     2000-component objective concentrates at rate >= 1 - delta."""
     t0 = time.perf_counter()
     hand = required_sample_sizes(
-        SampleSizeParams(k_grad=1.0, k_hess=1.0, delta=0.01, delta_g=0.1, delta_h=0.1)
+        k_grad=1.0, k_hess=1.0, delta=0.01, delta_g=0.1, delta_h=0.1
     )
     obj = CosineSum.random(2000, 6, seed=503)
     kg = obj.component_gradient_bound()
     delta = 0.01
-    params = SampleSizeParams(
+    n_g, _ = required_sample_sizes(
         k_grad=kg,
         k_hess=obj.component_hessian_bound(),
         delta=delta,
         delta_g=0.5 * kg,
         delta_h=0.5,
     )
-    n_g, _ = required_sample_sizes(params)
     x = obj.manifold.random_point(504)
     bundle = OracleBundle(
         obj, OracleMode.SUBSAMPLED_BOTH, grad_sample_size=n_g, hess_sample_size=10, seed=505

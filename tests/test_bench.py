@@ -17,6 +17,7 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_type_hints
 from unittest import mock
 
@@ -178,17 +179,17 @@ def test_one_instance_rule_for_plans_instances_and_sidecars(n, d, r, noise):
     raises before it draws anything."""
     valid = n >= 1 and 1 <= r <= d and 0.0 <= noise < math.inf
     plan = BenchmarkPlan(cases=[(n, d, r)], repetitions=1, noise=noise)
-    meta = {
-        "case": {"n": n, "d": d, "r": r},
-        "solver": "racr",
-        "master_seed": 7,
-        "case_index": 0,
-        "rep": 0,
-        "instance_seed": bench._instance_seed(7, 0, 0),
-        "noise": noise,
-    }
+    run = SimpleNamespace(
+        case={"n": n, "d": d, "r": r},
+        solver="racr",
+        master_seed=7,
+        case_index=0,
+        rep=0,
+        instance_seed=bench._instance_seed(7, 0, 0),
+        noise=noise,
+    )
     cfg = SolverConfig(seed=bench._run_seed(7, 0, 0, "racr"))
-    violations = list(bench._check_provenance(meta, cfg, {}))
+    violations = list(bench._check_provenance(run, cfg, {}))
     if valid:
         plan.validate()
         assert generate_instance(n, d, r, seed=3, noise=noise).n == n
@@ -361,14 +362,18 @@ def test_rerun_reproduces_digest(bench_dir, tmp_path):
 
 @pytest.fixture(scope="module")
 def default_runs(tmp_path_factory):
-    """The default plan and its run directory, as given and under
-    ``refine_steps = 3``, keyed by ``refine_steps``."""
+    """The default plan, its run directory and the digest line ``riemarc
+    run`` printed for it, as given and under ``refine_steps = 3``, keyed
+    by ``refine_steps``."""
     runs = {}
     for refine_steps in (0, 3):
         plan = dataclasses.replace(default_plan(), refine_steps=refine_steps)
         out = tmp_path_factory.mktemp(f"default_refine{refine_steps}")
-        assert run_plan(plan, out).failures == []
-        runs[refine_steps] = plan, out
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            argv = ["run", "--out", str(out), "--set", f"refine_steps={refine_steps}"]
+            assert cli_main(argv) == 0
+        runs[refine_steps] = plan, out, printed.getvalue().splitlines()[-1]
     return runs
 
 
@@ -377,7 +382,7 @@ def default_runs(tmp_path_factory):
 def test_sidecar_config_is_the_config_run(default_runs, solver, refine_steps):
     """``config_from_sidecar`` gives back the very config ``solver_config``
     built for each run, an unsampled oracle's size ``None`` included."""
-    plan, out = default_runs[refine_steps]
+    plan, out, _ = default_runs[refine_steps]
     for ci, case in enumerate(plan.cases):
         for rep in range(plan.repetitions):
             meta_path = out / f"{run_name(case, solver, rep)}.meta.json"
@@ -389,7 +394,7 @@ def test_sidecar_config_is_the_config_run(default_runs, solver, refine_steps):
 def test_sidecars_hold_exactly_the_keys_verify_allows(default_runs, bench_dir):
     """A sidecar holds the fields of ``RunRecord`` and of its config class,
     which share no name, and nothing else."""
-    directories = [bench_dir, *(out for _, out in default_runs.values())]
+    directories = [bench_dir, *(out for _, out, _ in default_runs.values())]
     paths = [path for out in directories for path in out.glob("*.meta.json")]
     assert len(paths) == 2 * 36 + 8
     run_keys = {f.name for f in dataclasses.fields(bench.RunRecord)}
@@ -407,7 +412,7 @@ def test_a_sidecar_reads_back_as_the_record_and_config_written(
 ):
     """Each sidecar ``run_plan`` writes parses back through
     ``_read_sidecar`` to the ``RunRecord`` and the config it was written
-    from, each run key typed by its ``RunRecord`` annotation."""
+    from."""
     written = []
     to_sidecar = bench._config_sidecar
 
@@ -423,11 +428,45 @@ def test_a_sidecar_reads_back_as_the_record_and_config_written(
     for record, cfg in zip(written[::2], written[1::2]):
         case = tuple(record.case[k] for k in "ndr")
         path = out / f"{run_name(case, solver, record.rep)}.csv"
-        meta, read_cfg = bench._read_sidecar(path)
-        assert read_cfg == cfg
-        run_types = bench._RUN_TYPES.items()
-        typed = {key: bench._typed(meta, key, kind) for key, kind in run_types}
-        assert bench.RunRecord(**typed) == record
+        assert bench._read_sidecar(path) == (record, cfg)
+
+
+# JSON numbers a sidecar key may hold in place of its written value, some
+# of which the reader accepts: an int for a float key, a negative zero,
+# ints past 64 bits, and null, as for an exact oracle's sample size.
+_NUMBER_FORMS = st.sampled_from([None, 0, -0.0, 1, 2, 0.5, 2**64, 10**30, 1e300])
+
+
+@pytest.fixture(scope="module")
+def sidecar_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sidecars")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_sidecar_the_reader_accepts_is_the_json_it_writes(
+    bench_dir, sidecar_dir, data
+):
+    """Every sidecar ``_read_sidecar`` accepts serializes back through
+    ``_sidecar`` to its own JSON value, so the digest, which hashes the
+    typed ``RunRecord`` and config, hashes what the file holds. Written
+    sidecars are redrawn over the JSON forms of ``_NUMBER_FORMS``, in up
+    to four numeric keys, ``case`` entries included."""
+    source = data.draw(st.sampled_from(sorted(bench_dir.glob("*.meta.json"))))
+    meta = json.loads(source.read_text(encoding="utf-8"))
+    numeric = [k for k, v in meta.items() if v is None or type(v) in (int, float)]
+    keys = [(meta, key) for key in numeric] + [(meta["case"], key) for key in "ndr"]
+    for target, key in data.draw(st.lists(st.sampled_from(keys), max_size=4)):
+        target[key] = data.draw(_NUMBER_FORMS)
+    text = json.dumps(meta)
+    path = sidecar_dir / "run.csv"
+    path.with_suffix(".meta.json").write_text(text, encoding="utf-8")
+    try:
+        record, cfg = bench._read_sidecar(path)
+    except PlanError:
+        return
+    written = json.dumps(bench._sidecar(record, cfg), sort_keys=True)
+    assert written == json.dumps(json.loads(text), sort_keys=True)
 
 
 _SIZES_OBJECTIVE = JointDiagObjective(generate_instance(20, 3, 2, seed=5))
@@ -856,20 +895,33 @@ def _two_pass_digest(directory):
     return digest.hexdigest()
 
 
-def test_digest_equals_the_two_pass_reference(tmp_path, capsys):
+def test_digest_equals_the_two_pass_reference(default_runs, tmp_path, capsys):
     """``riemarc run`` and ``riemarc verify`` print, from their one parse
-    of each file, the digest a separate read of every file gives."""
-    plan_file = tmp_path / "plan.txt"
-    plan_file.write_text("case 60 4 4\nrepetitions = 1\nmax_iters = 40\n")
-    out = tmp_path / "runs"
-    assert cli_main(["run", "--plan", str(plan_file), "--out", str(out)]) == 0
-    printed_by_run = capsys.readouterr().out.splitlines()[-1]
-    assert cli_main(["verify", str(out)]) == 0
-    printed_by_verify = capsys.readouterr().out.strip()
-    reference = _two_pass_digest(out)
-    assert printed_by_run == f"digest {reference}"
-    assert printed_by_verify == f"ok, digest {reference}"
-    assert determinism_digest(RunSet(out)) == reference
+    of each file, the digest a separate read of every file gives. Checked
+    on a small plan and on the plans a pure refactor keeps bit-identical:
+    the default plan at ``refine_steps`` 0 and 3, and ``case 40 4 3``
+    twice over, whose runs include subsolver failures."""
+    gates = [(out, printed) for _, out, printed in default_runs.values()]
+    plans = {
+        "small": "case 60 4 4\nrepetitions = 1\nmax_iters = 40\n",
+        "case40": "case 40 4 3\nrepetitions = 2\n",
+    }
+    for name, text in plans.items():
+        plan_file = tmp_path / f"{name}.txt"
+        plan_file.write_text(text)
+        out = tmp_path / name
+        assert cli_main(["run", "--plan", str(plan_file), "--out", str(out)]) == 0
+        gates.append((out, capsys.readouterr().out.splitlines()[-1]))
+    metas = (tmp_path / "case40").glob("*.meta.json")
+    outcomes = {json.loads(path.read_text())["outcome"] for path in metas}
+    assert Outcome.SUBSOLVER_FAILURE.value in outcomes
+    for out, printed_by_run in gates:
+        assert cli_main(["verify", str(out)]) == 0
+        printed_by_verify = capsys.readouterr().out.strip()
+        reference = _two_pass_digest(out)
+        assert printed_by_run == f"digest {reference}"
+        assert printed_by_verify == f"ok, digest {reference}"
+        assert determinism_digest(RunSet(out)) == reference
 
 
 def test_verify_reads_each_artifact_once(bench_dir, monkeypatch, capsys):
@@ -967,8 +1019,8 @@ def test_a_law_that_raises_is_a_violation_of_its_run(
     _bump_sidecar(copy / f"{other}.meta.json", "objective_evals", case[0])
     _rewrite_summary(copy)
 
-    def fragile(meta, cfg, cols):
-        if (meta["solver"], meta["rep"]) == ("racr", 0):
+    def fragile(run, cfg, cols):
+        if (run.solver, run.rep) == ("racr", 0):
             raise ZeroDivisionError("division by zero")
         return ()
 

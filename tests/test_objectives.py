@@ -8,12 +8,7 @@ import pytest
 from riemarc.arc import SolverConfig, run
 from riemarc.errors import ContractError
 from riemarc.manifolds import Tangent
-from riemarc.oracles import (
-    OracleBundle,
-    OracleMode,
-    SampleSizeParams,
-    required_sample_sizes,
-)
+from riemarc.oracles import OracleBundle, OracleMode, required_sample_sizes
 from riemarc.trust_region import TrustRegionConfig, run_trust_region
 
 from concentration import concentration_trial
@@ -125,14 +120,14 @@ def test_exact_oracle_matches_objective():
     bundle.begin_iteration(0)
     g = bundle.inexact_gradient(x)
     assert np.array_equal(g.data, obj.gradient(x).data)
-    assert bundle.counters.grad_components == 7
+    assert bundle.counters.grad_evals == 7
     xi = obj.manifold.random_tangent(x, 15)
     hv = bundle.inexact_hvp(x, xi)
     assert np.array_equal(hv.data, obj.hess_vec(x, xi).data)
-    assert bundle.counters.hess_components == 7
+    assert bundle.counters.hess_evals == 7
     f = bundle.objective_value(x)
     assert f == obj.value(x)
-    assert bundle.counters.objective_components == 7
+    assert bundle.counters.objective_evals == 7
 
 
 def test_exact_bundle_holds_only_the_gradient_and_its_product():
@@ -153,13 +148,13 @@ def test_exact_bundle_holds_only_the_gradient_and_its_product():
     assert bundle.inexact_gradient(x) is g
     assert bundle.inexact_hvp(x, g) is hg
     counters = bundle.counters
-    assert (counters.grad_components, counters.hess_components) == (7, 21)
+    assert (counters.grad_evals, counters.hess_evals) == (7, 21)
 
     bundle.inexact_gradient(obj.manifold.random_point(16))
     g_again = bundle.inexact_gradient(x)
     assert g_again is not g and np.array_equal(g_again.data, g.data)
     bundle.inexact_hvp(x, g_again)
-    assert (counters.grad_components, counters.hess_components) == (21, 28)
+    assert (counters.grad_evals, counters.hess_evals) == (21, 28)
 
 
 def test_subsampled_bundle_is_deterministic_per_iteration():
@@ -194,8 +189,8 @@ def test_subsampled_counters_accumulate_sample_sizes():
     xi = obj.manifold.random_tangent(x, 23)
     bundle.inexact_hvp(x, xi)
     bundle.inexact_hvp(x, xi)
-    assert bundle.counters.grad_components == 10
-    assert bundle.counters.hess_components == 8
+    assert bundle.counters.grad_evals == 10
+    assert bundle.counters.hess_evals == 8
 
 
 def test_hessian_sample_fixed_within_iteration():
@@ -257,7 +252,7 @@ def test_gradient_before_begin_iteration_raises():
         bundle = OracleBundle(obj, mode, **sizes[mode])
         with pytest.raises(ContractError, match="oracle queried before begin_iteration"):
             bundle.inexact_gradient(x)
-        assert bundle.counters.grad_components == 0
+        assert bundle.counters.grad_evals == 0
 
 
 def _jumped_indices(seed, purpose, k, n, size):
@@ -346,30 +341,34 @@ def test_bundle_validates_sample_sizes():
 
 
 def test_required_sample_sizes_hand_value():
-    params = SampleSizeParams(k_grad=1.0, k_hess=1.0, delta=0.01, delta_g=0.1, delta_h=0.1)
-    ng, nh = required_sample_sizes(params)
+    ng, nh = required_sample_sizes(
+        k_grad=1.0, k_hess=1.0, delta=0.01, delta_g=0.1, delta_h=0.1
+    )
     assert ng == 14762
     assert nh == 14762
     # Formula check at a second point.
-    params2 = SampleSizeParams(k_grad=2.0, k_hess=0.5, delta=0.1, delta_g=0.2, delta_h=0.3)
-    ng2, nh2 = required_sample_sizes(params2)
+    ng2, nh2 = required_sample_sizes(
+        k_grad=2.0, k_hess=0.5, delta=0.1, delta_g=0.2, delta_h=0.3
+    )
     assert ng2 == math.ceil((32 * 4 * math.log(10) + 0.25) / 0.04)
     assert nh2 == math.ceil((32 * 0.25 * math.log(10) + 0.25) / 0.09)
 
 
 def test_required_sample_sizes_monotone():
-    base = SampleSizeParams(1.0, 1.0, 0.05, 0.2, 0.2)
-    tighter = SampleSizeParams(1.0, 1.0, 0.05, 0.1, 0.2)
-    assert required_sample_sizes(tighter)[0] > required_sample_sizes(base)[0]
+    base = dict(k_grad=1.0, k_hess=1.0, delta=0.05, delta_g=0.2, delta_h=0.2)
+    tighter = base | {"delta_g": 0.1}
+    assert required_sample_sizes(**tighter)[0] > required_sample_sizes(**base)[0]
 
 
 def test_sample_size_params_validation():
-    with pytest.raises(ContractError):
-        SampleSizeParams(1.0, 1.0, 0.0, 0.1, 0.1).validate()
-    with pytest.raises(ContractError):
-        SampleSizeParams(-1.0, 1.0, 0.1, 0.1, 0.1).validate()
-    with pytest.raises(ContractError):
-        SampleSizeParams(1.0, 1.0, 0.1, 0.0, 0.1).validate()
+    good = dict(k_grad=1.0, k_hess=1.0, delta=0.1, delta_g=0.1, delta_h=0.1)
+    for bad, message in [
+        ({"delta": 0.0}, r"delta must lie in \(0, 1\), got 0.0"),
+        ({"k_grad": -1.0}, "component bounds must be non-negative"),
+        ({"delta_g": 0.0}, "target accuracies must be positive"),
+    ]:
+        with pytest.raises(ContractError, match=message):
+            required_sample_sizes(**good | bad)
 
 
 def test_concentration_smoke():
@@ -377,14 +376,13 @@ def test_concentration_smoke():
     obj = CosineSum.random(400, 3, seed=41)
     delta = 0.05
     delta_g = 0.5 * obj.component_gradient_bound()
-    params = SampleSizeParams(
+    ng, _ = required_sample_sizes(
         k_grad=obj.component_gradient_bound(),
         k_hess=obj.component_hessian_bound(),
         delta=delta,
         delta_g=delta_g,
         delta_h=1.0,
     )
-    ng, _ = required_sample_sizes(params)
     size = min(ng, obj.n)
     bundle = OracleBundle(
         obj, OracleMode.SUBSAMPLED_BOTH, grad_sample_size=size, hess_sample_size=1, seed=5
