@@ -33,7 +33,7 @@ weight.
 Three cubic variants are named after their oracle modes: ``racr``
 (exact gradient and Hessian), ``sracr`` (exact gradient, sub-sampled
 Hessian) and ``ssracr`` (both sub-sampled). A run's ``RunTrace`` holds
-its rows in memory; the benchmark harness, ``bench``, writes them as CSV.
+its rows, which the harness, ``bench``, writes under their field names.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ class DriverConfig:
     """Parameters both step rules share: tolerances, the acceptance
     threshold, the weight factor gamma, oracles, stop rule and probe.
 
-    A subclass adds its step rule's fields, names the weight's trace
-    column in ``radius_column``, and supplies the rule's methods:
+    A subclass adds its step rule's fields and supplies the rule's
+    methods:
 
     * ``initial_weight()``: sigma0 or delta0;
     * ``step(grad, hvp, weight, x, manifold, probe) -> TrialStep``: the
@@ -116,8 +116,6 @@ class DriverConfig:
       trust-region rule, or a cubic rule with a sampled oracle;
     * ``next_weight(weight, success) -> weight``.
     """
-
-    radius_column = "sigma"
 
     eps_g: float = 1e-2
     eps_h: float = 1e-1
@@ -206,12 +204,12 @@ class SolverConfig(DriverConfig):
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One row of a run trace. Counter fields are cumulative."""
+    """One trace row: ``weight`` is sigma or the radius, counters cumulative."""
 
     k: int
     f: float
     grad_norm: float
-    sigma: float
+    weight: float
     model_val: float
     rho: float
     success: bool
@@ -321,6 +319,9 @@ def _drive(
         hvp = partial(bundle.inexact_hvp, x)
         grad = bundle.inexact_gradient(x)
         grad_norm = manifold.norm(grad)
+        if not math.isfinite(grad_norm):
+            outcome = Outcome.NUMERICAL_FAILURE
+            break
 
         probe: MinEigResult | None = None
         if runs_probe(grad_norm, cfg):
@@ -360,7 +361,7 @@ def _drive(
                 k=k,
                 f=f_x,
                 grad_norm=grad_norm,
-                sigma=weight,
+                weight=weight,
                 model_val=m_val,
                 rho=rho,
                 success=success,

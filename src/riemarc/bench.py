@@ -32,10 +32,11 @@ each run whose files parse and are filed under the run's own
 ``run_name``: row count, stop test and probe, weight recurrence,
 objective, counters, run totals, provenance and timing. It then checks
 that ``summary.csv`` is the summary the sidecars give. A law that
-raises is reported as a violation of its run. Traces and the summary
-are written in one dialect, ``csv_text``'s: a trace in any other text
-is unreadable, and each trace cell is parsed by its ``TRACE_CODECS``
-entry. ``summarize_traces``, ``verify_traces`` and
+raises is reported as a violation of its run. ``_table_text`` writes
+traces and the summary in one dialect, ``csv_text``'s, under their
+records' field names, so every trace has the header ``TRACE_COLUMNS``:
+a trace in any other text is unreadable, and each trace cell is parsed
+by its ``TRACE_CODECS`` entry. ``summarize_traces``, ``verify_traces`` and
 ``determinism_digest`` take one ``RunSet``, the runs of one directory,
 read once; a path that is not a directory is a ``PlanError``. Traces
 and sidecars are deterministic for a fixed plan and master seed up to
@@ -276,14 +277,15 @@ def _sidecar(record: RunRecord, cfg: DriverConfig) -> dict:
 
 def _typed(meta: dict, key: str, kind):
     """``meta[key]`` read as ``kind``, a ``_json_kind``. Raises
-    ``ValueError`` when the key is missing or its value's type is not
-    one that stands for ``kind``."""
+    ``ValueError`` when the key is missing, its value's type is not one
+    that stands for ``kind``, or it is a number strict JSON cannot hold:
+    ``NaN``, an infinity, or a literal such as ``1e999`` that reads as one."""
     if key not in meta:
         raise ValueError(f"missing key {key!r}")
     value = meta[key]
     if not isinstance(kind, tuple):
         return kind(value)
-    if type(value) not in kind:
+    if type(value) not in kind or type(value) is float and not math.isfinite(value):
         raise ValueError(f"{key!r} is {value!r}")
     return value
 
@@ -387,7 +389,7 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                 wall_s = time.perf_counter() - t0
                 if trace.outcome is Outcome.NUMERICAL_FAILURE:
                     failures.append(f"{name}: non-finite objective during run")
-                write_trace_csv(trace, out / f"{name}.csv", sigma_name=cfg.radius_column)
+                write_trace_csv(trace, out / f"{name}.csv")
                 record = RunRecord(
                     case=dict(zip("ndr", case)),
                     solver=solver,
@@ -438,23 +440,21 @@ TRACE_CODECS, _SUMMARY_CODECS = (
 TRACE_COLUMNS = tuple(TRACE_CODECS)
 
 
-def trace_header(radius_column: str) -> list[str]:
-    """``TRACE_COLUMNS`` with the weight's column named ``radius_column``."""
-    return [c if c != "sigma" else radius_column for c in TRACE_COLUMNS]
-
-
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     """The one CSV dialect of traces and ``summary.csv``: cells joined by
     ``,`` and every line, the header's too, ended by ``\n``."""
     return "\n".join(map(",".join, [header, *rows])) + "\n"
 
 
-def write_trace_csv(trace: arc.RunTrace, path, *, sigma_name: str = "sigma") -> None:
-    """Write the trace's records in ``TRACE_COLUMNS`` order, the weight's
-    column named ``sigma_name``: ``delta`` for a trust-region run."""
-    codecs = TRACE_CODECS.items()
-    rows = ([fmt(getattr(rec, c)) for c, (fmt, _) in codecs] for rec in trace.records)
-    Path(path).write_text(csv_text(trace_header(sigma_name), rows), encoding="utf-8")
+def _table_text(records: Iterable, codecs: dict) -> str:
+    """``records`` as CSV under the ``codecs`` fields, each by its codec."""
+    rows = ([fmt(getattr(r, c)) for c, (fmt, _) in codecs.items()] for r in records)
+    return csv_text(tuple(codecs), rows)
+
+
+def write_trace_csv(trace: arc.RunTrace, path) -> None:
+    """Write the trace's records under ``TRACE_COLUMNS``, for either rule."""
+    Path(path).write_text(_table_text(trace.records, TRACE_CODECS), encoding="utf-8")
 
 
 def _read_trace(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -588,9 +588,7 @@ def summarize_traces(runs: RunSet) -> list[SummaryRow]:
 
 def format_summary(rows: list[SummaryRow]) -> str:
     """Summary rows as CSV text under a header, each cell by its codec."""
-    codecs = _SUMMARY_CODECS.items()
-    cells = ([fmt(getattr(row, c)) for c, (fmt, _) in codecs] for row in rows)
-    return csv_text(tuple(_SUMMARY_CODECS), cells)
+    return _table_text(rows, _SUMMARY_CODECS)
 
 
 def write_summary(rows: list[SummaryRow], path) -> None:
@@ -600,26 +598,21 @@ def write_summary(rows: list[SummaryRow], path) -> None:
 # -- verification ---------------------------------------------------------
 
 
-def _parse_columns(header: list[str], rows: list[list[str]]) -> dict[str, list]:
-    """The trace columns, keyed by ``IterationRecord`` field and parsed
-    by its ``TRACE_CODECS`` entry, from a trace whose header is
-    ``trace_header``'s. Raises ``ValueError`` naming the first row
-    with the wrong cell count or a cell that does not parse."""
-    readers = [
-        (i, header[i], col, TRACE_CODECS[col][1])
-        for i, col in enumerate(TRACE_COLUMNS)
-    ]
-    columns: dict[str, list] = {col: [] for _, _, col, _ in readers}
+def _parse_columns(rows: list[list[str]]) -> dict[str, list]:
+    """A trace's rows as columns, each parsed by its ``TRACE_CODECS``
+    entry. Raises ``ValueError`` naming the first row with the wrong cell
+    count, or the first cell that does not parse, by its field."""
+    columns: dict[str, list] = {col: [] for col in TRACE_CODECS}
     for k, row in enumerate(rows):
-        if len(row) != len(header):
+        if len(row) != len(columns):
             raise ValueError(
-                f"unreadable row {k}: {len(row)} cells, expected {len(header)}"
+                f"unreadable row {k}: {len(row)} cells, expected {len(columns)}"
             )
-        for i, label, col, parse in readers:
+        for (col, (_, parse)), cell in zip(TRACE_CODECS.items(), row):
             try:
-                columns[col].append(parse(row[i]))
+                columns[col].append(parse(cell))
             except ValueError:
-                raise ValueError(f"unreadable row {k}: {label} is {row[i]!r}") from None
+                raise ValueError(f"unreadable row {k}: {col} is {cell!r}") from None
     return columns
 
 
@@ -664,11 +657,11 @@ def _check_recurrence(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
     """The weight column against the step rule's own recurrence: row 0
     holds ``cfg.initial_weight()``, each later row ``cfg.next_weight`` of
     the row before and its success flag."""
-    values = cols["sigma"]
+    values = cols["weight"]
     expected = [cfg.initial_weight(), *map(cfg.next_weight, values, cols["success"])]
     for k, (value, want) in enumerate(zip(values, expected)):
         if value != want:
-            yield f"row {k} {cfg.radius_column} is {value!r}, expected {want!r}"
+            yield f"row {k} weight is {value!r}, expected {want!r}"
 
 
 def _check_objective(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
@@ -854,12 +847,12 @@ def verify_traces(runs: RunSet) -> list[str]:
         try:
             record, cfg = run.sidecar
             header, rows = run.trace
-            if header != trace_header(cfg.radius_column):
+            if header != list(TRACE_COLUMNS):
                 raise ValueError(f"unexpected columns {header}")
             own = run_name(_dims(record), record.solver, record.rep)
             if run.path.stem != own:
                 raise ValueError(f"the sidecar is that of run {own}")
-            cols = _parse_columns(header, rows)
+            cols = _parse_columns(rows)
         except FileNotFoundError:
             violations.append(f"{meta_path.name}: missing trace {name}")
         except PlanError as exc:

@@ -16,9 +16,8 @@ wrapped as ``Tangent``. The radius grows to
 the cubic driver's outer loop (``arc._drive``), so sampling, the
 curvature probe, the stop test, the exact-objective ratio and the
 bookkeeping are shared. The sub-sampled variant is the ``ssrtr``
-benchmark solver. Traces share the cubic driver's row format with the
-radius stored in the ``sigma`` slot and written under the name
-``delta``.
+benchmark solver. Its trace rows are the cubic driver's
+``IterationRecord``s, which hold the radius as their ``weight``.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ CG_THETA = 0.5
 @dataclass
 class TrustRegionConfig(DriverConfig):
     """Parameters of the trust-region rule."""
-
-    radius_column = "delta"
 
     delta0: float = 1.0
 

@@ -245,7 +245,7 @@ def test_criterion_06_regularizer_stays_bounded():
         stop_rule=StopRule.GRAD_SQUARED, tau=1e-3, sigma0=1e-3, seed=303, max_iters=2000
     )
     trace = run(obj, x0, cfg)
-    sigma_max = max(rec.sigma for rec in trace.records)
+    sigma_max = max(rec.weight for rec in trace.records)
     cap = max(cfg.sigma0, 2.0 * cfg.gamma * trace.l_hat) * 1.1
     elapsed = time.perf_counter() - t0
     _report(

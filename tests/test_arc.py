@@ -53,17 +53,17 @@ def _check_trace_laws(trace: RunTrace, cfg: SolverConfig, *, grad_size, hess_siz
         prev_grad, prev_hess = rec.grad_evals, rec.hess_evals
         moved = rec.success
         if i == 0:
-            assert rec.sigma == cfg.sigma0
+            assert rec.weight == cfg.sigma0
             continue
         last = trace.records[i - 1]
         if last.success:
-            expected = last.sigma / cfg.gamma
+            expected = last.weight / cfg.gamma
             if expected < SIGMA_MIN:
                 expected = SIGMA_MIN
-            assert rec.sigma == expected
+            assert rec.weight == expected
             assert rec.f < last.f
         else:
-            assert rec.sigma == cfg.gamma * last.sigma
+            assert rec.weight == cfg.gamma * last.weight
             assert rec.f == last.f
     # The iteration that triggers termination evaluates its gradient before
     # breaking and writes no record. Under OPTIMALITY it also runs the
@@ -205,7 +205,7 @@ def test_run_is_deterministic():
     a = run(obj, x0, cfg)
     b = run(obj, x0, cfg)
     assert [r.f for r in a.records] == [r.f for r in b.records]
-    assert [r.sigma for r in a.records] == [r.sigma for r in b.records]
+    assert [r.weight for r in a.records] == [r.weight for r in b.records]
     assert a.outcome is b.outcome
     assert np.array_equal(a.final_point.data, b.final_point.data)
 
@@ -218,8 +218,8 @@ def test_sigma_floor_is_recorded():
     assert trace.outcome is Outcome.OPTIMALITY_REACHED
     # A clamp is an accepted row followed by a row at the floor.
     rows = trace.records
-    assert any(a.success and b.sigma == SIGMA_MIN for a, b in zip(rows, rows[1:]))
-    assert all(rec.sigma >= SIGMA_MIN for rec in trace.records)
+    assert any(a.success and b.weight == SIGMA_MIN for a, b in zip(rows, rows[1:]))
+    assert all(rec.weight >= SIGMA_MIN for rec in trace.records)
     _check_trace_laws(trace, cfg, grad_size=obj.n, hess_size=obj.n)
 
 
@@ -461,6 +461,6 @@ def test_fail_count_and_sigma_cap_bounds():
     assert trace.outcome is Outcome.OPTIMALITY_REACHED
     assert trace.l_hat is not None and trace.l_hat > 0.0
     cap = max(cfg.sigma0, 2.0 * cfg.gamma * trace.l_hat) * 1.1
-    assert max(rec.sigma for rec in trace.records) <= cap
+    assert max(rec.weight for rec in trace.records) <= cap
     allowance = math.log(2.0 * cfg.gamma * trace.l_hat / cfg.sigma0, cfg.gamma)
     assert trace.iterations - trace.n_success <= trace.n_success + allowance

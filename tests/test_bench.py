@@ -61,7 +61,7 @@ from riemarc.jointdiag import JointDiagObjective, generate_instance
 from riemarc.manifolds import Manifold
 from riemarc.oracles import OracleBundle, OracleMode
 
-from euclidean import QuadraticSum, SaddleQuartic
+from euclidean import SaddleQuartic
 
 # Small but not tiny: protocol-style fractions at n below ~100 give
 # single-digit sample sizes whose noise stalls the sub-sampled solvers,
@@ -326,7 +326,7 @@ def test_sidecar_is_enough_to_rerun(bench_dir, tmp_path, solver):
     cfg = bench.config_from_sidecar(meta)
     trace = bench.solve(*_start(meta), cfg)
     rerun = tmp_path / "rerun.csv"
-    write_trace_csv(trace, rerun, sigma_name=cfg.radius_column)
+    write_trace_csv(trace, rerun)
     assert _rows_without_millis(rerun) == _rows_without_millis(
         bench_dir / f"{stem}.csv"
     )
@@ -339,14 +339,11 @@ def test_sidecar_is_enough_to_rerun(bench_dir, tmp_path, solver):
 
 
 def test_trace_radius_columns(bench_dir):
-    tr_header = (
-        (bench_dir / "case300x5x5_rep0_ssrtr.csv").read_text().splitlines()[0]
-    )
-    assert ",delta," in tr_header and "sigma" not in tr_header
-    arc_header = (
-        (bench_dir / "case300x5x5_rep0_racr.csv").read_text().splitlines()[0]
-    )
-    assert ",sigma," in arc_header
+    """Every solver's trace has the header ``TRACE_COLUMNS``, the radius
+    of ``ssrtr`` included, under ``weight``."""
+    for solver in SOLVERS:
+        path = bench_dir / f"case300x5x5_rep0_{solver}.csv"
+        assert path.read_text().splitlines()[0].split(",") == list(TRACE_COLUMNS)
 
 
 def test_verify_clean_run(bench_dir):
@@ -554,6 +551,47 @@ def test_cli_reports_an_overflowing_run_by_its_failure_line_alone(tmp_path, caps
         assert meta["outcome"] == "numerical_failure"
 
 
+def test_non_finite_gradient_norm_is_a_numerical_failure(tmp_path, capsys):
+    """A gradient whose norm overflows at a finite start objective ends
+    every run as a numerical failure with no rows, not as a sub-solver
+    failure: ``riemarc run`` writes each run and exits 2, and the
+    artifacts verify."""
+    runs = tmp_path / "runs"
+    plan_path = tmp_path / "overflow.plan"
+    plan_path.write_text("case 3 3 1\nrepetitions = 1\nnoise = 1e80\n")
+    assert cli_main(["run", "--out", str(runs), "--plan", str(plan_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("non-finite objective during run") == len(SOLVERS)
+    for solver in SOLVERS:
+        meta = json.loads((runs / f"case3x3x1_rep0_{solver}.meta.json").read_text())
+        assert (meta["outcome"], meta["iterations"]) == ("numerical_failure", 0)
+        assert math.isfinite(meta["final_f"])
+    assert cli_main(["verify", str(runs)]) == 0
+
+
+@pytest.mark.parametrize(
+    "constant, value",
+    [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e999", "inf")],
+)
+def test_sidecar_must_be_strict_json(tmp_path, capsys, constant, value):
+    """``run`` writes strict JSON, so a sidecar that holds a number strict
+    JSON cannot, here in place of a null ``final_f``, is unreadable: one
+    of the constants only Python's parser reads, or a literal that reads
+    as an infinity."""
+    runs = tmp_path / "runs"
+    plan = "case 5 3 2\nrepetitions = 1\nsolvers = racr\nnoise = 1e200\n"
+    (tmp_path / "plan").write_text(plan)
+    assert cli_main(["run", "--out", str(runs), "--plan", str(tmp_path / "plan")]) == 2
+    path = runs / "case5x3x2_rep0_racr.meta.json"
+    text = path.read_text()
+    assert '"final_f": null' in text
+    path.write_text(text.replace('"final_f": null', f'"final_f": {constant}'))
+    capsys.readouterr()
+    assert cli_main(["verify", str(runs)]) == 1
+    err = capsys.readouterr().err
+    assert f"unreadable sidecar: 'final_f' is {value}" in err
+
+
 def test_verify_allows_a_null_final_f_only_after_no_step(bench_dir, tmp_path):
     """A null ``final_f`` stands for a start objective that was not
     finite, so a run that took steps and claims optimality may not end
@@ -631,7 +669,7 @@ def test_verify_flags_radius_tampering(bench_dir, tmp_path):
         path = copy / _pick_long_trace(bench_dir).name
         lines = path.read_text().splitlines()
         header = lines[0].split(",")
-        col = header.index("sigma") if "sigma" in header else header.index("delta")
+        col = header.index("weight")
         fields = lines[2].split(",")
         fields[col] = repr(float(fields[col]) * 1.5)
         lines[2] = ",".join(fields)
@@ -693,8 +731,7 @@ _READ_CELLS = {
     "k": int,
     "f": float,
     "grad_norm": float,
-    "sigma": float,
-    "delta": float,
+    "weight": float,
     "model_val": float,
     "rho": float,
     "success": ("0", "1").index,
@@ -1047,7 +1084,7 @@ def test_a_law_that_raises_is_a_violation_of_its_run(
         ("racr", "seed", -1, "seed must be a non-negative int, got -1"),
         ("racr", "max_iters", 2.5, "'max_iters' is 2.5"),
         ("racr", "tau", True, "'tau' is True"),
-        ("racr", "tau", math.inf, "tau must be positive and finite, got inf"),
+        ("racr", "tau", math.inf, "'tau' is inf"),
         ("racr", "sigma_min", 1e-12, "unknown key 'sigma_min'"),
         ("ssrtr", "delta_max", 10.0, "unknown key 'delta_max'"),
         ("sracr", "foo", 1, "unknown key 'foo'"),
@@ -1278,7 +1315,7 @@ def test_verify_accepts_a_run_that_probes_every_iteration(bench_dir, tmp_path, s
     trace = bench.solve(objective, x0, cfg)
     wall_s = time.perf_counter() - t0
     assert all(rec.lambda_min is not None for rec in trace.records)
-    write_trace_csv(trace, copy / f"{stem}.csv", sigma_name=cfg.radius_column)
+    write_trace_csv(trace, copy / f"{stem}.csv")
     meta.update(
         outcome=trace.outcome.value,
         iterations=trace.iterations,
@@ -1507,7 +1544,7 @@ def test_trace_csv_roundtrip(tmp_path):
         parsed = dict(zip(rows[0], row))
         assert int(parsed["k"]) == rec.k
         assert float(parsed["f"]) == rec.f  # repr round-trips exactly
-        assert float(parsed["sigma"]) == rec.sigma
+        assert float(parsed["weight"]) == rec.weight
         assert float(parsed["rho"]) == rec.rho
         assert parsed["success"] == ("1" if rec.success else "0")
         if rec.lambda_min is None:
@@ -1515,16 +1552,6 @@ def test_trace_csv_roundtrip(tmp_path):
         else:
             assert float(parsed["lambda_min"]) == rec.lambda_min
         assert int(parsed["grad_evals"]) == rec.grad_evals
-
-
-def test_trace_csv_sigma_column_renaming(tmp_path):
-    obj = QuadraticSum.random(8, 3, seed=23, definite=True)
-    x0 = obj.manifold.random_point(10)
-    trace = run(obj, x0, SolverConfig(seed=24, max_iters=5))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path, sigma_name="delta")
-    header = path.read_text().splitlines()[0].split(",")
-    assert "delta" in header and "sigma" not in header
 
 
 # Cells of the one CSV dialect: any text without ``,``, ``\n`` or
@@ -1763,13 +1790,17 @@ def _set_millis(text):
 
 def _set_wall_s(value):
     """Set the sidecar's ``wall_s`` and rewrite the summary with
-    ``riemarc summarize``, so that only the timing law can object."""
+    ``riemarc summarize``, so that only the timing law can object. A
+    non-finite ``wall_s`` is no strict JSON, so that sidecar is unreadable
+    and ``summarize`` does not run."""
 
     def edit(directory, stem):
         path = directory / f"{stem}.meta.json"
         meta = json.loads(path.read_text())
         meta["wall_s"] = value
         path.write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
+        if not math.isfinite(value):
+            return
         summary = directory / "summary.csv"
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli_main(["summarize", str(directory), "--out", str(summary)]) == 0
@@ -1784,9 +1815,9 @@ _TIMING_EDITS = {
     "millis-inf": (_set_millis(lambda w: "inf"), "row 0 millis is inf, "),
     "millis-negative": (_set_millis(lambda w: "-1.0"), "row 0 millis is -1.0, "),
     "millis-past-wall_s": (_set_millis(lambda w: repr(2e3 * w)), "rows take "),
-    "wall_s-nan": (_set_wall_s(math.nan), "wall_s is nan, "),
+    "wall_s-nan": (_set_wall_s(math.nan), "unreadable sidecar: 'wall_s' is nan"),
     "wall_s-negative": (_set_wall_s(-1.0), "wall_s is -1.0, "),
-    "wall_s-inf": (_set_wall_s(math.inf), "wall_s is inf, "),
+    "wall_s-inf": (_set_wall_s(math.inf), "unreadable sidecar: 'wall_s' is inf"),
 }
 
 

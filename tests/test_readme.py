@@ -1,4 +1,5 @@
-"""README's examples, run as written, and its lists of sidecar fields."""
+"""README's examples, run as written, and its lists of trace columns and
+sidecar fields."""
 
 import dataclasses
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from riemarc.arc import DriverConfig, SolverConfig
-from riemarc.bench import RunRecord
+from riemarc.bench import TRACE_COLUMNS, RunRecord
 from riemarc.cli import main as cli_main
 from riemarc.trust_region import TrustRegionConfig
 
@@ -41,6 +42,20 @@ def _names(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
 
+def _bullet_names(label: str) -> list[str]:
+    """The backticked names of README's bullet ``- <label>: ...``, in
+    order."""
+    text = _README.read_text(encoding="utf-8")
+    bullet = re.search(rf"^- {label}: (.*?)\n(?=- |\n)", text, re.MULTILINE | re.DOTALL)
+    return re.findall(r"`([^`]*)`", bullet.group(1))
+
+
+def test_readme_names_exactly_the_trace_columns():
+    """README's trace bullet names ``TRACE_COLUMNS``, in order: the header
+    of every solver's trace."""
+    assert _bullet_names("trace columns") == list(TRACE_COLUMNS)
+
+
 @pytest.mark.parametrize(
     "label, fields",
     [
@@ -56,6 +71,4 @@ def test_readme_sidecar_lists_name_exactly_the_fields(label, fields):
     """Each sidecar bullet in README names, in backticks, exactly the
     fields it documents: the shared config's, those the two step rules
     add, and ``RunRecord``'s."""
-    text = _README.read_text(encoding="utf-8")
-    bullet = re.search(rf"^- {label}: (.*?)\n(?=- |\n)", text, re.MULTILINE | re.DOTALL)
-    assert set(re.findall(r"`([^`]*)`", bullet.group(1))) == fields
+    assert set(_bullet_names(label)) == fields

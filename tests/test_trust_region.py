@@ -120,7 +120,7 @@ def test_driver_on_definite_quadratic():
     assert trace.l_hat is None
     # No accepted row is followed by a radius at the cubic rule's floor.
     rows = trace.records
-    assert not any(a.success and b.sigma == SIGMA_MIN for a, b in zip(rows, rows[1:]))
+    assert not any(a.success and b.weight == SIGMA_MIN for a, b in zip(rows, rows[1:]))
 
 
 def test_driver_radius_recurrence_and_bookkeeping():
@@ -134,16 +134,16 @@ def test_driver_radius_recurrence_and_bookkeeping():
     for i, rec in enumerate(trace.records):
         assert rec.k == i
         assert rec.success == (rec.rho >= cfg.rho_threshold)
-        assert rec.sigma <= cap
+        assert rec.weight <= cap
         if i == 0:
-            assert rec.sigma == cfg.delta0
+            assert rec.weight == cfg.delta0
             continue
         last = trace.records[i - 1]
         if last.success:
-            assert rec.sigma == min(cfg.gamma * last.sigma, cap)
+            assert rec.weight == min(cfg.gamma * last.weight, cap)
             assert rec.f < last.f
         else:
-            assert rec.sigma == last.sigma / cfg.gamma
+            assert rec.weight == last.weight / cfg.gamma
             assert rec.f == last.f
 
 
@@ -153,7 +153,7 @@ def test_driver_respects_radius_cap():
     cfg = TrustRegionConfig(seed=10, delta0=0.1, max_iters=40)
     trace = run_trust_region(obj, x0, cfg)
     assert trace.iterations > 0
-    assert max(rec.sigma for rec in trace.records) <= cfg.radius_cap()
+    assert max(rec.weight for rec in trace.records) <= cfg.radius_cap()
 
 
 def test_config_validation():
@@ -189,6 +189,6 @@ def test_subsampled_driver_on_joint_diagonalization():
         last = trace.records[i - 1]
         rec = trace.records[i]
         if last.success:
-            assert rec.sigma == min(cfg.gamma * last.sigma, cfg.radius_cap())
+            assert rec.weight == min(cfg.gamma * last.weight, cfg.radius_cap())
         else:
-            assert rec.sigma == last.sigma / cfg.gamma
+            assert rec.weight == last.weight / cfg.gamma
