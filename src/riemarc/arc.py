@@ -226,7 +226,8 @@ class RunTrace:
     ``l_hat`` estimates the Hessian Lipschitz constant as the largest
     ``2 |f(R(eta)) - f(x) - <G, eta> - 0.5 <H[eta], eta>| / ||eta||^3``
     over the run's trial steps. It is None unless the cubic rule ran
-    with an exact gradient and an exact Hessian.
+    with an exact gradient and an exact Hessian. ``failure`` says what
+    ended a ``NUMERICAL_FAILURE`` run, and is None on any other.
     """
 
     records: list[IterationRecord]
@@ -237,6 +238,7 @@ class RunTrace:
     hess_evals: int
     objective_evals: int
     l_hat: float | None = None
+    failure: str | None = None
 
     @property
     def iterations(self) -> int:
@@ -307,9 +309,10 @@ def _drive(
     l_hat: float | None = None
     records: list[IterationRecord] = []
     outcome = Outcome.MAX_ITERS
+    failure: str | None = None
     budget = cfg.iteration_budget()
     if not math.isfinite(f_x):
-        outcome = Outcome.NUMERICAL_FAILURE
+        failure = "non-finite objective at the start point"
         budget = 0
 
     k = 0
@@ -320,7 +323,7 @@ def _drive(
         grad = bundle.inexact_gradient(x)
         grad_norm = manifold.norm(grad)
         if not math.isfinite(grad_norm):
-            outcome = Outcome.NUMERICAL_FAILURE
+            failure = "non-finite gradient norm"
             break
 
         probe: MinEigResult | None = None
@@ -339,10 +342,14 @@ def _drive(
                 break
             x_trial = manifold.retract(x, eta)
             f_trial = bundle.objective_value(x_trial)
-        except (OverflowError, SingularRetractionError):  # beyond the float range
-            f_trial = math.nan
+        except OverflowError:
+            failure = "trial step beyond the float range"
+            break
+        except SingularRetractionError:
+            failure = "singular retraction of the trial step"
+            break
         if not math.isfinite(f_trial):
-            outcome = Outcome.NUMERICAL_FAILURE
+            failure = "non-finite trial objective"
             break
         rho = (f_x - f_trial) / (-m_val)
         success = rho >= cfg.rho_threshold
@@ -380,9 +387,10 @@ def _drive(
 
     return RunTrace(
         records=records,
-        outcome=outcome,
+        outcome=outcome if failure is None else Outcome.NUMERICAL_FAILURE,
         final_point=x,
         final_f=f_x,
         l_hat=l_hat,
+        failure=failure,
         **vars(bundle.counters),
     )

@@ -387,8 +387,8 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                     failures.append(f"{name}: {type(exc).__name__}: {exc}")
                     continue
                 wall_s = time.perf_counter() - t0
-                if trace.outcome is Outcome.NUMERICAL_FAILURE:
-                    failures.append(f"{name}: non-finite objective during run")
+                if trace.failure is not None:
+                    failures.append(f"{name}: {trace.failure}")
                 write_trace_csv(trace, out / f"{name}.csv")
                 record = RunRecord(
                     case=dict(zip("ndr", case)),
@@ -738,23 +738,33 @@ def _gradient_step(run: RunRecord, cfg: DriverConfig, moved: bool) -> int:
 
 def _check_run_totals(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
     """Under the squared-gradient stop rule the sidecar's totals are the
-    last row's counters plus the terminating iteration's work: a gradient
-    step after the last row when the run reached optimality, and never a
-    probe. The exact objective is taken once at the start and once per
-    row."""
+    last row's counters plus the terminating iteration's work. A run that
+    reached optimality takes a gradient step after the last row and never
+    a probe. A sub-solver failure takes a gradient step and its step's
+    Hessian batches, possibly none, and stops before the trial objective.
+    The exact objective is taken once at the start and once per row."""
     if cfg.stop_rule is not StopRule.GRAD_SQUARED:
         return
-    if run.outcome is Outcome.OPTIMALITY_REACHED:
-        tail_g = _gradient_step(run, cfg, (cols["success"] or [True])[-1])
-    elif run.outcome is Outcome.MAX_ITERS:
-        tail_g = 0
-    else:
+    if run.outcome is Outcome.NUMERICAL_FAILURE:
         return
+    last_g = (cols["grad_evals"] or [0])[-1]
+    last_h = (cols["hess_evals"] or [0])[-1]
+    if run.outcome is not Outcome.MAX_ITERS:
+        last_g += _gradient_step(run, cfg, (cols["success"] or [True])[-1])
     expected = {
-        "grad_evals": (cols["grad_evals"] or [0])[-1] + tail_g,
-        "hess_evals": (cols["hess_evals"] or [0])[-1],
+        "grad_evals": last_g,
+        "hess_evals": last_h,
         "objective_evals": run.case["n"] * (len(cols["k"]) + 1),
     }
+    if run.outcome is Outcome.SUBSOLVER_FAILURE:
+        h_size = _batch(run, cfg.hess_sample_size)
+        dh = run.hess_evals - last_h
+        if dh < 0 or dh % h_size != 0:
+            yield (
+                f"sidecar hess_evals is {run.hess_evals!r}, expected {last_h} "
+                f"and a whole number of batches of {h_size}"
+            )
+        del expected["hess_evals"]
     for key, value in expected.items():
         if getattr(run, key) != value:
             yield f"sidecar {key} is {getattr(run, key)!r}, expected {value}"

@@ -26,7 +26,8 @@ product is ``P_U(D egrad[xi] - xi sym(U^T egrad))``.
 One kernel forms every ``A_j`` and ``B_j`` from the rows
 ``vec(u_j w_j^T)``. Since each ``C_i`` is symmetric, an instance stores
 the family only as packed rows of its ``t = d(d+1)/2`` upper-triangle
-entries, and the kernel contracts the rows ``C_S`` of a sampled set as
+entries, in the one order that ``_layout(d)`` states and caches per
+``d``, and the kernel contracts the rows ``C_S`` of a sampled set as
 ``((W C_S^T) C_S) / |S|``, two matrix products, with ``W`` the packed
 form of the rows ``vec(u_j w_j^T)``. The full average depends on the
 data only through the ``d^2 x d^2`` moment matrix
@@ -46,14 +47,16 @@ and returns ``D W + Z S``: row ``j`` of ``W`` holds the packed entries
 ``noise`` and an off-diagonal one by ``noise / sqrt(2)``, the standard
 deviations of ``noise * (E_i + E_i^T) / 2``. Matrices from elsewhere
 enter through ``JDInstance.from_matrices(c, r)``. An instance holds the
-family and ``r`` only; the seed and noise it was drawn with are the
-run sidecar's record. ``check_instance`` is the one instance rule,
-``n >= 1``, ``1 <= r <= d`` and ``0 <= noise < inf``, of the builder,
+packed rows and ``r`` only: the rows' width fixes ``d``, and the seed
+and noise it was drawn with are the run sidecar's record.
+``check_instance`` is the one instance rule, ``n >= 1``,
+``1 <= r <= d`` and ``0 <= noise < inf``, of the builder,
 ``JDInstance``, the benchmark plan and ``verify``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,30 +80,44 @@ def check_instance(n: int, d: int, r: int, noise: float = 0.0) -> None:
         raise ContractError(f"noise must be finite and non-negative, got {noise}")
 
 
+@functools.cache
+def _layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only packed layout ``(i, j, expand, fold)`` of symmetric
+    ``d x d`` matrices. Packed entry ``k`` is entry ``(i[k], j[k])`` of the
+    upper triangle, row by row. Entries ``(p, q)`` and ``(q, p)`` of a
+    vec'd matrix share packed position ``expand[p d + q]``, and ``fold``
+    adds them: ``(vec(X) @ fold) . packed(C) = vec(X) . vec(C)``."""
+    i, j = np.triu_indices(d)
+    expand = np.empty((d, d), dtype=np.intp)
+    expand[i, j] = expand[j, i] = np.arange(i.size)
+    expand = expand.reshape(-1)
+    fold = (expand[:, None] == np.arange(i.size)).astype(float)
+    return _readonly(i), _readonly(j), _readonly(expand), _readonly(fold)
+
+
 @dataclass(frozen=True)
 class JDInstance:
     """A problem instance: the matrix family and the rank ``r``.
 
-    ``rows`` holds the family as read-only ``(n, d(d+1)/2)`` packed
-    rows, the upper-triangle entries of each ``C_m`` in
-    ``np.triu_indices(d)`` order, under ``check_instance``. A read-only
-    array that owns its memory is kept as it is; any other is copied, so
-    the caller's array is never frozen or shared."""
+    ``rows`` holds the family as read-only ``(n, t)`` packed rows, the
+    upper-triangle entries of each ``C_m`` in ``_layout(d)`` order,
+    under ``check_instance``. The width ``t`` fixes ``d`` through
+    ``t = d(d+1)/2``; a width that is no such number is rejected. A
+    read-only array that owns its memory is kept as it is; any other is
+    copied, so the caller's array is never frozen or shared."""
 
     rows: np.ndarray  # (n, d(d+1)/2)
-    d: int
     r: int
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=float)
-        t = self.d * (self.d + 1) // 2
-        if rows.ndim != 2 or rows.shape[1] != t:
-            raise ContractError(f"expected (n, {t}) rows, d={self.d}, got {rows.shape}")
-        check_instance(rows.shape[0], self.d, self.r)
         if rows.flags.writeable or not rows.flags.owndata:
             rows = rows.copy()
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
+        if rows.ndim != 2 or self.d * (self.d + 1) // 2 != rows.shape[1]:
+            raise ContractError(f"expected (n, d(d+1)/2) packed rows, got {rows.shape}")
+        check_instance(self.n, self.d, self.r)
 
     @classmethod
     def from_matrices(cls, c, r: int) -> JDInstance:
@@ -112,20 +129,20 @@ class JDInstance:
             raise ContractError(f"expected (n, d, d) matrices, got {c.shape}")
         if not np.isfinite(c).all():
             raise ContractError("input matrices have non-finite entries")
-        n, d, _ = c.shape
-        p, q = np.triu_indices(d)
-        upper = c.reshape(n, d * d).take(p * d + q, axis=1)
-        lower = c.reshape(n, d * d).take(q * d + p, axis=1)
+        i, j, _, _ = _layout(c.shape[1])
+        upper, lower = c[:, i, j], c[:, j, i]
         asym = np.abs(upper - lower).max(initial=0.0)
         if asym > SYMMETRY_TOL:
             raise ContractError(f"input matrices are asymmetric by {asym:.3e}")
-        rows = upper if asym == 0.0 else (upper + lower) / 2.0
-        rows.setflags(write=False)
-        return cls(rows=rows, d=d, r=r)
+        return cls(rows=upper if asym == 0.0 else (upper + lower) / 2.0, r=r)
 
     @property
     def n(self) -> int:
         return self.rows.shape[0]
+
+    @property
+    def d(self) -> int:
+        return (math.isqrt(8 * self.rows.shape[1] + 1) - 1) // 2
 
 
 def generate_instance(
@@ -138,12 +155,12 @@ def generate_instance(
     diags = rng.uniform(1.0, 2.0, size=(n, d))
     # The packed noise Z S, then the noiseless D W added in place. The
     # array is the builder's own, so JDInstance keeps it without a copy.
-    rows = rng.standard_normal((n, d * (d + 1) // 2))
-    i, j = np.triu_indices(d)
+    i, j, _, _ = _layout(d)
+    rows = rng.standard_normal((n, i.size))
     rows *= np.where(i == j, noise, noise / math.sqrt(2.0))
     rows += diags @ (q[i] * q[j]).T
     rows.setflags(write=False)
-    return JDInstance(rows=rows, d=d, r=r)
+    return JDInstance(rows=rows, r=r)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -156,50 +173,28 @@ def _columnwise(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("jpq,qj->pj", a, w)
 
 
-class _PackedFamily:
-    """The instance's packed rows with their index maps. Entry ``(p, q)``
-    of a vec'd ``d x d`` matrix has packed position ``expand[p d + q]``,
-    shared with ``(q, p)``, and ``fold`` adds the two entries of every
-    such pair, so that ``(vec(X) @ fold) . packed(C)`` equals
-    ``vec(X) . vec(C)`` for every symmetric ``C``."""
-
-    def __init__(self, rows: np.ndarray, d: int):
-        p, q = np.triu_indices(d)
-        t = p.size
-        expand = np.empty((d, d), dtype=np.intp)
-        expand[p, q] = expand[q, p] = np.arange(t)
-        self.expand = _readonly(expand.reshape(-1))
-        self.fold = _readonly((self.expand[:, None] == np.arange(t)).astype(float))
-        self.rows = rows
-        self._moments: np.ndarray | None = None
-
-    def moments(self) -> np.ndarray:
-        """``M = (1/n) sum_m vec(C_m) vec(C_m)^T``, formed as the ``t x t``
-        product of the packed rows and expanded to ``d^2 x d^2`` once."""
-        if self._moments is None:
-            packed = self.rows.T @ self.rows / len(self.rows)
-            self._moments = _readonly(packed[np.ix_(self.expand, self.expand)])
-        return self._moments
-
-
 class _PointMemo:
     """What ``value``, ``gradient`` and every ``hess_vec`` share at one
     point ``U`` and index set ``S``: ``A_j`` for every column ``j``, the
-    Euclidean gradient, and ``sym(U^T egrad)`` on first use. ``rows`` are
-    the packed rows of ``C[S]``, or ``None`` for the full batch through
-    the moment matrix. Every cached array is read-only."""
+    Euclidean gradient, and ``sym(U^T egrad)`` on first use. The full
+    batch reads the moment matrix ``moments`` when one is given; any
+    other set contracts ``rows``, the packed rows of ``C[S]``, through
+    the layout's ``expand`` and ``fold``. Every cached array is
+    read-only."""
 
     def __init__(
         self,
         x: Point,
         idx: np.ndarray | None,
-        family: _PackedFamily,
-        rows: np.ndarray | None,
+        rows: np.ndarray,
+        moments: np.ndarray | None,
+        expand: np.ndarray,
+        fold: np.ndarray,
     ):
         self.x = x
         self.idx = None if idx is None else _readonly(idx.copy())
-        self.family = family
-        self.rows = rows
+        self.rows, self.moments = rows, moments
+        self.expand, self.fold = expand, fold
         self.a = _readonly(self.contract(x.data))
         self.egrad = _readonly(-4.0 * _columnwise(self.a, x.data))
         self._sym_u_egrad: np.ndarray | None = None
@@ -217,12 +212,12 @@ class _PointMemo:
         u = self.x.data
         d, r = u.shape
         outer = (u.T[:, :, None] * w.T[:, None, :]).reshape(r, d * d)
-        if self.rows is None:
-            flat = outer @ self.family.moments()
+        if self.moments is not None:
+            flat = outer @ self.moments
         else:
-            packed = ((outer @ self.family.fold) @ self.rows.T) @ self.rows
+            packed = ((outer @ self.fold) @ self.rows.T) @ self.rows
             packed /= len(self.rows)
-            flat = packed[:, self.family.expand]
+            flat = packed[:, self.expand]
         return flat.reshape(r, d, d)
 
     def value(self) -> float:
@@ -246,7 +241,8 @@ class _PointMemo:
 class JointDiagObjective(SeparableObjective):
     """Finite-sum diagonalization objective on ``Stiefel(d, r)``.
 
-    Construction reads nothing of the family's rows. The moment matrix
+    Construction reads nothing of the family's rows and takes the
+    packed layout of its ``d`` from the shared cache. The moment matrix
     ``M`` is formed on the first full-batch call with ``d^2 < n``, when
     ``M`` is smaller than the family and a call costs ``r d^4`` flops
     instead of about ``n d^2 r``, and kept.
@@ -265,23 +261,26 @@ class JointDiagObjective(SeparableObjective):
 
     def __init__(self, instance: JDInstance):
         self.instance = instance
-        self.n = instance.n
-        self.manifold = Stiefel(instance.d, instance.r)
+        self.n, self.d = instance.n, instance.d
+        self.manifold = Stiefel(self.d, instance.r)
+        self._rows = instance.rows
+        _, _, self._expand, self._fold = _layout(self.d)
+        self._moments: np.ndarray | None = None
         self._memo: _PointMemo | None = None
-        self._family = _PackedFamily(instance.rows, instance.d)
 
     def _at(self, x: Point, idx: np.ndarray | None) -> _PointMemo:
         memo = self._memo
         if memo is None or not memo.matches(x, idx):
             idx = self._check_idx(idx)
-            family = self._family
+            rows, moments = self._rows, None
             if idx is not None:
-                rows = _readonly(family.rows[idx])
-            elif self.instance.d**2 < self.n:
-                rows = None
-            else:
-                rows = family.rows
-            memo = _PointMemo(x, idx, family, rows)
+                rows = _readonly(rows[idx])
+            elif self.d**2 < self.n:
+                if self._moments is None:  # the t x t product, expanded once
+                    e = self._expand
+                    self._moments = _readonly((rows.T @ rows / self.n)[np.ix_(e, e)])
+                moments = self._moments
+            memo = _PointMemo(x, idx, rows, moments, self._expand, self._fold)
             self._memo = memo
         return memo
 

@@ -520,10 +520,11 @@ def test_non_finite_start_objective_is_a_numerical_failure(tmp_path, capsys):
             cfg = bench.solver_config(_TINY_PLAN, solver, 60, 0)
             trace = bench.solve(objective, x0, cfg)
             assert trace.outcome is Outcome.NUMERICAL_FAILURE
+            assert trace.failure == "non-finite objective at the start point"
             assert trace.records == [] and not math.isfinite(trace.final_f)
         assert cli_main(["run", "--out", str(runs), "--plan", str(plan_path)]) == 2
     err = capsys.readouterr().err
-    assert err.count("non-finite objective during run") == len(SOLVERS)
+    assert err.count(": non-finite objective at the start point\n") == len(SOLVERS)
     for solver in SOLVERS:
         text = (runs / f"case60x4x4_rep0_{solver}.meta.json").read_text()
         meta = json.loads(text, parse_constant=reject)
@@ -545,7 +546,7 @@ def test_cli_reports_an_overflowing_run_by_its_failure_line_alone(tmp_path, caps
     assert len(lines) == len(SOLVERS)
     for line in lines:
         assert line.startswith("failure: ")
-        assert line.endswith(": non-finite objective during run")
+        assert line.endswith(": non-finite objective at the start point")
     for solver in SOLVERS:
         meta = json.loads((runs / f"case60x4x4_rep0_{solver}.meta.json").read_text())
         assert meta["outcome"] == "numerical_failure"
@@ -554,14 +555,17 @@ def test_cli_reports_an_overflowing_run_by_its_failure_line_alone(tmp_path, caps
 def test_non_finite_gradient_norm_is_a_numerical_failure(tmp_path, capsys):
     """A gradient whose norm overflows at a finite start objective ends
     every run as a numerical failure with no rows, not as a sub-solver
-    failure: ``riemarc run`` writes each run and exits 2, and the
-    artifacts verify."""
+    failure: ``riemarc run`` names the gradient norm in each failure
+    line, writes each run and exits 2, and the artifacts verify."""
     runs = tmp_path / "runs"
     plan_path = tmp_path / "overflow.plan"
     plan_path.write_text("case 3 3 1\nrepetitions = 1\nnoise = 1e80\n")
     assert cli_main(["run", "--out", str(runs), "--plan", str(plan_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("non-finite objective during run") == len(SOLVERS)
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        f"failure: {run_name((3, 3, 1), solver, 0)}: non-finite gradient norm"
+        for solver in SOLVERS
+    ]
     for solver in SOLVERS:
         meta = json.loads((runs / f"case3x3x1_rep0_{solver}.meta.json").read_text())
         assert (meta["outcome"], meta["iterations"]) == ("numerical_failure", 0)
@@ -1009,6 +1013,44 @@ def test_verify_flags_sidecar_totals_tampering(bench_dir, tmp_path, counter):
     problems = _tampered(bench_dir, tmp_path, counter, mutate)
     assert len(problems) == 1
     assert problems[0].startswith(f"{stem}.csv: sidecar {counter} is ")
+
+
+def test_verify_checks_the_totals_of_subsolver_failures(tmp_path, capsys):
+    """A sub-solver failure stops after its gradient and its step, before
+    the trial objective, so its sidecar's objective and gradient totals
+    follow from the trace: one batch more of either, with the summary
+    rebuilt by ``riemarc summarize``, is a violation. The failed step's
+    Hessian batches are in no row, so a Hessian total one batch higher
+    still verifies (only a replay of the run could tell), while one below
+    the last row's count does not."""
+    plan_file = tmp_path / "case40.plan"
+    plan_file.write_text("case 40 4 3\nrepetitions = 2\n")
+    runs = tmp_path / "runs"
+    assert cli_main(["run", "--plan", str(plan_file), "--out", str(runs)]) == 0
+    stem = run_name((40, 4, 3), "ssracr", 0)
+    meta = json.loads((runs / f"{stem}.meta.json").read_text())
+    assert meta["outcome"] == Outcome.SUBSOLVER_FAILURE.value
+    with open(runs / f"{stem}.csv", newline="") as handle:
+        last_h = int(list(csv.DictReader(handle))[-1]["hess_evals"])
+    h_batch = meta["hess_sample_size"]
+    edits = [
+        ("objective_evals", meta["case"]["n"], 1),
+        ("grad_evals", meta["grad_sample_size"], 1),
+        ("hess_evals", h_batch, 0),
+        ("hess_evals", last_h - h_batch - meta["hess_evals"], 1),
+    ]
+    for k, (key, amount, code) in enumerate(edits):
+        copy = tmp_path / f"edit{k}"
+        shutil.copytree(runs, copy)
+        _bump_sidecar(copy / f"{stem}.meta.json", key, amount)
+        summary = copy / "summary.csv"
+        assert cli_main(["summarize", str(copy), "--out", str(summary)]) == 0
+        capsys.readouterr()
+        assert cli_main(["verify", str(copy)]) == code, (key, amount)
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith(f"violation: {stem}.csv: sidecar {key} is ")
+            assert err.count("\n") == 1
 
 
 def _drop_rho_threshold(path):
@@ -2107,6 +2149,41 @@ _PLAN_VALUES = {
 }
 
 
+# What ``arc._drive`` names as the cause of a numerical failure.
+_FAILURE_TEXTS = (
+    ": non-finite objective at the start point",
+    ": non-finite gradient norm",
+    ": trial step beyond the float range",
+    ": singular retraction of the trial step",
+    ": non-finite trial objective",
+)
+
+
+@pytest.mark.parametrize(
+    "plan_text, text",
+    [
+        # A Cauchy model value that overflows.
+        (
+            "case 1 3 1\nnoise = 1e60\nsolvers = racr",
+            "trial step beyond the float range",
+        ),
+        # A trial point whose Gram the retraction cannot factor.
+        (
+            "case 1 2 1\ndelta0 = 1e155\nsolvers = ssrtr",
+            "singular retraction of the trial step",
+        ),
+    ],
+)
+def test_a_failed_trial_step_is_named(tmp_path, plan_text, text):
+    """A run that a trial step ends reports what went wrong with it, and
+    its artifacts verify."""
+    report = run_plan(parse_plan(plan_text + "\nmax_iters = 30\n"), tmp_path)
+    assert report.failures
+    for failure in report.failures:
+        assert failure.endswith(f": {text}"), failure
+    assert verify_traces(RunSet(tmp_path)) == []
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     cases=st.lists(_TINY_CASES, min_size=1, max_size=2),
@@ -2150,5 +2227,5 @@ def test_every_accepted_tiny_plan_runs_and_verifies(cases, values, solvers, sepa
     with tempfile.TemporaryDirectory() as out:
         report = run_plan(plan, out)
         for failure in report.failures:
-            assert failure.endswith(": non-finite objective during run"), failure
+            assert failure.endswith(_FAILURE_TEXTS), failure
         assert verify_traces(RunSet(out)) == []

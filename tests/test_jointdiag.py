@@ -2,7 +2,9 @@
 planted optima, serialization."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riemarc.errors import ContractError
-from riemarc.jointdiag import JDInstance, JointDiagObjective, generate_instance
+from riemarc.jointdiag import JDInstance, JointDiagObjective, _layout, generate_instance
 from riemarc.manifolds import Point, Tangent, qr_orthonormal_factor, sym
 
 EPS = np.finfo(float).eps
@@ -206,7 +208,6 @@ def save_instance(instance: JDInstance, path) -> None:
     np.savez_compressed(
         path,
         rows=instance.rows,
-        d=np.array(instance.d),
         r=np.array(instance.r),
     )
 
@@ -214,11 +215,7 @@ def save_instance(instance: JDInstance, path) -> None:
 def load_instance(path) -> JDInstance:
     """Load an instance, revalidating its shape."""
     with np.load(path) as data:
-        return JDInstance(
-            rows=data["rows"],
-            d=int(data["d"]),
-            r=int(data["r"]),
-        )
+        return JDInstance(rows=data["rows"], r=int(data["r"]))
 
 
 def test_instance_roundtrip(tmp_path):
@@ -337,7 +334,7 @@ def test_instance_never_freezes_or_shares_the_callers_array(given_as):
     if given_as == "read_only_view":
         rows = rows.view()
         rows.setflags(write=False)
-    direct = JDInstance(rows=rows, d=3, r=2)
+    direct = JDInstance(rows=rows, r=2)
     assert not np.shares_memory(direct.rows, rows)
     assert not direct.rows.flags.writeable
 
@@ -355,15 +352,71 @@ def test_generation_validation():
         JDInstance.from_matrices(np.zeros((2, 3, 3)), r=4)
     with pytest.raises(ContractError):
         JDInstance.from_matrices(np.zeros((2, 3, 2)), r=1)
-    with pytest.raises(ContractError):
-        JDInstance(rows=np.zeros((2, 5)), d=3, r=1)
+    # A width that is no triangular number, or rows that are not a
+    # matrix, fix no d.
+    for shape in [(2, 5), (2, 2), (6,), (1, 2, 3)]:
+        with pytest.raises(ContractError, match=r"expected \(n, d\(d\+1\)/2\)"):
+            JDInstance(rows=np.zeros(shape), r=1)
+    # A triangular width fixes d, and r is checked against it.
+    assert JDInstance(rows=np.zeros((2, 6)), r=3).d == 3
+    with pytest.raises(ContractError, match="1 <= r <= d"):
+        JDInstance(rows=np.zeros((2, 6)), r=4)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_layout_folds_vec_products_onto_packed_entries(d):
+    """``fold`` carries ``vec(X) . vec(C)`` onto the packed entries of a
+    symmetric ``C``, ``expand`` gives ``(p, q)`` and ``(q, p)`` one packed
+    position, and the cached arrays are read-only."""
+    i, j, expand, fold = _layout(d)
+    assert np.array_equal(np.stack([i, j]), np.triu_indices(d))
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((d, d))
+    c = sym(rng.standard_normal((d, d)))
+    got = (x.reshape(-1) @ fold) @ c[np.triu_indices(d)]
+    want = x.reshape(-1) @ c.reshape(-1)
+    assert abs(got - want) <= 8 * EPS * (np.abs(x) * np.abs(c)).sum()
+    square = expand.reshape(d, d)
+    assert np.array_equal(square, square.T)
+    assert np.array_equal(square[i, j], np.arange(i.size))
+    for a in (i, j, expand, fold):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[-1]
+
+
+def test_objectives_of_one_d_share_one_layout():
+    a = JointDiagObjective(generate_instance(6, 4, 2, seed=1))
+    b = JointDiagObjective(generate_instance(30, 4, 4, seed=2))
+    c = JointDiagObjective(generate_instance(6, 5, 2, seed=1))
+    assert a._expand is b._expand is _layout(4)[2]
+    assert a._fold is b._fold is _layout(4)[3]
+    assert c._fold is not a._fold and c._fold.shape == (25, 15)
+
+
+@pytest.mark.parametrize("n", [6, 30])
+def test_a_dropped_objective_is_freed_by_refcount(n):
+    """Neither the memo nor the moment matrix refers back to the
+    objective, so dropping it frees it, its memo and its arrays at once,
+    without the cycle collector."""
+    obj = JointDiagObjective(generate_instance(n, 4, 2, seed=3, noise=0.2))
+    x = obj.manifold.random_point(4)
+    obj.hess_vec(x, obj.manifold.random_tangent(x, 5))
+    obj.gradient(x, np.array([0, 2]))
+    ref = weakref.ref(obj)
+    gc.disable()
+    try:
+        del obj
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_empty_family_rejected():
     with pytest.raises(ContractError, match="at least one matrix"):
         JDInstance.from_matrices(np.zeros((0, 3, 3)), r=2)
     with pytest.raises(ContractError, match="at least one matrix"):
-        JDInstance(rows=np.zeros((0, 6)), d=3, r=2)
+        JDInstance(rows=np.zeros((0, 6)), r=2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
