@@ -264,6 +264,12 @@ def should_terminate(
     return lambda_est >= -cfg.eps_h
 
 
+def predicts_decrease(model_val: float, f: float) -> bool:
+    """The driver's decrease test of a trial step's model value at an
+    iterate of objective ``f``; failing it ends a run as a sub-solver failure."""
+    return model_val < -1e-16 * max(1.0, abs(f))
+
+
 def runs_probe(grad_norm: float, cfg: DriverConfig) -> bool:
     """Whether the driver probes the curvature at an iterate with this
     gradient norm, as ``cfg.eig_policy`` says. The optimality test's
@@ -337,7 +343,7 @@ def _drive(
 
         try:
             eta, m_val, reg = cfg.step(grad, hvp, weight, x, manifold, probe)
-            if not m_val < -1e-16 * max(1.0, abs(f_x)):
+            if not predicts_decrease(m_val, f_x):
                 outcome = Outcome.SUBSOLVER_FAILURE
                 break
             x_trial = manifold.retract(x, eta)

@@ -27,16 +27,17 @@ reads a sidecar back as the ``RunRecord`` and config that wrote it,
 each key typed by its field's annotation as trace and summary cells
 are, and ``config_from_sidecar`` validates the config, so a sidecar is
 enough to rerun its run, and a key that no run writes is unreadable.
-``verify_traces`` applies the run laws of ``_RUN_LAWS``, in order, to
+``verify_traces`` reads each trace back as the ``IterationRecord``s
+that wrote it and applies the run laws of ``_RUN_LAWS``, in order, to
 each run whose files parse and are filed under the run's own
 ``run_name``: row count, stop test and probe, weight recurrence,
-objective, counters, run totals, provenance and timing. It then checks
-that ``summary.csv`` is the summary the sidecars give. A law that
-raises is reported as a violation of its run. ``_table_text`` writes
-traces and the summary in one dialect, ``csv_text``'s, under their
-records' field names, so every trace has the header ``TRACE_COLUMNS``:
-a trace in any other text is unreadable, and each trace cell is parsed
-by its ``TRACE_CODECS`` entry. ``summarize_traces``, ``verify_traces`` and
+objective, oracle charge, provenance and timing. It then checks that
+``summary.csv`` is the summary the sidecars give. A law that raises is
+reported as a violation of its run. ``_table_text`` writes traces and
+the summary in one dialect, ``csv_text``'s, under their records' field
+names, so every trace has the header ``TRACE_COLUMNS``: a trace in any
+other text is unreadable, and each trace cell is parsed by its
+``TRACE_CODECS`` entry, a float only when finite. ``summarize_traces``, ``verify_traces`` and
 ``determinism_digest`` take one ``RunSet``, the runs of one directory,
 read once; a path that is not a directory is a ``PlanError``. Traces
 and sidecars are deterministic for a fixed plan and master seed up to
@@ -419,17 +420,25 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
 
 # -- the CSV dialect ------------------------------------------------------
 
+def _finite(text: str) -> float:
+    """``text`` as a float, which no run writes unless it is finite."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
 # A trace or summary cell's ``(format, parse)`` for each annotation: a
-# flag is ``1`` or ``0``, a count its digits, a float its ``repr``, an
-# absent one empty and a name itself. Numpy scalars format as Python's.
+# flag is ``1`` or ``0``, a count its digits, a float its ``repr``, read
+# back only when finite, an absent one empty and a name itself. Numpy
+# scalars format as Python's.
 _CELL_CODECS = {
     str: (str, str),
     bool: (lambda v: "1" if v else "0", lambda text: bool(("0", "1").index(text))),
     int: (lambda v: str(int(v)), int),
-    float: (lambda v: repr(float(v)), float),
+    float: (lambda v: repr(float(v)), _finite),
     float | None: (
         lambda v: "" if v is None else repr(float(v)),
-        lambda text: None if text == "" else float(text),
+        lambda text: None if text == "" else _finite(text),
     ),
 }
 # Each trace and summary column's codec, in field order.
@@ -598,30 +607,32 @@ def write_summary(rows: list[SummaryRow], path) -> None:
 # -- verification ---------------------------------------------------------
 
 
-def _parse_columns(rows: list[list[str]]) -> dict[str, list]:
-    """A trace's rows as columns, each parsed by its ``TRACE_CODECS``
-    entry. Raises ``ValueError`` naming the first row with the wrong cell
-    count, or the first cell that does not parse, by its field."""
-    columns: dict[str, list] = {col: [] for col in TRACE_CODECS}
+def _read_records(rows: list[list[str]]) -> list[IterationRecord]:
+    """A trace's rows as the ``IterationRecord``s that wrote them, each cell
+    by its ``TRACE_CODECS`` parser. Raises ``ValueError`` naming the first
+    row with the wrong cell count, or the first cell that does not parse."""
+    records = []
     for k, row in enumerate(rows):
-        if len(row) != len(columns):
+        if len(row) != len(TRACE_CODECS):
             raise ValueError(
-                f"unreadable row {k}: {len(row)} cells, expected {len(columns)}"
+                f"unreadable row {k}: {len(row)} cells, expected {len(TRACE_CODECS)}"
             )
+        values = {}
         for (col, (_, parse)), cell in zip(TRACE_CODECS.items(), row):
             try:
-                columns[col].append(parse(cell))
+                values[col] = parse(cell)
             except ValueError:
                 raise ValueError(f"unreadable row {k}: {col} is {cell!r}") from None
-    return columns
+        records.append(IterationRecord(**values))
+    return records
 
 
-def _check_row_count(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
+def _check_row_count(run: RunRecord, cfg: DriverConfig, rows: list[IterationRecord]):
     """Rows ``0..n-1``, as many as the sidecar's iterations, and the
     driver stops at its iteration budget."""
-    n_rows = len(cols["k"])
+    n_rows = len(rows)
     budget = cfg.iteration_budget()
-    if cols["k"] != list(range(n_rows)):
+    if [row.k for row in rows] != list(range(n_rows)):
         yield f"iteration indices are not 0..{n_rows - 1}"
     if run.iterations != n_rows:
         yield f"sidecar says {run.iterations} iterations, trace has {n_rows}"
@@ -633,11 +644,17 @@ def _check_row_count(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
         )
 
 
-def _check_stop_and_probe(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
-    """Each row is an iteration the stop test did not end, and it holds a
-    curvature estimate exactly when the driver probes. A norm whose
-    square overflows would have ended the driver's own stop test."""
-    for k, (g_k, lam) in enumerate(zip(cols["grad_norm"], cols["lambda_min"])):
+def _check_stop_and_probe(
+    run: RunRecord, cfg: DriverConfig, rows: list[IterationRecord]
+):
+    """Each row is an iteration the stop test did not end, at a
+    non-negative gradient norm, and it holds a curvature estimate exactly
+    when the driver probes. A norm whose square overflows would have
+    ended the driver's own stop test."""
+    for k, row in enumerate(rows):
+        g_k, lam = row.grad_norm, row.lambda_min
+        if g_k < 0.0:
+            yield f"row {k} grad_norm is {g_k!r}, expected non-negative"
         try:
             probes = arc.runs_probe(g_k, cfg)
         except OverflowError:
@@ -653,66 +670,75 @@ def _check_stop_and_probe(run: RunRecord, cfg: DriverConfig, cols: dict[str, lis
             yield f"row {k} meets the stop test"
 
 
-def _check_recurrence(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
-    """The weight column against the step rule's own recurrence: row 0
-    holds ``cfg.initial_weight()``, each later row ``cfg.next_weight`` of
-    the row before and its success flag."""
-    values = cols["weight"]
-    expected = [cfg.initial_weight(), *map(cfg.next_weight, values, cols["success"])]
-    for k, (value, want) in enumerate(zip(values, expected)):
-        if value != want:
-            yield f"row {k} weight is {value!r}, expected {want!r}"
+def _check_recurrence(run: RunRecord, cfg: DriverConfig, rows: list[IterationRecord]):
+    """The weights against the step rule's own recurrence: row 0 holds
+    ``cfg.initial_weight()``, each later row ``cfg.next_weight`` of the
+    row before and its success flag."""
+    expected = [cfg.initial_weight()]
+    expected += (cfg.next_weight(row.weight, row.success) for row in rows)
+    for k, (row, want) in enumerate(zip(rows, expected)):
+        if row.weight != want:
+            yield f"row {k} weight is {row.weight!r}, expected {want!r}"
 
 
-def _check_objective(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
+def _check_objective(run: RunRecord, cfg: DriverConfig, rows: list[IterationRecord]):
     """Objective bookkeeping, with the sidecar's ``final_f`` after the
-    last row: rejected iterations keep f, accepted ones never increase it
-    and store ``rho_k = (f_k - f_{k+1}) / -m_k``, and each success flag
-    is the stored rho against the threshold. Only a run that took no
-    step, a numerical failure, may end on a null ``final_f``."""
+    last row: each model value passes the driver's decrease test
+    (``arc.predicts_decrease``), rejected iterations keep f, accepted
+    ones never increase it and store ``rho_k = (f_k - f_{k+1}) / -m_k``,
+    and each success flag is the stored rho against the threshold. Only
+    a run that took no step, a numerical failure, may end on a null
+    ``final_f``."""
     if run.final_f is None:
-        if run.outcome is not Outcome.NUMERICAL_FAILURE or cols["k"]:
-            rows = len(cols["k"])
-            yield f"final_f is null with outcome {run.outcome.value}, {rows} rows"
+        if run.outcome is not Outcome.NUMERICAL_FAILURE or rows:
+            yield f"final_f is null with outcome {run.outcome.value}, {len(rows)} rows"
         return
-    succ = cols["success"]
-    f_vals = cols["f"] + [float(run.final_f)]
-    for k, m_k in enumerate(cols["model_val"]):
-        f_k, f_next = f_vals[k], f_vals[k + 1]
-        if not succ[k]:
+    f_after = [row.f for row in rows[1:]] + [float(run.final_f)]
+    for k, (row, f_next) in enumerate(zip(rows, f_after)):
+        f_k, m_k = row.f, row.model_val
+        if not arc.predicts_decrease(m_k, f_k):
+            yield f"row {k} model_val {m_k!r} fails the decrease test"
+        if not row.success:
             if f_next != f_k:
                 yield f"f changed after rejected row {k}"
             continue
         if f_next > f_k:
             yield f"f increased after accepted row {k}"
         rho = (f_k - f_next) / -m_k if m_k else math.nan
-        if cols["rho"][k] != rho:
+        if row.rho != rho:
             yield f"rho at accepted row {k} is not {rho!r}"
-    for k, (flag, rho) in enumerate(zip(succ, cols["rho"])):
-        if flag != (rho >= cfg.rho_threshold):
+    for k, row in enumerate(rows):
+        if row.success != (row.rho >= cfg.rho_threshold):
             yield f"success flag contradicts rho at row {k}"
 
 
-def _check_counters(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
-    """Oracle counters are cumulative, in whole batches. The bundle reuses
-    exact answers at an iterate that did not move, so after a rejected
-    row an exact gradient costs nothing, and neither does the exact
-    Cauchy product H[G] when it is the cubic rule's only product: no
-    refinement and no probe on the row."""
-    h_size = _batch(run, cfg.hess_sample_size)
-    cauchy_only = (
-        isinstance(cfg, SolverConfig)
-        and cfg.hess_sample_size is None
-        and cfg.refine_steps == 0
-    )
-    prev_g, prev_h = 0, 0
-    for k, (g_c, h_c) in enumerate(zip(cols["grad_evals"], cols["hess_evals"])):
-        moved = k == 0 or cols["success"][k - 1]
-        g_step = _gradient_step(run, cfg, moved)
-        if g_c - prev_g != g_step:
-            yield f"gradient counter step {g_c - prev_g} at row {k}, expected {g_step}"
-        dh = h_c - prev_h
-        if not moved and cauchy_only and cols["lambda_min"][k] is None:
+def _check_charges(run: RunRecord, cfg: DriverConfig, rows: list[IterationRecord]):
+    """The oracle charge, row by row and then, under the squared-gradient
+    stop rule, for the terminating iteration. Counters step by whole
+    batches: all ``n`` components for an exact oracle, else its sample
+    size. The bundle reuses exact answers at an iterate that did not
+    move, so after a rejected row an exact gradient costs nothing, and
+    neither does the exact Cauchy product H[G] when it is the cubic
+    rule's only product: no refinement and no probe on the row.
+
+    The sidecar's totals are the last row's counters plus the terminating
+    iteration's work, on every run but a numerical failure: a gradient
+    step unless the budget cut the run, and never a probe. A sub-solver
+    failure adds its step's Hessian batches, possibly none, and stops
+    before the trial objective, which is taken at the start and per row."""
+    n = run.case["n"]
+    sizes = (cfg.grad_sample_size, cfg.hess_sample_size)
+    g_size, h_size = (n if size is None else size for size in sizes)
+    # The gradient components an iteration charges, by whether it moved.
+    g_step = {True: g_size, False: 0 if cfg.grad_sample_size is None else g_size}
+    exact_h = cfg.hess_sample_size is None
+    cauchy_only = isinstance(cfg, SolverConfig) and exact_h and cfg.refine_steps == 0
+    g, h, moved = 0, 0, True
+    for k, row in enumerate(rows):
+        dg, dh = row.grad_evals - g, row.hess_evals - h
+        if dg != g_step[moved]:
+            yield f"gradient counter step {dg} at row {k}, expected {g_step[moved]}"
+        if not moved and cauchy_only and row.lambda_min is None:
             if dh != 0:
                 yield f"Hessian counter step {dh} at row {k}, expected 0"
         elif dh < h_size or dh % h_size != 0:
@@ -720,48 +746,19 @@ def _check_counters(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
                 f"Hessian counter step {dh} at row {k} is not a "
                 f"positive multiple of {h_size}"
             )
-        prev_g, prev_h = g_c, h_c
+        g, h, moved = row.grad_evals, row.hess_evals, row.success
 
-
-def _batch(run: RunRecord, size: int | None) -> int:
-    """An oracle's batch: ``size`` components, all n when unsampled."""
-    return run.case["n"] if size is None else size
-
-
-def _gradient_step(run: RunRecord, cfg: DriverConfig, moved: bool) -> int:
-    """Gradient components an iteration charges: a batch, or none when
-    exact at an iterate that did not move."""
-    if cfg.grad_sample_size is None and not moved:
-        return 0
-    return _batch(run, cfg.grad_sample_size)
-
-
-def _check_run_totals(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
-    """Under the squared-gradient stop rule the sidecar's totals are the
-    last row's counters plus the terminating iteration's work. A run that
-    reached optimality takes a gradient step after the last row and never
-    a probe. A sub-solver failure takes a gradient step and its step's
-    Hessian batches, possibly none, and stops before the trial objective.
-    The exact objective is taken once at the start and once per row."""
-    if cfg.stop_rule is not StopRule.GRAD_SQUARED:
+    squared = cfg.stop_rule is StopRule.GRAD_SQUARED
+    if not squared or run.outcome is Outcome.NUMERICAL_FAILURE:
         return
-    if run.outcome is Outcome.NUMERICAL_FAILURE:
-        return
-    last_g = (cols["grad_evals"] or [0])[-1]
-    last_h = (cols["hess_evals"] or [0])[-1]
     if run.outcome is not Outcome.MAX_ITERS:
-        last_g += _gradient_step(run, cfg, (cols["success"] or [True])[-1])
-    expected = {
-        "grad_evals": last_g,
-        "hess_evals": last_h,
-        "objective_evals": run.case["n"] * (len(cols["k"]) + 1),
-    }
+        g += g_step[moved]
+    expected = dict(grad_evals=g, hess_evals=h, objective_evals=n * (len(rows) + 1))
     if run.outcome is Outcome.SUBSOLVER_FAILURE:
-        h_size = _batch(run, cfg.hess_sample_size)
-        dh = run.hess_evals - last_h
+        dh = run.hess_evals - h
         if dh < 0 or dh % h_size != 0:
             yield (
-                f"sidecar hess_evals is {run.hess_evals!r}, expected {last_h} "
+                f"sidecar hess_evals is {run.hess_evals!r}, expected {h} "
                 f"and a whole number of batches of {h_size}"
             )
         del expected["hess_evals"]
@@ -770,7 +767,7 @@ def _check_run_totals(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
             yield f"sidecar {key} is {getattr(run, key)!r}, expected {value}"
 
 
-def _check_provenance(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
+def _check_provenance(run: RunRecord, cfg: DriverConfig, rows: list[IterationRecord]):
     """The instance seed and the run seed are the ones ``run_plan``
     derives from the master seed, case index, repetition and solver, so
     the run's instance and samples can be drawn again, and the recorded
@@ -788,29 +785,28 @@ def _check_provenance(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
         yield str(exc)
 
 
-def _check_timing(run: RunRecord, cfg: DriverConfig, cols: dict[str, list]):
-    """Each row's ``millis`` and the sidecar's ``wall_s`` are finite and
-    non-negative, and the rows, each timed inside the interval that
+def _check_timing(run: RunRecord, cfg: DriverConfig, rows: list[IterationRecord]):
+    """Each row's ``millis`` and the sidecar's ``wall_s``, finite once read,
+    are non-negative, and the rows, each timed inside the interval that
     ``wall_s`` times, take at most ``1000 * wall_s`` milliseconds."""
-    for k, millis in enumerate(cols["millis"]):
-        if not 0.0 <= millis < math.inf:
-            yield f"row {k} millis is {millis!r}, expected finite and non-negative"
-    wall_s, total = run.wall_s, sum(cols["millis"])
-    if not 0.0 <= wall_s < math.inf:
-        yield f"wall_s is {wall_s!r}, expected finite and non-negative"
-    elif total > 1e3 * wall_s:
-        yield f"rows take {total!r} ms, more than wall_s {wall_s!r} s"
+    for k, row in enumerate(rows):
+        if row.millis < 0.0:
+            yield f"row {k} millis is {row.millis!r}, expected finite and non-negative"
+    total = sum(row.millis for row in rows)
+    if run.wall_s < 0.0:
+        yield f"wall_s is {run.wall_s!r}, expected finite and non-negative"
+    elif total > 1e3 * run.wall_s:
+        yield f"rows take {total!r} ms, more than wall_s {run.wall_s!r} s"
 
 
 # Each run law takes a run's ``RunRecord``, the config its sidecar records
-# and its parsed trace columns, and yields the run's violations, in this order.
+# and its trace's records, and yields the run's violations, in this order.
 _RUN_LAWS = (
     _check_row_count,
     _check_stop_and_probe,
     _check_recurrence,
     _check_objective,
-    _check_counters,
-    _check_run_totals,
+    _check_charges,
     _check_provenance,
     _check_timing,
 )
@@ -862,7 +858,7 @@ def verify_traces(runs: RunSet) -> list[str]:
             own = run_name(_dims(record), record.solver, record.rep)
             if run.path.stem != own:
                 raise ValueError(f"the sidecar is that of run {own}")
-            cols = _parse_columns(rows)
+            records = _read_records(rows)
         except FileNotFoundError:
             violations.append(f"{meta_path.name}: missing trace {name}")
         except PlanError as exc:
@@ -871,7 +867,7 @@ def verify_traces(runs: RunSet) -> list[str]:
             violations.append(f"{name}: {exc}")
         else:
             for law in _RUN_LAWS:
-                violations.extend(_violations(name, law, record, cfg, cols))
+                violations.extend(_violations(name, law, record, cfg, records))
     violations.extend(_violations("summary.csv", _check_summary, runs))
     return violations
 

@@ -79,10 +79,6 @@ class Tangent:
                 f"point shape {self.base.shape}"
             )
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
 
 def _rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):

@@ -363,6 +363,35 @@ def test_degenerate_model_reports_subsolver_failure():
     assert trace.iterations == 0
 
 
+class _NanAwayFromStart(QuadraticSum):
+    """A quadratic family whose value is NaN at every point but ``start``."""
+
+    def __init__(self, family: QuadraticSum, start):
+        super().__init__(family.a, family.b)
+        self.start = start
+
+    def value(self, x, idx=None):
+        if np.array_equal(x.data, self.start.data):
+            return super().value(x, idx)
+        return math.nan
+
+
+def test_non_finite_trial_objective_is_a_numerical_failure():
+    """A trial point whose objective is not finite ends the run before
+    its row as a numerical failure that names the trial objective, with
+    the start point's objective and one objective charge per evaluation."""
+    family = QuadraticSum.random(5, 3, seed=11, definite=True)
+    x0 = family.manifold.random_point(4)
+    obj = _NanAwayFromStart(family, x0)
+    trace = run(obj, x0, SolverConfig(seed=15, max_iters=10))
+    assert trace.outcome is Outcome.NUMERICAL_FAILURE
+    assert trace.failure == "non-finite trial objective"
+    assert trace.records == []
+    assert trace.final_f == family.value(x0)
+    assert np.array_equal(trace.final_point.data, x0.data)
+    assert trace.objective_evals == 2 * obj.n
+
+
 def test_l_hat_tracks_third_order_behaviour():
     quad = QuadraticSum.random(12, 3, seed=15, definite=True)
     x0 = quad.manifold.random_point(5)

@@ -730,19 +730,26 @@ def test_unreadable_trace_row_is_a_violation(bench_dir, tmp_path, capsys, edit):
     assert f"violation: {other.name}: missing sidecar" in err
 
 
-# The trace columns verify reads, each with what a readable cell is.
+def _finite_float(text):
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
+# The trace columns verify reads, each with what a readable cell is: a
+# float cell only a finite number, since no run writes any other.
 _READ_CELLS = {
     "k": int,
-    "f": float,
-    "grad_norm": float,
-    "weight": float,
-    "model_val": float,
-    "rho": float,
+    "f": _finite_float,
+    "grad_norm": _finite_float,
+    "weight": _finite_float,
+    "model_val": _finite_float,
+    "rho": _finite_float,
     "success": ("0", "1").index,
-    "lambda_min": lambda text: text == "" or float(text),
+    "lambda_min": lambda text: text == "" or _finite_float(text),
     "grad_evals": int,
     "hess_evals": int,
-    "millis": float,
+    "millis": _finite_float,
 }
 
 
@@ -1372,6 +1379,36 @@ def test_verify_accepts_a_run_that_probes_every_iteration(bench_dir, tmp_path, s
     assert verify_traces(RunSet(copy)) == []
 
 
+def test_a_run_whose_solver_raises_is_a_failure_without_files(
+    tmp_path, monkeypatch, capsys
+):
+    """A solver that raises is listed in ``PlanReport.failures`` by run
+    name and error, writes neither trace nor sidecar, and makes ``run``
+    exit 2. The other runs are written and verify."""
+    plan = dataclasses.replace(_TINY_PLAN, repetitions=1, max_iters=5)
+    solve = bench.solve
+
+    def fragile(objective, x0, cfg):
+        if cfg.mode is OracleMode.SUBSAMPLED_HESSIAN:
+            raise RuntimeError("solver broke")
+        return solve(objective, x0, cfg)
+
+    monkeypatch.setattr(bench, "solve", fragile)
+    stem = run_name(plan.cases[0], "sracr", 0)
+    report = run_plan(plan, tmp_path / "direct")
+    assert report.failures == [f"{stem}: RuntimeError: solver broke"]
+    assert not list((tmp_path / "direct").glob(f"{stem}.*"))
+    assert len(iter_run_files(tmp_path / "direct")) == len(SOLVERS) - 1
+    assert verify_traces(RunSet(tmp_path / "direct")) == []
+
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("case 300 5 5\nrepetitions = 1\nmax_iters = 5\n")
+    out = tmp_path / "cli"
+    assert cli_main(["run", "--plan", str(plan_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"failure: {stem}: RuntimeError: solver broke\n"
+    assert not list(out.glob(f"{stem}.*"))
+
+
 def test_sidecar_without_its_trace_is_a_violation(bench_dir, tmp_path, capsys):
     """A run whose trace is gone but whose sidecar is left is reported
     like a missing sidecar, and ``summarize``, which reads sidecars
@@ -1474,6 +1511,148 @@ def test_verify_flags_a_gradient_step_against_the_reuse_rule(bench_dir, tmp_path
     ]
 
 
+def _trace_cells(path):
+    """A trace's rows as dicts of its cells by column."""
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _set_cell(path, row, column, text):
+    """Set the ``column`` cell of trace row ``row`` to ``text``."""
+    lines = path.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edited_default_run(default_runs, tmp_path, pick, column, text):
+    """Copy the default plan's runs, find the first ``racr`` run and row
+    ``k`` (not its last) for which ``pick(rows, k)`` holds, set
+    ``text(rows, k)`` in the ``column`` cell of row ``k + 1``, and return
+    the run's name, ``k`` and verify's violations of the copy."""
+    _, out, _ = default_runs[0]
+    stem, rows, k = next(
+        (path.stem, rows, k)
+        for path in iter_run_files(out)
+        if path.stem.endswith("_racr")
+        for rows in [_trace_cells(path)]
+        for k in range(len(rows) - 1)
+        if pick(rows, k)
+    )
+    copy = tmp_path / "runs"
+    shutil.copytree(out, copy)
+    _set_cell(copy / f"{stem}.csv", k + 1, column, text(rows, k))
+    return stem, k, verify_traces(RunSet(copy))
+
+
+def _rejected(rows, k):
+    return rows[k]["success"] == "0"
+
+
+def _accepted(rows, k):
+    return rows[k]["success"] == "1"
+
+
+def test_verify_flags_iteration_indices_out_of_order(default_runs, tmp_path):
+    """A row numbered other than its place breaks the row-count law alone."""
+    stem, k, problems = _edited_default_run(
+        default_runs, tmp_path, lambda rows, k: k == 0, "k", lambda rows, k: "5"
+    )
+    rows = len(_trace_cells(default_runs[0][1] / f"{stem}.csv"))
+    assert problems == [f"{stem}.csv: iteration indices are not 0..{rows - 1}"]
+
+
+def test_verify_flags_f_changed_after_a_rejected_row(default_runs, tmp_path):
+    """The row after a rejected one must hold the same f."""
+    stem, k, problems = _edited_default_run(
+        default_runs,
+        tmp_path,
+        _rejected,
+        "f",
+        lambda rows, k: repr(float(rows[k + 1]["f"]) * (1.0 + 1e-9)),
+    )
+    assert problems[0] == f"{stem}.csv: f changed after rejected row {k}"
+
+
+def test_verify_flags_f_increased_after_an_accepted_row(default_runs, tmp_path):
+    """The row after an accepted one may not hold a larger f."""
+    stem, k, problems = _edited_default_run(
+        default_runs,
+        tmp_path,
+        _accepted,
+        "f",
+        lambda rows, k: repr(float(rows[k]["f"]) + 1.0),
+    )
+    assert problems[0] == f"{stem}.csv: f increased after accepted row {k}"
+
+
+# Cells no run writes, each with the violation verify reports: on the
+# default plan, row 2 of ``case500x5x5_rep0_racr`` and rejected row 0 of
+# ``case2015x5x5_rep0_racr``.
+_IMPOSSIBLE_CELLS = {
+    "grad_norm-negative": (
+        "case500x5x5", 2, "grad_norm", "-1.0",
+        "row 2 grad_norm is -1.0, expected non-negative",
+    ),
+    "grad_norm-nan": (
+        "case500x5x5", 2, "grad_norm", "nan", "unreadable row 2: grad_norm is 'nan'",
+    ),
+    "grad_norm-inf": (
+        "case500x5x5", 2, "grad_norm", "inf", "unreadable row 2: grad_norm is 'inf'",
+    ),
+    "model_val-positive": (
+        "case2015x5x5", 0, "model_val", "5.0",
+        "row 0 model_val 5.0 fails the decrease test",
+    ),
+    "model_val-nan": (
+        "case2015x5x5", 0, "model_val", "nan", "unreadable row 0: model_val is 'nan'",
+    ),
+    "rho-nan": ("case2015x5x5", 0, "rho", "nan", "unreadable row 0: rho is 'nan'"),
+    "rho-minus-inf": (
+        "case2015x5x5", 0, "rho", "-inf", "unreadable row 0: rho is '-inf'",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_IMPOSSIBLE_CELLS))
+def test_verify_flags_trace_cells_no_run_writes(default_runs, tmp_path, capsys, edit):
+    """A float cell that is not finite is unreadable, a negative
+    ``grad_norm`` is flagged, and so is a model value that fails the
+    driver's decrease test, here on a rejected row, which no other law
+    reads for it."""
+    case, row, column, text, message = _IMPOSSIBLE_CELLS[edit]
+    _, out, _ = default_runs[0]
+    stem = f"{case}_rep0_racr"
+    if column != "grad_norm":
+        assert _trace_cells(out / f"{stem}.csv")[row]["success"] == "0"
+    copy = tmp_path / "runs"
+    shutil.copytree(out, copy)
+    _set_cell(copy / f"{stem}.csv", row, column, text)
+
+    assert verify_traces(RunSet(copy)) == [f"{stem}.csv: {message}"]
+    assert cli_main(["verify", str(copy)]) == 1
+    assert capsys.readouterr().err == f"violation: {stem}.csv: {message}\n"
+
+
+def test_verify_flags_a_hessian_charge_on_a_reused_cauchy_product(
+    default_runs, tmp_path
+):
+    """``racr`` without refinement reuses its exact Cauchy product after a
+    rejected row, so a Hessian batch charged there is flagged."""
+
+    def one_more_batch(rows, k):
+        # Row 0 charges one batch of n components: its Cauchy product alone.
+        return str(int(rows[k + 1]["hess_evals"]) + int(rows[0]["hess_evals"]))
+
+    stem, k, problems = _edited_default_run(
+        default_runs, tmp_path, _rejected, "hess_evals", one_more_batch
+    )
+    meta = json.loads((default_runs[0][1] / f"{stem}.meta.json").read_text())
+    expected = f"Hessian counter step {meta['case']['n']} at row {k + 1}, expected 0"
+    assert problems[0] == f"{stem}.csv: {expected}"
+
+
 def test_numpy_scalars_in_a_record_write_readable_cells(bench_dir, tmp_path):
     """A record holding numpy scalars writes the cells a Python-typed one
     does, so verify accepts the trace under the rerun's wall time."""
@@ -1549,7 +1728,8 @@ def codec_dir(tmp_path_factory):
 def test_trace_cells_write_the_reference_text_and_parse_back(codec_dir, records):
     """``write_trace_csv`` writes each cell as ``_reference_cell`` does,
     and each column's parser gives back the value written: the same
-    Python value for a numpy scalar, NaN for NaN and None for None."""
+    Python value for a numpy scalar and None for None. A float that is
+    not finite, which no run writes, does not parse back."""
     path = codec_dir / "trace.csv"
     trace = RunTrace(records, Outcome.MAX_ITERS, None, 0.0, 0, 0, 0)
     write_trace_csv(trace, path)
@@ -1561,12 +1741,43 @@ def test_trace_cells_write_the_reference_text_and_parse_back(codec_dir, records)
 
     for rec, row in zip(records, rows):
         for (col, (_, parse)), cell in zip(TRACE_CODECS.items(), row):
-            value, back = getattr(rec, col), parse(cell)
-            if value is None or math.isnan(value):
-                assert back is None if value is None else math.isnan(back)
+            value = getattr(rec, col)
+            if value is not None and not math.isfinite(value):
+                with pytest.raises(ValueError):
+                    parse(cell)
+                continue
+            back = parse(cell)
+            if value is None:
+                assert back is None
             else:
                 plain = value.item() if isinstance(value, np.generic) else value
                 assert back == plain and type(back) is type(plain)
+
+
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_FINITE_RECORDS = st.builds(
+    IterationRecord,
+    **{
+        name: {
+            float: _FINITE_FLOATS | _FINITE_FLOATS.map(np.float64),
+            float | None: st.none() | _FINITE_FLOATS | _FINITE_FLOATS.map(np.float64),
+        }.get(kind, _ANNOTATION_VALUES[kind])
+        for name, kind in get_type_hints(IterationRecord).items()
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(_FINITE_RECORDS, max_size=4))
+def test_verify_reads_a_trace_back_as_the_records_written(codec_dir, records):
+    """Any records with finite floats, numpy scalars included, written by
+    ``write_trace_csv`` read back through verify's reader as an equal
+    list, under the header ``TRACE_COLUMNS``."""
+    path = codec_dir / "records.csv"
+    write_trace_csv(RunTrace(records, Outcome.MAX_ITERS, None, 0.0, 0, 0, 0), path)
+    header, rows = bench._read_trace(path)
+    assert header == list(TRACE_COLUMNS)
+    assert bench._read_records(rows) == records
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -1853,8 +2064,8 @@ def _set_wall_s(value):
 _TIMING_EDITS = {
     "millis-abc": (_set_millis(lambda w: "abc"), "unreadable row 0: millis is 'abc'"),
     "millis-empty": (_set_millis(lambda w: ""), "unreadable row 0: millis is ''"),
-    "millis-nan": (_set_millis(lambda w: "nan"), "row 0 millis is nan, "),
-    "millis-inf": (_set_millis(lambda w: "inf"), "row 0 millis is inf, "),
+    "millis-nan": (_set_millis(lambda w: "nan"), "unreadable row 0: millis is 'nan'"),
+    "millis-inf": (_set_millis(lambda w: "inf"), "unreadable row 0: millis is 'inf'"),
     "millis-negative": (_set_millis(lambda w: "-1.0"), "row 0 millis is -1.0, "),
     "millis-past-wall_s": (_set_millis(lambda w: repr(2e3 * w)), "rows take "),
     "wall_s-nan": (_set_wall_s(math.nan), "unreadable sidecar: 'wall_s' is nan"),
