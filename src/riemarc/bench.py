@@ -43,6 +43,7 @@ read once; a path that is not a directory is a ``PlanError``. Traces
 and sidecars are deterministic for a fixed plan and master seed up to
 their wall times, which the content digest therefore excludes. It
 hashes each sidecar as ``_sidecar`` makes it of the record read back.
+Only ``riemarc verify`` prints it, after ``verify_traces`` finds no violation.
 """
 
 from __future__ import annotations
@@ -359,7 +360,6 @@ class SummaryRow:
 class PlanReport:
     rows: list[SummaryRow]
     failures: list[str]
-    runs: RunSet
 
 
 def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
@@ -412,10 +412,9 @@ def run_plan(plan: BenchmarkPlan, out_dir) -> PlanReport:
                 )
                 (out / f"{name}.meta.json").write_text(meta + "\n", encoding="utf-8")
 
-    runs = RunSet(out)
-    rows = summarize_traces(runs)
+    rows = summarize_traces(RunSet(out))
     write_summary(rows, out / "summary.csv")
-    return PlanReport(rows=rows, failures=failures, runs=runs)
+    return PlanReport(rows=rows, failures=failures)
 
 
 # -- the CSV dialect ------------------------------------------------------

@@ -5,7 +5,7 @@ Subcommands:
 * ``run``: execute a plan (the built-in desk-scale plan when no file is
   given) and write traces plus a summary.
 * ``verify``: recheck the stored traces against the update laws and
-  bookkeeping invariants.
+  bookkeeping invariants, and print the determinism digest if they hold.
 * ``summarize``: rebuild and print the summary from the run sidecars.
 
 Exit codes: 0 on success, 1 for validation problems (bad plan, bad
@@ -85,7 +85,6 @@ def main(argv: list[str] | None = None) -> int:
                 set_plan_value(plan, key.strip(), value)
             report = run_plan(plan, args.out)
             print(format_summary(report.rows), end="")
-            print(f"digest {determinism_digest(report.runs)}")
             if report.failures:
                 for failure in report.failures:
                     print(f"failure: {failure}", file=sys.stderr)

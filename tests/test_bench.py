@@ -142,6 +142,13 @@ def test_parse_plan_errors():
         parse_plan("cases = 3\ncase 10 3 2\n")
 
 
+def test_a_case_line_with_a_non_integer_names_its_line():
+    with pytest.raises(
+        PlanError, match="^line 2: invalid literal for int\\(\\) with base 10: 'two'$"
+    ):
+        parse_plan("repetitions = 1\ncase 10 3 two\n")
+
+
 @pytest.mark.parametrize("noise", [math.inf, math.nan, -1.0])
 def test_plan_noise_must_be_finite_and_non_negative(tmp_path, noise):
     """A plan built in code is held to ``generate_instance``'s noise rule
@@ -359,9 +366,9 @@ def test_rerun_reproduces_digest(bench_dir, tmp_path):
 
 @pytest.fixture(scope="module")
 def default_runs(tmp_path_factory):
-    """The default plan, its run directory and the digest line ``riemarc
-    run`` printed for it, as given and under ``refine_steps = 3``, keyed
-    by ``refine_steps``."""
+    """The default plan, its run directory and the ``ok, digest`` line
+    ``riemarc verify`` printed for it, as given and under ``refine_steps
+    = 3``, keyed by ``refine_steps``."""
     runs = {}
     for refine_steps in (0, 3):
         plan = dataclasses.replace(default_plan(), refine_steps=refine_steps)
@@ -370,6 +377,7 @@ def default_runs(tmp_path_factory):
         with contextlib.redirect_stdout(printed):
             argv = ["run", "--out", str(out), "--set", f"refine_steps={refine_steps}"]
             assert cli_main(argv) == 0
+            assert cli_main(["verify", str(out)]) == 0
         runs[refine_steps] = plan, out, printed.getvalue().splitlines()[-1]
     return runs
 
@@ -944,11 +952,11 @@ def _two_pass_digest(directory):
 
 
 def test_digest_equals_the_two_pass_reference(default_runs, tmp_path, capsys):
-    """``riemarc run`` and ``riemarc verify`` print, from their one parse
-    of each file, the digest a separate read of every file gives. Checked
-    on a small plan and on the plans a pure refactor keeps bit-identical:
-    the default plan at ``refine_steps`` 0 and 3, and ``case 40 4 3``
-    twice over, whose runs include subsolver failures."""
+    """``riemarc verify`` prints, from its one parse of each file, the
+    digest a separate read of every file gives. Checked on a small plan
+    and on the plans a pure refactor keeps bit-identical: the default
+    plan at ``refine_steps`` 0 and 3, and ``case 40 4 3`` twice over,
+    whose runs include subsolver failures."""
     gates = [(out, printed) for _, out, printed in default_runs.values()]
     plans = {
         "small": "case 60 4 4\nrepetitions = 1\nmax_iters = 40\n",
@@ -959,15 +967,14 @@ def test_digest_equals_the_two_pass_reference(default_runs, tmp_path, capsys):
         plan_file.write_text(text)
         out = tmp_path / name
         assert cli_main(["run", "--plan", str(plan_file), "--out", str(out)]) == 0
-        gates.append((out, capsys.readouterr().out.splitlines()[-1]))
+        capsys.readouterr()
+        assert cli_main(["verify", str(out)]) == 0
+        gates.append((out, capsys.readouterr().out.strip()))
     metas = (tmp_path / "case40").glob("*.meta.json")
     outcomes = {json.loads(path.read_text())["outcome"] for path in metas}
     assert Outcome.SUBSOLVER_FAILURE.value in outcomes
-    for out, printed_by_run in gates:
-        assert cli_main(["verify", str(out)]) == 0
-        printed_by_verify = capsys.readouterr().out.strip()
+    for out, printed_by_verify in gates:
         reference = _two_pass_digest(out)
-        assert printed_by_run == f"digest {reference}"
         assert printed_by_verify == f"ok, digest {reference}"
         assert determinism_digest(RunSet(out)) == reference
 
@@ -987,6 +994,32 @@ def test_verify_reads_each_artifact_once(bench_dir, monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("ok, digest ")
     reads = {path: n for path, n in opened.items() if path.parent == bench_dir}
     assert reads == dict.fromkeys(bench_dir.iterdir(), 1)
+
+
+def test_run_reads_back_only_the_sidecars(tmp_path, monkeypatch, capsys):
+    """A second ``riemarc run`` into a directory that already holds runs
+    opens no trace, new or old, and reads each sidecar once, for the
+    summary: only ``verify`` reads traces back, and only it prints a
+    digest."""
+    out = tmp_path / "out"
+    argv = ["run", "--plan", str(_write_plan(tmp_path)), "--out", str(out)]
+    assert cli_main(argv + ["--solvers", "racr"]) == 0
+    capsys.readouterr()
+    opened = collections.Counter()
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and "r" in mode:
+            opened[Path(file)] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert cli_main(argv + ["--solvers", "ssrtr"]) == 0
+    reads = {path: n for path, n in opened.items() if path.parent == out}
+    assert reads == dict.fromkeys(out.glob("*.meta.json"), 1)
+    assert len(reads) == 2
+    assert "digest" not in capsys.readouterr().out
 
 
 def _bump_sidecar(path, counter, amount):
@@ -1091,6 +1124,27 @@ def test_unreadable_sidecar_is_a_violation(bench_dir, tmp_path, capsys, breakage
     assert f"violation: {broken}.csv: unreadable sidecar: " in capsys.readouterr().err
     assert cli_main(["summarize", str(copy)]) == 1
     assert f"{broken}.csv: unreadable sidecar: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta: meta | {"solver": "sgd"}, "'solver' is 'sgd'"),
+        (lambda meta: sorted(meta), "not a JSON object"),
+    ],
+    ids=["unknown-solver", "json-array"],
+)
+def test_a_sidecar_of_no_solver_or_no_object_is_unreadable(
+    bench_dir, tmp_path, edit, message
+):
+    """A sidecar that names a solver the harness does not have, or holds
+    a JSON array, is that run's one violation."""
+    copy = tmp_path / "runs"
+    shutil.copytree(bench_dir, copy)
+    stem = run_name(_TINY_PLAN.cases[0], "racr", 0)
+    path = copy / f"{stem}.meta.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert verify_traces(RunSet(copy)) == [f"{stem}.csv: unreadable sidecar: {message}"]
 
 
 def test_a_law_that_raises_is_a_violation_of_its_run(
@@ -2153,7 +2207,7 @@ def test_cli_run_verify_summarize(tmp_path, capsys):
     code = cli_main(["run", "--plan", str(plan_file), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 0
-    assert "digest " in captured.out
+    assert "digest" not in captured.out
     assert "case30x3x2" in captured.out
 
     assert cli_main(["verify", str(out)]) == 0
@@ -2296,6 +2350,18 @@ def test_cli_rejects_a_negative_seed_or_a_repeated_solver(tmp_path, capsys, flag
     argv = ["run", "--plan", str(_write_plan(tmp_path)), "--out", str(out)]
     assert cli_main(argv + flags) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [("solvers=", "plan has no solvers"), ("foo", "--set expects key=value, got 'foo'")],
+)
+def test_cli_names_an_override_it_cannot_run(tmp_path, capsys, override, message):
+    out = tmp_path / "out"
+    argv = ["run", "--plan", str(_write_plan(tmp_path)), "--out", str(out)]
+    assert cli_main(argv + ["--set", override]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

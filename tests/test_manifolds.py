@@ -44,6 +44,11 @@ def test_tangent_shape_must_match_base():
         Tangent(np.ones((2, 2)), base)
 
 
+def test_point_rejects_an_array_of_three_dimensions():
+    with pytest.raises(ContractError, match=r"expected a 2-d array, got shape \(2, 2, 2\)"):
+        Point(np.zeros((2, 2, 2)))
+
+
 def test_one_dim_inputs_become_columns():
     p = Point(np.arange(4.0))
     assert p.shape == (4, 1)
@@ -142,6 +147,13 @@ def test_stiefel_projection_properties():
         normal = w - t.data
         probe = man.random_tangent(x, rng)
         assert abs(np.tensordot(normal, probe.data)) < 1e-10
+
+
+def test_stiefel_projection_rejects_a_wrong_shaped_matrix():
+    man = Stiefel(3, 2)
+    x = man.random_point(0)
+    with pytest.raises(ContractError, match=r"expected a 3 x 2 ambient matrix, got \(2, 3\)"):
+        man.project(x, np.zeros((2, 3)))
 
 
 def test_stiefel_retract_zero_is_identity():

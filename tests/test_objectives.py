@@ -309,6 +309,12 @@ def test_hvp_before_begin_iteration_raises():
         bundle.inexact_hvp(x, xi)
 
 
+def test_begin_iteration_rejects_a_negative_index():
+    bundle = OracleBundle(CosineSum.random(20, 3, seed=35), OracleMode.EXACT)
+    with pytest.raises(ContractError, match="iteration index must be non-negative"):
+        bundle.begin_iteration(-1)
+
+
 def test_bundle_validates_sample_sizes():
     obj = CosineSum.random(10, 2, seed=39)
     with pytest.raises(ContractError):

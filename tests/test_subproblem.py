@@ -14,7 +14,7 @@ from riemarc.manifolds import Stiefel, Tangent
 from riemarc.subproblem import CubicModel, min_eig_estimate, solve_subproblem
 from riemarc.trust_region import tr_subproblem
 
-from euclidean import Euclidean
+from euclidean import Euclidean, QuadraticSum
 from model_points import cauchy_point, eigen_point, model_value
 
 
@@ -300,6 +300,13 @@ def test_min_eig_deterministic_for_seed():
     assert np.array_equal(a.vector.data, b.vector.data)
 
 
+def test_min_eig_needs_a_tangent_space_of_positive_dimension():
+    man = Stiefel(1, 1)
+    x = man.point(np.ones((1, 1)))
+    with pytest.raises(ContractError, match="tangent space must have dimension >= 1"):
+        min_eig_estimate(man, x, lambda eta: eta)
+
+
 def test_min_eig_on_stiefel_tangent_space():
     """Against a dense eigensolve of the Hessian restricted to an
     orthonormal basis of the tangent space."""
@@ -473,6 +480,62 @@ def test_refinement_never_worse_and_monotone():
             polished.m_val, rel=1e-9, abs=1e-12
         )
     assert improved > 10  # refinement should usually find something
+
+
+def _line_model(sigma):
+    """The cubic model at the origin of ``f(x) = x``, a 1-d ``QuadraticSum``
+    with no curvature: ``m(eta) = eta + (sigma/3) |eta|^3``. Its ``hvp``
+    lists the vectors it is applied to in the returned list."""
+    family = QuadraticSum(np.zeros((1, 1, 1)), np.ones((1, 1)))
+    x = family.manifold.point(np.zeros((1, 1)))
+    products = []
+
+    def hvp(eta):
+        products.append(eta)
+        return family.hess_vec(x, eta)
+
+    return CubicModel(family.gradient(x), hvp, sigma, x, family.manifold), products
+
+
+def test_refinement_stops_at_a_stationary_point_of_the_model():
+    """In one dimension the Cauchy point, here ``-1`` exactly, minimizes
+    the model, so refinement takes no step: the only products are the
+    Cauchy point's and the one that starts the refinement."""
+    model, products = _line_model(1.0)
+    plain = solve_subproblem(model)
+    products.clear()
+    res = solve_subproblem(model, refine_steps=5)
+    assert len(products) == 2
+    assert res.step.data.tolist() == [[-1.0]]
+    assert res.m_val == plain.m_val
+
+
+def test_refinement_halves_a_step_that_overshoots():
+    """Along a flat direction with a tiny sigma the first trial step from
+    the origin, ``1 / (2 sigma)``, overshoots the model's minimizer at
+    ``1 / sqrt(sigma)``. The Armijo test needs ``sigma t^2 / 3 <= 1 -
+    1e-4``, ``t <= 1732``, which the ninth halving is the first to meet."""
+    sigma = 1e-6
+    model, _ = _line_model(sigma)
+    zero = np.zeros((1, 1))
+    eta, m_val = subproblem._refine(model, zero, zero, 1)
+    assert eta.tolist() == [[-1.0 / (2.0 * sigma) / 2**9]]
+    assert m_val == pytest.approx(model_value(model, Tangent(eta, model.base)))
+    # Within 0.1% of the model's minimum, -2 / (3 sqrt(sigma)).
+    assert -2.0 / (3.0 * math.sqrt(sigma)) < m_val < -666.0
+
+
+def test_refinement_gives_up_after_forty_halvings():
+    """With a far tinier sigma none of the forty trial steps
+    ``1 / (2 sigma) / 2^j``, ``j < 40``, passes the Armijo test, so
+    refinement stops and returns its start, after the one product of the
+    direction it gave up on."""
+    model, products = _line_model(1e-30)
+    zero = np.zeros((1, 1))
+    eta, m_val = subproblem._refine(model, zero, zero, 5)
+    assert eta is zero
+    assert m_val == 0.0
+    assert len(products) == 1
 
 
 def test_lemma_estimate_bounds_hold():
