@@ -683,23 +683,26 @@ def _check_recurrence(run: RunRecord, cfg: DriverConfig, rows: list[IterationRec
 def _check_objective(run: RunRecord, cfg: DriverConfig, rows: list[IterationRecord]):
     """Objective bookkeeping, with the sidecar's ``final_f`` after the
     last row: each model value passes the driver's decrease test
-    (``arc.predicts_decrease``), rejected iterations keep f, accepted
-    ones never increase it and store ``rho_k = (f_k - f_{k+1}) / -m_k``,
-    and each success flag is the stored rho against the threshold. Only
-    a run that took no step, a numerical failure, may end on a null
-    ``final_f``."""
+    (``arc.predicts_decrease``), rejected iterations keep f (and an exact
+    gradient's norm), accepted ones never increase it and store
+    ``rho_k = (f_k - f_{k+1}) / -m_k``, and each success flag is the
+    stored rho against the threshold. Only a run that took no step, a
+    numerical failure, may end on a null ``final_f``."""
     if run.final_f is None:
         if run.outcome is not Outcome.NUMERICAL_FAILURE or rows:
             yield f"final_f is null with outcome {run.outcome.value}, {len(rows)} rows"
         return
     f_after = [row.f for row in rows[1:]] + [float(run.final_f)]
-    for k, (row, f_next) in enumerate(zip(rows, f_after)):
+    g_after = [row.grad_norm for row in rows[1:]] + [None]
+    for k, (row, f_next, g_next) in enumerate(zip(rows, f_after, g_after)):
         f_k, m_k = row.f, row.model_val
         if not arc.predicts_decrease(m_k, f_k):
             yield f"row {k} model_val {m_k!r} fails the decrease test"
         if not row.success:
             if f_next != f_k:
                 yield f"f changed after rejected row {k}"
+            if cfg.grad_sample_size is None and g_next not in (None, row.grad_norm):
+                yield f"grad_norm changed after rejected row {k}"
             continue
         if f_next > f_k:
             yield f"f increased after accepted row {k}"

@@ -30,10 +30,9 @@ entries, in the one order that ``_layout(d)`` states and caches per
 ``d``, and the kernel contracts the rows ``C_S`` of a sampled set as
 ``((W C_S^T) C_S) / |S|``, two matrix products, with ``W`` the packed
 form of the rows ``vec(u_j w_j^T)``. The full average depends on the
-data only through the ``d^2 x d^2`` moment matrix
-``M = (1/n) sum_i vec(C_i) vec(C_i)^T``; when ``d^2 < n`` the full batch
-reads ``A_j`` as the row ``vec(u_j u_j^T)^T M``, one product, and
-otherwise contracts all packed rows like a sampled set.
+data only through the packed ``t x t`` moment matrix ``G = C^T C / n``
+of all ``n`` rows; when ``t < n`` the full batch reads ``W G``, one
+product, and otherwise contracts all packed rows like a sampled set.
 
 ``generate_instance`` draws a family sharing one random orthogonal
 congruence, ``C_i = Q D_i Q^T + noise * sym(E_i)`` with positive
@@ -177,10 +176,10 @@ class _PointMemo:
     """What ``value``, ``gradient`` and every ``hess_vec`` share at one
     point ``U`` and index set ``S``: ``A_j`` for every column ``j``, the
     Euclidean gradient, and ``sym(U^T egrad)`` on first use. The full
-    batch reads the moment matrix ``moments`` when one is given; any
-    other set contracts ``rows``, the packed rows of ``C[S]``, through
-    the layout's ``expand`` and ``fold``. Every cached array is
-    read-only."""
+    batch reads the packed moment matrix ``moments`` when one is given;
+    any other set contracts ``rows``, the packed rows of ``C[S]``. Both
+    pack through the layout's ``fold`` and unpack through its
+    ``expand``. Every cached array is read-only."""
 
     def __init__(
         self,
@@ -212,13 +211,12 @@ class _PointMemo:
         u = self.x.data
         d, r = u.shape
         outer = (u.T[:, :, None] * w.T[:, None, :]).reshape(r, d * d)
-        if self.moments is not None:
-            flat = outer @ self.moments
+        packed = outer @ self.fold
+        if self.moments is None:
+            packed = (packed @ self.rows.T) @ self.rows / len(self.rows)
         else:
-            packed = ((outer @ self.fold) @ self.rows.T) @ self.rows
-            packed /= len(self.rows)
-            flat = packed[:, self.expand]
-        return flat.reshape(r, d, d)
+            packed = packed @ self.moments
+        return packed[:, self.expand].reshape(r, d, d)
 
     def value(self) -> float:
         # Column j of egrad is -4 A_j u_j, so the value
@@ -242,10 +240,9 @@ class JointDiagObjective(SeparableObjective):
     """Finite-sum diagonalization objective on ``Stiefel(d, r)``.
 
     Construction reads nothing of the family's rows and takes the
-    packed layout of its ``d`` from the shared cache. The moment matrix
-    ``M`` is formed on the first full-batch call with ``d^2 < n``, when
-    ``M`` is smaller than the family and a call costs ``r d^4`` flops
-    instead of about ``n d^2 r``, and kept.
+    packed layout of its ``d`` from the shared cache. When ``t < n``, so that
+    ``G`` is smaller than the family, the first full-batch call forms and keeps
+    it, and a call costs ``r d^2 t + r t^2`` flops instead of ``r d^2 t + 2 r n t``.
 
     The objective keeps a one-entry memo, keyed on the ``Point`` object
     and a copy of the index set's contents, so the gradient and the HVPs
@@ -275,10 +272,9 @@ class JointDiagObjective(SeparableObjective):
             rows, moments = self._rows, None
             if idx is not None:
                 rows = _readonly(rows[idx])
-            elif self.d**2 < self.n:
-                if self._moments is None:  # the t x t product, expanded once
-                    e = self._expand
-                    self._moments = _readonly((rows.T @ rows / self.n)[np.ix_(e, e)])
+            elif rows.shape[1] < self.n:
+                if self._moments is None:
+                    self._moments = _readonly(rows.T @ rows / self.n)
                 moments = self._moments
             memo = _PointMemo(x, idx, rows, moments, self._expand, self._fold)
             self._memo = memo

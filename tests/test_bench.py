@@ -1055,6 +1055,25 @@ def test_verify_flags_sidecar_totals_tampering(bench_dir, tmp_path, counter):
     assert problems[0].startswith(f"{stem}.csv: sidecar {counter} is ")
 
 
+def test_a_huge_gamma_ends_every_run_in_a_recorded_outcome(tmp_path, capsys):
+    """``next_weight`` would overflow sigma to inf after a few rejections
+    at ``gamma = 1e300``, but the decrease test ends each run first, after
+    one rejected row, as a recorded sub-solver failure: ``run`` exits 0
+    and ``verify`` prints ``ok``."""
+    plan_file = tmp_path / "gamma.plan"
+    plan_file.write_text("case 30 4 2\nrepetitions = 2\ngamma = 1e300\n")
+    runs = tmp_path / "runs"
+    assert cli_main(["run", "--plan", str(plan_file), "--out", str(runs)]) == 0
+    for path in iter_run_files(runs):
+        meta = json.loads(path.with_suffix(".meta.json").read_text())
+        assert meta["gamma"] == 1e300
+        assert meta["outcome"] == Outcome.SUBSOLVER_FAILURE.value, path.stem
+        assert [row["success"] for row in _trace_cells(path)] == ["0"], path.stem
+    capsys.readouterr()
+    assert cli_main(["verify", str(runs)]) == 0
+    assert capsys.readouterr().out.startswith("ok, digest ")
+
+
 def test_verify_checks_the_totals_of_subsolver_failures(tmp_path, capsys):
     """A sub-solver failure stops after its gradient and its step, before
     the trial objective, so its sidecar's objective and gradient totals
@@ -1629,6 +1648,24 @@ def test_verify_flags_f_changed_after_a_rejected_row(default_runs, tmp_path):
     assert problems[0] == f"{stem}.csv: f changed after rejected row {k}"
 
 
+def test_verify_flags_grad_norm_changed_after_a_rejected_row(
+    default_runs, tmp_path, capsys
+):
+    """An exact gradient is served again at the iterate a rejected row
+    keeps, so the next row must hold the same ``grad_norm``, bit for bit.
+    The edited row is an accepted one, so only the pair before it breaks."""
+    stem, k, problems = _edited_default_run(
+        default_runs,
+        tmp_path,
+        lambda rows, k: _rejected(rows, k) and _accepted(rows, k + 1),
+        "grad_norm",
+        lambda rows, k: repr(float(rows[k + 1]["grad_norm"]) * (1.0 + 1e-9)),
+    )
+    assert problems == [f"{stem}.csv: grad_norm changed after rejected row {k}"]
+    assert cli_main(["verify", str(tmp_path / "runs")]) == 1
+    assert capsys.readouterr().err.startswith(f"violation: {stem}.csv: grad_norm changed")
+
+
 def test_verify_flags_f_increased_after_an_accepted_row(default_runs, tmp_path):
     """The row after an accepted one may not hold a larger f."""
     stem, k, problems = _edited_default_run(
@@ -1642,12 +1679,13 @@ def test_verify_flags_f_increased_after_an_accepted_row(default_runs, tmp_path):
 
 
 # Cells no run writes, each with the violation verify reports: on the
-# default plan, row 2 of ``case500x5x5_rep0_racr`` and rejected row 0 of
-# ``case2015x5x5_rep0_racr``.
+# default plan, rows 2 and 9 of ``case500x5x5_rep0_racr`` and rejected
+# row 0 of ``case2015x5x5_rep0_racr``. Rows 8 and 9 are accepted, so a
+# finite ``grad_norm`` on row 9 is not held to the row before it.
 _IMPOSSIBLE_CELLS = {
     "grad_norm-negative": (
-        "case500x5x5", 2, "grad_norm", "-1.0",
-        "row 2 grad_norm is -1.0, expected non-negative",
+        "case500x5x5", 9, "grad_norm", "-1.0",
+        "row 9 grad_norm is -1.0, expected non-negative",
     ),
     "grad_norm-nan": (
         "case500x5x5", 2, "grad_norm", "nan", "unreadable row 2: grad_norm is 'nan'",

@@ -435,11 +435,15 @@ def test_non_finite_noise_and_entries_rejected(bad):
 # -- the moment-matrix kernel ----------------------------------------------
 
 
+def _packed_width(d: int) -> int:
+    return d * (d + 1) // 2
+
+
 @st.composite
 def _moment_instances(draw):
     d = draw(st.integers(2, 6))
     r = draw(st.integers(1, d))
-    n = draw(st.integers(d * d + 1, d * d + 60))
+    n = draw(st.integers(_packed_width(d) + 1, d * d + 60))
     noise = draw(st.sampled_from([0.0, 1e-3, 0.3, 2.0]))
     return generate_instance(n, d, r, seed=draw(st.integers(0, 2**16)), noise=noise)
 
@@ -447,7 +451,7 @@ def _moment_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(_moment_instances(), st.integers(0, 2**16))
 def test_moment_kernel_matches_the_direct_kernel(inst, seed):
-    """With d^2 < n the full batch goes through the moment matrix, and the
+    """With t < n the full batch goes through the moment matrix, and the
     index set ``arange(n)`` through the packed rows. They agree to 1e-11
     of the largest Euclidean entry; the projected results can be orders
     of magnitude smaller than the ambient ones they come from, so the
@@ -498,10 +502,11 @@ def _kernel_cases(draw):
     d = draw(st.integers(2, 6))
     r = draw(st.integers(1, d))
     route = draw(st.sampled_from(["rows", "moments", "sampled"]))
+    t = _packed_width(d)
     if route == "rows":
-        n = draw(st.integers(1, d * d))
+        n = draw(st.integers(1, t))
     else:
-        n = draw(st.integers(d * d + 1, d * d + 40))
+        n = draw(st.integers(t + 1, d * d + 40))
     noise = draw(st.sampled_from([0.0, 1e-3, 0.3, 2.0]))
     inst = generate_instance(n, d, r, seed=draw(st.integers(0, 2**16)), noise=noise)
     idx = None
@@ -554,8 +559,10 @@ def test_constructing_the_objective_does_not_touch_the_family():
         obj.value(x)
 
 
-@pytest.mark.parametrize("n, d", [(6, 4), (25, 5)])
-def test_direct_kernel_serves_the_full_batch_when_d_squared_reaches_n(n, d):
+@pytest.mark.parametrize("n, d", [(6, 4), (15, 5)])
+def test_direct_kernel_serves_the_full_batch_when_t_reaches_n(n, d):
+    """With ``t = d(d+1)/2 >= n`` the full batch contracts the packed rows
+    exactly as the all-rows sample does, and forms no moment matrix."""
     obj = JointDiagObjective(generate_instance(n, d, 3, seed=26, noise=0.3))
     x = obj.manifold.random_point(27)
     xi = obj.manifold.random_tangent(x, 28)
@@ -563,6 +570,32 @@ def test_direct_kernel_serves_the_full_batch_when_d_squared_reaches_n(n, d):
     assert obj.value(x) == obj.value(x, every)
     assert np.array_equal(obj.gradient(x).data, obj.gradient(x, every).data)
     assert np.array_equal(obj.hess_vec(x, xi).data, obj.hess_vec(x, xi, every).data)
+    assert obj._moments is None
+
+
+def test_moment_matrix_serves_the_full_batch_when_t_is_below_n():
+    """At ``t < n <= d^2`` (here t = 15, n = 20, d^2 = 25) the full batch
+    reads the packed ``t x t`` moment matrix, formed on the first
+    full-batch call and not at construction or by a sampled call, and
+    matches the all-rows sample to 1e-12 relative."""
+    n, d = 20, 5
+    obj = JointDiagObjective(generate_instance(n, d, 3, seed=26, noise=0.3))
+    assert obj._moments is None
+    x = obj.manifold.random_point(27)
+    xi = obj.manifold.random_tangent(x, 28)
+    every = np.arange(n)
+
+    def oracles(idx):
+        return obj.value(x, idx), obj.gradient(x, idx).data, obj.hess_vec(x, xi, idx).data
+
+    want = oracles(every)
+    assert obj._moments is None
+    got = oracles(None)
+    t = _packed_width(d)
+    assert obj._moments.shape == (t, t)
+    assert not obj._moments.flags.writeable
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 # -- the per-point memo ------------------------------------------------------
