@@ -12,14 +12,13 @@ computed with the exact full objective in every oracle mode. Acceptance
 the next iteration's exact queries at the same ``Point`` are answered by
 the oracle bundle from what it already holds, uncharged.
 
-The probe runs only where its estimate can be read, as ``runs_probe``
-says, and before the stop test. Under ``StopRule.OPTIMALITY`` the stop
-test reads the estimate. Under ``StopRule.GRAD_SQUARED`` it reads only
-the gradient norm, so the terminating iteration runs no probe; every
-other iteration probes as ``eig_policy`` says and hands the estimate to
-the step rule. A run's oracle totals therefore exceed its
-last trace row only by the terminating iteration's gradient, plus its
-probe under ``OPTIMALITY``.
+The probe runs only where its estimate is read, as ``runs_probe``
+says, and before the stop test. ``StopRule.OPTIMALITY`` reads it at
+gradient norms up to ``eps_g``, ``StopRule.GRAD_SQUARED`` never, and
+the step rule only where its config's ``reads_probe`` is true: the
+cubic rule's, not the trust region's. A run's oracle totals therefore
+exceed its last trace row only by the terminating iteration's gradient,
+plus its probe under ``OPTIMALITY``.
 
 Both methods run this one loop and differ only in the step rule their
 config supplies: the initial weight, the step from the local model, and
@@ -71,10 +70,10 @@ class EigPolicy(Enum):
 
     ``ON_SMALL_GRADIENT`` runs it only once the gradient norm falls to
     the level where the second-order test or an eigen step could matter.
-    ``EVERY_ITERATION`` runs it on every iteration. Under
-    ``StopRule.GRAD_SQUARED`` that level is the stop level, so
-    ``ON_SMALL_GRADIENT`` never runs it, and ``EVERY_ITERATION`` skips
-    the terminating iteration, whose stop test does not read it.
+    ``EVERY_ITERATION`` runs it on every iteration if the step rule
+    reads it. Under ``StopRule.GRAD_SQUARED`` that level is the stop
+    level, so ``ON_SMALL_GRADIENT`` never runs it, and
+    ``EVERY_ITERATION`` skips the terminating iteration.
     """
 
     ON_SMALL_GRADIENT = "on_small_gradient"
@@ -116,6 +115,9 @@ class DriverConfig:
       trust-region rule, or a cubic rule with a sampled oracle;
     * ``next_weight(weight, success) -> weight``.
     """
+
+    # Whether ``step`` reads the probe. Unannotated, so no sidecar key.
+    reads_probe = True
 
     eps_g: float = 1e-2
     eps_h: float = 1e-1
@@ -272,11 +274,11 @@ def predicts_decrease(model_val: float, f: float) -> bool:
 
 def runs_probe(grad_norm: float, cfg: DriverConfig) -> bool:
     """Whether the driver probes the curvature at an iterate with this
-    gradient norm, as ``cfg.eig_policy`` says. The optimality test's
-    small-gradient level is ``eps_g``. The squared-gradient test does
-    not read the estimate and stops at its small-gradient level, so
-    under it only ``EVERY_ITERATION`` probes, where the run goes on."""
-    every = cfg.eig_policy is EigPolicy.EVERY_ITERATION
+    gradient norm: where the stop test or the step rule reads it. The
+    optimality test reads it up to ``eps_g``; the squared-gradient test
+    never, and stops at that level, so there only ``EVERY_ITERATION``
+    probes, where the run goes on. That policy needs ``cfg.reads_probe``."""
+    every = cfg.reads_probe and cfg.eig_policy is EigPolicy.EVERY_ITERATION
     if cfg.stop_rule is StopRule.OPTIMALITY:
         return every or grad_norm <= cfg.eps_g
     return not should_terminate(grad_norm, None, cfg) and every

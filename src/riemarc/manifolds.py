@@ -31,6 +31,8 @@ FEASIBILITY_TOL = 1e-10
 # ``||xi||_2 = 700``, so steps longer than about 70 take the second pass.
 REORTH_DRIFT_TOL = 1e-12
 
+_RANK_DEFICIENT = "matrix is numerically rank deficient, no unique orthonormal factor"
+
 
 def sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part ``(a + a^T) / 2`` of a square matrix."""
@@ -80,6 +82,11 @@ class Tangent:
             )
 
 
+def _same_base(a: Point, b: Point) -> bool:
+    """Whether two base points are one point: one object, or equal data."""
+    return a is b or np.array_equal(a.data, b.data)
+
+
 def _rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -115,14 +122,17 @@ class Manifold(ABC):
     # -- construction and validation -------------------------------------
 
     def point(self, data: np.ndarray) -> Point:
-        p = Point(data)
+        return self._checked(Point(data))
+
+    def _checked(self, p: Point, res: float | None = None) -> Point:
+        """``p`` if a finite ``d x r`` point on the manifold, by ``res`` if given."""
         if p.shape != (self.d, self.r):
             raise ContractError(
                 f"expected a {self.d} x {self.r} point, got {p.shape}"
             )
-        if not np.all(np.isfinite(p.data)):
+        if not np.isfinite(p.data).all():
             raise ContractError("point contains non-finite entries")
-        res = self.feasibility_residual(p.data)
+        res = self.feasibility_residual(p.data) if res is None else res
         if res > FEASIBILITY_TOL:
             raise ContractError(
                 f"point is off the manifold, feasibility residual {res:.3e}"
@@ -133,7 +143,7 @@ class Manifold(ABC):
 
     def inner(self, eta: Tangent, xi: Tangent) -> float:
         """Trace inner product of two tangent vectors at the same base."""
-        if eta.base is not xi.base and not np.array_equal(eta.base.data, xi.base.data):
+        if not _same_base(eta.base, xi.base):
             raise ContractError("tangent vectors have different base points")
         return float(np.vdot(eta.data, xi.data))
 
@@ -169,9 +179,7 @@ def qr_orthonormal_factor(y: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(y)
     diag = np.diagonal(r)
     if np.min(np.abs(diag)) <= 1e-13 * max(1.0, float(np.linalg.norm(y))):
-        raise SingularRetractionError(
-            "matrix is numerically rank deficient, no unique orthonormal factor"
-        )
+        raise SingularRetractionError(_RANK_DEFICIENT)
     signs = np.where(diag < 0.0, -1.0, 1.0)
     return q * signs
 
@@ -186,9 +194,7 @@ def cholesky_qr_factor(y: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularRetractionError("Gram matrix is not positive definite") from exc
     if lower.diagonal().min() ** 2 <= 1e-14 * gram.trace():
-        raise SingularRetractionError(
-            "matrix is numerically rank deficient, no unique orthonormal factor"
-        )
+        raise SingularRetractionError(_RANK_DEFICIENT)
     return np.linalg.solve(lower, y.T).T
 
 
@@ -223,11 +229,10 @@ class Stiefel(Manifold):
 
         The zero tangent returns ``x`` unchanged. If the orthonormal
         factor drifts off the manifold beyond ``REORTH_DRIFT_TOL`` it is
-        re-orthonormalized once before being returned. The result passes
-        the checks of ``point``, with its feasibility residual computed
-        once.
+        re-orthonormalized once. The result passes ``point``'s checks on
+        the feasibility residual computed once.
         """
-        if xi.base is not x and not np.array_equal(xi.base.data, x.data):
+        if not _same_base(xi.base, x):
             raise ContractError("tangent vector is not based at x")
         if not xi.data.any():
             return x
@@ -236,13 +241,7 @@ class Stiefel(Manifold):
         if res > REORTH_DRIFT_TOL:
             q = cholesky_qr_factor(q)
             res = self.feasibility_residual(q)
-        if not np.isfinite(q).all():
-            raise ContractError("point contains non-finite entries")
-        if res > FEASIBILITY_TOL:
-            raise ContractError(
-                f"point is off the manifold, feasibility residual {res:.3e}"
-            )
-        return Point(q)
+        return self._checked(Point(q), res)
 
     def _random_point_data(self, rng: np.random.Generator) -> np.ndarray:
         return qr_orthonormal_factor(rng.standard_normal((self.d, self.r)))

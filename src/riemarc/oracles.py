@@ -17,16 +17,12 @@ evaluation order, and so that the Hessian stream does not depend on
 whether the gradient was sampled. Each purpose's ``KeyedStream`` jumps
 to iteration ``k`` in place, so no iteration builds a generator.
 
-Exact quantities do not depend on the iteration, so the bundle holds
-the exact gradient ``G`` at the current iterate, keyed on its ``Point``
-object, and ``H[G]``, until a query arrives at another point. After a
-rejected step the driver queries the unchanged iterate again, and gets
-back the same ``G`` and its Cauchy product ``H[G]``. The counters count
-only the component evaluations that reach the objective, so such an
-iteration charges no gradient batch, and no Hessian batch for ``H[G]``.
-Every other exact product, and every sampled query, is evaluated
-afresh. Either query before the first ``begin_iteration`` raises
-``ContractError``.
+A query repeated at the same ``Point`` with the same index-set objects
+is answered from what the bundle holds, uncharged: its last gradient
+``G`` and ``H[G]``. Every other query is evaluated and charged. An
+exact index set is None in every iteration and a sampled one a new
+array in each, so only exact answers carry over a rejected step. Either
+query before the first ``begin_iteration`` raises ``ContractError``.
 
 ``required_sample_sizes`` computes sizes under which the sample averages
 match the exact quantities to accuracy ``delta_g`` and ``delta_h`` with
@@ -39,6 +35,7 @@ probability at least ``1 - delta`` each, given uniform component bounds:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -111,21 +108,18 @@ class OracleBundle:
         self._iteration: int | None = None
         self._grad_idx: np.ndarray | None = None
         self._hess_idx: np.ndarray | None = None
-        # Exact answers at ``_at``: its gradient G and H[G]. Points and
-        # tangents hold read-only copies, so one object has one value.
-        self._at: Point | None = None
-        self._exact_grad: Tangent | None = None
-        self._exact_hg: Tangent | None = None
-
-    def _exact_answers_at(self, x: Point) -> None:
-        if x is not self._at:
-            self._at = x
-            self._exact_grad = None
-            self._exact_hg = None
+        # The last G and H[G], each after its key of held objects. Points
+        # and tangents hold read-only copies, so one key has one value.
+        self._grad_key, self._grad = (None, None), None
+        self._hg_key, self._hg = (None, None, None), None
 
     def _check_begun(self) -> None:
         if self._iteration is None:
             raise ContractError("oracle queried before begin_iteration")
+
+    def _size(self, idx: np.ndarray | None) -> int:
+        """Components an oracle on index set ``idx`` charges."""
+        return self.objective.n if idx is None else idx.size
 
     def begin_iteration(self, k: int) -> None:
         """Fix the sample index sets used for iteration ``k``."""
@@ -144,36 +138,34 @@ class OracleBundle:
     def inexact_gradient(self, x: Point) -> Tangent:
         """Gradient estimate for the current iteration's sample."""
         self._check_begun()
-        if self._grad_idx is not None:
-            g = self.objective.gradient(x, self._grad_idx)
-            self.counters.grad_evals += self._grad_idx.size
-            return g
-        self._exact_answers_at(x)
-        if self._exact_grad is None:
-            self._exact_grad = self.objective.gradient(x)
-            self.counters.grad_evals += self.objective.n
-        return self._exact_grad
+        key = (x, self._grad_idx)
+        if not _same(key, self._grad_key):
+            self._grad = self.objective.gradient(x, self._grad_idx)
+            self.counters.grad_evals += self._size(self._grad_idx)
+            self._grad_key = key
+        return self._grad
 
     def inexact_hvp(self, x: Point, eta: Tangent) -> Tangent:
         """Hessian-vector estimate on the current iteration's sample."""
         self._check_begun()
-        if self._hess_idx is not None:
-            h = self.objective.hess_vec(x, eta, self._hess_idx)
-            self.counters.hess_evals += self._hess_idx.size
-            return h
-        self._exact_answers_at(x)
-        if eta is self._exact_grad and self._exact_hg is not None:
-            return self._exact_hg
-        h = self.objective.hess_vec(x, eta)
-        self.counters.hess_evals += self.objective.n
-        if eta is self._exact_grad:
-            self._exact_hg = h
+        key = (x, eta, self._hess_idx)
+        if _same(key, self._hg_key):
+            return self._hg
+        h = self.objective.hess_vec(x, eta, self._hess_idx)
+        self.counters.hess_evals += self._size(self._hess_idx)
+        if eta is self._grad:
+            self._hg_key, self._hg = key, h
         return h
 
     def objective_value(self, x: Point) -> float:
         """Exact full objective, used for acceptance ratios in all modes."""
         self.counters.objective_evals += self.objective.n
         return self.objective.value(x)
+
+
+def _same(key: tuple, held: tuple) -> bool:
+    """Whether two keys hold the same objects, position by position."""
+    return all(map(operator.is_, key, held))
 
 
 def check_sample_sizes(

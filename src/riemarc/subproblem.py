@@ -71,10 +71,10 @@ class CubicModel:
 
 
 def _positive_quadratic_root(a: float, b: float, c: float) -> float:
-    """Positive root of ``a t^2 + b t - c = 0`` with ``a > 0``, ``c > 0``,
-    computed in the cancellation-free form."""
+    """Larger root of ``a t^2 + b t - c = 0`` with ``a > 0``, ``c >= 0``,
+    so non-negative, computed in the cancellation-free form."""
     disc = math.sqrt(b * b + 4.0 * a * c)
-    if b >= 0.0:
+    if b > 0.0:
         return 2.0 * c / (b + disc)
     return (disc - b) / (2.0 * a)
 

@@ -32,7 +32,7 @@ from .arc import DriverConfig, RunTrace, TrialStep, _drive
 from .errors import ContractError
 from .manifolds import Manifold, Point, Tangent
 from .objectives import SeparableObjective
-from .subproblem import min_eig_estimate
+from .subproblem import _positive_quadratic_root, min_eig_estimate
 
 CG_KAPPA = 0.1
 CG_THETA = 0.5
@@ -40,8 +40,9 @@ CG_THETA = 0.5
 
 @dataclass
 class TrustRegionConfig(DriverConfig):
-    """Parameters of the trust-region rule."""
+    """Parameters of the trust-region rule, which reads no probe."""
 
+    reads_probe = False
     delta0: float = 1.0
 
     def validate(self) -> None:
@@ -73,17 +74,12 @@ class TrSubproblemResult:
     iterations: int
 
 
-def _boundary_step(
-    eta: np.ndarray, p: np.ndarray, delta: float
-) -> float:
-    """Positive ``t`` with ``||eta + t p|| = delta``."""
+def _boundary_step(eta: np.ndarray, p: np.ndarray, delta: float) -> float:
+    """Positive ``t`` with ``||eta + t p|| = delta``, for ``||eta|| <= delta``."""
     pp = float(np.vdot(p, p))
     ep = float(np.vdot(eta, p))
     ee = float(np.vdot(eta, eta))
-    disc = math.sqrt(max(ep * ep + pp * (delta * delta - ee), 0.0))
-    if ep <= 0.0:
-        return (disc - ep) / pp
-    return (delta * delta - ee) / (ep + disc)
+    return _positive_quadratic_root(pp, 2.0 * ep, delta * delta - ee)
 
 
 def tr_subproblem(

@@ -147,7 +147,9 @@ def test_subsampled_runs_obey_counter_laws():
 @pytest.mark.parametrize("solver", ["racr", "sracr", "ssracr", "ssrtr"])
 def test_gradient_stop_runs_no_terminal_probe(solver, policy):
     """Under GRAD_SQUARED the run's Hessian total is the last row's: the
-    terminating iteration, which writes no row, runs no probe."""
+    terminating iteration, which writes no row, runs no probe. Every
+    other row probes under EVERY_ITERATION if the step rule reads the
+    probe, which the trust region's does not."""
     obj = _low_dispersion_quadratic()
     x0 = obj.manifold.random_point(2)
     g_size, h_size = {
@@ -174,8 +176,8 @@ def test_gradient_stop_runs_no_terminal_probe(solver, policy):
     assert trace.iterations > 0
     assert trace.hess_evals == trace.records[-1].hess_evals
     assert trace.grad_evals == trace.records[-1].grad_evals + (g_size or obj.n)
-    if policy is EigPolicy.EVERY_ITERATION:
-        assert all(rec.lambda_min is not None for rec in trace.records)
+    probes = policy is EigPolicy.EVERY_ITERATION and solver != "ssrtr"
+    assert all((rec.lambda_min is not None) is probes for rec in trace.records)
 
 
 def test_optimality_stop_charges_its_terminal_probe():

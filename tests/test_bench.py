@@ -1422,9 +1422,10 @@ def test_verify_reads_the_budget_stop_test_and_probe_policy(
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_verify_accepts_a_run_that_probes_every_iteration(bench_dir, tmp_path, solver):
     """A run rerun from its sidecar under ``eig_policy:
-    "every_iteration"`` fills ``lambda_min`` on every row, and its trace,
-    totals and wall time pass verify once the summary is rewritten to
-    match."""
+    "every_iteration"`` fills ``lambda_min`` on every row of a cubic run
+    and on none of a trust-region run, whose step rule reads no probe,
+    and its trace, totals and wall time pass verify once the summary is
+    rewritten to match."""
     copy = tmp_path / solver
     shutil.copytree(bench_dir, copy)
     stem = run_name(_TINY_PLAN.cases[0], solver, 0)
@@ -1436,7 +1437,8 @@ def test_verify_accepts_a_run_that_probes_every_iteration(bench_dir, tmp_path, s
     t0 = time.perf_counter()
     trace = bench.solve(objective, x0, cfg)
     wall_s = time.perf_counter() - t0
-    assert all(rec.lambda_min is not None for rec in trace.records)
+    probes = solver != "ssrtr"
+    assert all((rec.lambda_min is not None) is probes for rec in trace.records)
     write_trace_csv(trace, copy / f"{stem}.csv")
     meta.update(
         outcome=trace.outcome.value,

@@ -157,6 +157,36 @@ def test_exact_bundle_holds_only_the_gradient_and_its_product():
     assert (counters.grad_evals, counters.hess_evals) == (21, 28)
 
 
+def test_sampled_bundle_holds_its_answers_for_one_iteration():
+    """A repeated sampled gradient query and a repeated ``H_S[G]`` query
+    at the same point return the held objects, charged once. The next
+    iteration draws new index sets, so both are evaluated and charged
+    again, while an exact gradient carries over."""
+    obj = CosineSum.random(40, 3, seed=21)
+    x = obj.manifold.random_point(22)
+    both = OracleBundle(
+        obj, OracleMode.SUBSAMPLED_BOTH, grad_sample_size=10, hess_sample_size=4, seed=0
+    )
+    hess_only = OracleBundle(obj, OracleMode.SUBSAMPLED_HESSIAN, hess_sample_size=4)
+    for bundle, g_size in ((both, 10), (hess_only, obj.n)):
+        bundle.begin_iteration(0)
+        g = bundle.inexact_gradient(x)
+        hg = bundle.inexact_hvp(x, g)
+        assert bundle.inexact_gradient(x) is g
+        assert bundle.inexact_hvp(x, g) is hg
+        counters = bundle.counters
+        assert (counters.grad_evals, counters.hess_evals) == (g_size, 4)
+
+        bundle.begin_iteration(1)
+        g_next = bundle.inexact_gradient(x)
+        assert (g_next is g) is (bundle is hess_only)
+        hg_next = bundle.inexact_hvp(x, g_next)
+        assert hg_next is not hg
+        assert bundle.inexact_hvp(x, g_next) is hg_next
+        grad_total = g_size if bundle is hess_only else 2 * g_size
+        assert (counters.grad_evals, counters.hess_evals) == (grad_total, 8)
+
+
 def test_subsampled_bundle_is_deterministic_per_iteration():
     obj = CosineSum.random(50, 3, seed=17)
     x = obj.manifold.random_point(18)

@@ -64,6 +64,13 @@ def test_cauchy_point_zero_quadratic_term():
     assert eta.data[0, 0] == pytest.approx(-1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("b, root", [(3.0, 0.0), (0.0, 0.0), (-0.0, 0.0), (-3.0, 1.5)])
+def test_positive_quadratic_root_at_zero_c(b, root):
+    """At ``c = 0`` the roots of ``a t^2 + b t = 0`` are 0 and ``-b / a``,
+    and the larger is returned."""
+    assert subproblem._positive_quadratic_root(2.0, b, 0.0) == root
+
+
 def test_cauchy_point_identity_hessian():
     # alpha solves a^2 + a - 1 = 0, the inverse golden ratio.
     model, man, _ = _euclidean_model([1.0, 0.0], np.eye(2), 1.0)

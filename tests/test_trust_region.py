@@ -1,7 +1,12 @@
 """Trust-region baseline: truncated CG sub-problem and driver laws."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from riemarc.arc import SIGMA_MIN, Outcome, StopRule
 from riemarc.errors import ContractError
@@ -10,6 +15,7 @@ from riemarc.manifolds import Tangent
 from riemarc.oracles import OracleMode
 from riemarc.trust_region import (
     TrustRegionConfig,
+    _boundary_step,
     run_trust_region,
     tr_subproblem,
 )
@@ -43,6 +49,52 @@ def test_boundary_step_exact_radius():
     assert res.boundary
     assert man.norm(res.step) == pytest.approx(0.5, abs=1e-12)
     assert res.step.data[0, 0] == pytest.approx(-0.5, abs=1e-12)
+
+
+def _reference_boundary_step(eta, p, delta):
+    """The boundary step derived on its own, with a clamped discriminant
+    and a branch on the sign of ``<eta, p>``."""
+    pp = float(np.vdot(p, p))
+    ep = float(np.vdot(eta, p))
+    ee = float(np.vdot(eta, eta))
+    disc = math.sqrt(max(ep * ep + pp * (delta * delta - ee), 0.0))
+    if ep <= 0.0:
+        return (disc - ep) / pp
+    return (delta * delta - ee) / (ep + disc)
+
+
+# Zero, or a magnitude whose squares and products stay normal floats.
+# Where ``<p, p> (delta^2 - ||eta||^2)`` is subnormal (``||p||`` near
+# 1e-158) both derivations lose about eight digits, and differently.
+_ENTRIES = st.one_of(st.just(0.0), st.floats(1e-50, 1e50), st.floats(-1e50, -1e-50))
+
+
+@st.composite
+def _boundary_cases(draw):
+    """A CG iterate ``eta`` strictly inside the ball of radius ``delta``,
+    zero included, and a non-zero direction ``p``."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    p = draw(hnp.arrays(float, shape, elements=_ENTRIES))
+    assume(float(np.vdot(p, p)) > 0.0)
+    delta = draw(st.floats(1e-3, 1e3))
+    eta = draw(hnp.arrays(float, shape, elements=_ENTRIES))
+    if draw(st.booleans()) and np.linalg.norm(eta) > 0.0:
+        eta = eta * (draw(st.floats(0.0, 1.0)) * delta / np.linalg.norm(eta))
+    assume(float(np.linalg.norm(eta)) < delta)
+    return eta, p, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_boundary_cases())
+def test_boundary_step_equals_its_own_derivation_bit_for_bit(case):
+    """Solving ``||eta + t p|| = delta`` through the cubic rule's
+    ``_positive_quadratic_root`` gives the separately derived root bit
+    for bit, ``eta = 0`` (the first CG iteration) included: the two
+    differ only by exact scalings by 2 and 4."""
+    eta, p, delta = case
+    t = _boundary_step(eta, p, delta)
+    assert t.hex() == _reference_boundary_step(eta, p, delta).hex()
+    assert t >= 0.0
 
 
 def test_negative_curvature_runs_to_boundary():
