@@ -109,10 +109,10 @@ class DriverConfig:
     methods:
 
     * ``initial_weight()``: sigma0 or delta0;
-    * ``step(grad, hvp, weight, x, manifold, probe) -> TrialStep``: the
-      trial step, its model value, and the model's regularization term,
-      or None wherever ``RunTrace.l_hat`` does not apply: the
-      trust-region rule, or a cubic rule with a sampled oracle;
+    * ``step(grad, hvp, weight, manifold, probe) -> TrialStep``: the
+      trial step at ``grad.base``, its model value, and the model's
+      regularization term, or None wherever ``RunTrace.l_hat`` does not
+      apply: the trust-region rule, or a cubic rule with a sampled oracle;
     * ``next_weight(weight, success) -> weight``.
     """
 
@@ -191,8 +191,8 @@ class SolverConfig(DriverConfig):
     def initial_weight(self) -> float:
         return self.sigma0
 
-    def step(self, grad, hvp, weight, x, manifold, probe) -> TrialStep:
-        model = CubicModel(grad, hvp, weight, x, manifold)
+    def step(self, grad, hvp, weight, manifold, probe) -> TrialStep:
+        model = CubicModel(grad, hvp, weight, manifold)
         result = solve_subproblem(model, probe=probe, refine_steps=self.refine_steps)
         exact = self.grad_sample_size is None and self.hess_sample_size is None
         reg = (weight / 3.0) * manifold.norm(result.step) ** 3 if exact else None
@@ -344,7 +344,7 @@ def _drive(
             break
 
         try:
-            eta, m_val, reg = cfg.step(grad, hvp, weight, x, manifold, probe)
+            eta, m_val, reg = cfg.step(grad, hvp, weight, manifold, probe)
             if not predicts_decrease(m_val, f_x):
                 outcome = Outcome.SUBSOLVER_FAILURE
                 break

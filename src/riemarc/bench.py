@@ -177,6 +177,7 @@ def default_plan() -> BenchmarkPlan:
 
 def parse_plan(text: str) -> BenchmarkPlan:
     plan = BenchmarkPlan()
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -194,8 +195,11 @@ def parse_plan(text: str) -> BenchmarkPlan:
         if "=" not in line:
             raise PlanError(f"line {lineno}: expected 'key = value' or 'case n d r'")
         key, _, value = line.partition("=")
+        key = key.strip()
+        if first_line.setdefault(key, lineno) != lineno:
+            raise PlanError(f"line {lineno}: {key} is set on line {first_line[key]} too")
         try:
-            set_plan_value(plan, key.strip(), value)
+            set_plan_value(plan, key, value)
         except PlanError as exc:
             raise PlanError(f"line {lineno}: {exc}") from exc
     plan.validate()

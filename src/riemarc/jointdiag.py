@@ -178,8 +178,8 @@ class _PointMemo:
     Euclidean gradient, and ``sym(U^T egrad)`` on first use. The full
     batch reads the packed moment matrix ``moments`` when one is given;
     any other set contracts ``rows``, the packed rows of ``C[S]``. Both
-    pack through the layout's ``fold`` and unpack through its
-    ``expand``. Every cached array is read-only."""
+    pack through the ``fold`` and unpack through the ``expand`` of
+    ``_layout(d)``, the shared cache. Every cached array is read-only."""
 
     def __init__(
         self,
@@ -187,13 +187,11 @@ class _PointMemo:
         idx: np.ndarray | None,
         rows: np.ndarray,
         moments: np.ndarray | None,
-        expand: np.ndarray,
-        fold: np.ndarray,
     ):
         self.x = x
         self.idx = None if idx is None else _readonly(idx.copy())
         self.rows, self.moments = rows, moments
-        self.expand, self.fold = expand, fold
+        _, _, self.expand, self.fold = _layout(x.shape[0])
         self.a = _readonly(self.contract(x.data))
         self.egrad = _readonly(-4.0 * _columnwise(self.a, x.data))
         self._sym_u_egrad: np.ndarray | None = None
@@ -239,8 +237,8 @@ class _PointMemo:
 class JointDiagObjective(SeparableObjective):
     """Finite-sum diagonalization objective on ``Stiefel(d, r)``.
 
-    Construction reads nothing of the family's rows and takes the
-    packed layout of its ``d`` from the shared cache. When ``t < n``, so that
+    Construction reads nothing of the family's rows; each memo takes the
+    packed layout of ``d`` from the shared cache. When ``t < n``, so that
     ``G`` is smaller than the family, the first full-batch call forms and keeps
     it, and a call costs ``r d^2 t + r t^2`` flops instead of ``r d^2 t + 2 r n t``.
 
@@ -260,8 +258,6 @@ class JointDiagObjective(SeparableObjective):
         self.instance = instance
         self.n, self.d = instance.n, instance.d
         self.manifold = Stiefel(self.d, instance.r)
-        self._rows = instance.rows
-        _, _, self._expand, self._fold = _layout(self.d)
         self._moments: np.ndarray | None = None
         self._memo: _PointMemo | None = None
 
@@ -269,14 +265,14 @@ class JointDiagObjective(SeparableObjective):
         memo = self._memo
         if memo is None or not memo.matches(x, idx):
             idx = self._check_idx(idx)
-            rows, moments = self._rows, None
+            rows, moments = self.instance.rows, None
             if idx is not None:
                 rows = _readonly(rows[idx])
             elif rows.shape[1] < self.n:
                 if self._moments is None:
                     self._moments = _readonly(rows.T @ rows / self.n)
                 moments = self._moments
-            memo = _PointMemo(x, idx, rows, moments, self._expand, self._fold)
+            memo = _PointMemo(x, idx, rows, moments)
             self._memo = memo
         return memo
 

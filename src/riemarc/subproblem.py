@@ -52,9 +52,10 @@ LANCZOS_TOL = 1e-6
 
 @dataclass
 class CubicModel:
-    """Cubic-regularized local model of the objective at ``base``.
+    """Cubic-regularized local model of the objective at the point
+    ``gradient.base``, where the sub-solver builds every step.
 
-    ``hvp`` must be a linear operator on tangent vectors at ``base``.
+    ``hvp`` must be a linear operator on tangent vectors at that point.
     With inexact oracles it is the sub-sampled Hessian fixed for the
     current outer iteration.
     """
@@ -62,7 +63,6 @@ class CubicModel:
     gradient: Tangent
     hvp: Callable[[Tangent], Tangent]
     sigma: float
-    base: Point
     manifold: Manifold
 
     def __post_init__(self) -> None:
@@ -85,7 +85,7 @@ def _cauchy_candidate(model: CubicModel, gnorm: float) -> tuple[Tangent, float]:
     g = model.gradient
     ghg = model.manifold.inner(model.hvp(g), g)
     alpha = _positive_quadratic_root(model.sigma * gnorm**3, ghg, gnorm**2)
-    eta = Tangent(-alpha * g.data, model.base)
+    eta = Tangent(-alpha * g.data, g.base)
     h_eta = alpha**2 * ghg
     m_val = -alpha * gnorm**2 + 0.5 * h_eta + (model.sigma / 3.0) * (alpha * gnorm) ** 3
     return eta, m_val
@@ -190,7 +190,7 @@ def _eigen_candidate(
     s = 1.0 if gv == 0.0 else -math.copysign(1.0, gv)
     lin = s * gv  # <= 0
     beta = _positive_quadratic_root(model.sigma, curvature, -lin)
-    eta = Tangent(beta * s * v.data, model.base)
+    eta = Tangent(beta * s * v.data, model.gradient.base)
     h_eta = beta**2 * curvature
     m_val = beta * lin + 0.5 * h_eta + (model.sigma / 3.0) * beta**3
     return eta, m_val
@@ -236,7 +236,7 @@ def _refine(
         if gm <= 1e-12 * max(1.0, abs(m_cur)):
             break
         d = grad_m / gm
-        hd = model.hvp(Tangent(d, model.base)).data
+        hd = model.hvp(Tangent(d, model.gradient.base)).data
         # Scalars for evaluating m(eta - t d) without further products.
         gd = float(np.vdot(g, d))
         cross = float(np.vdot(h_eta_vec, d)) + float(np.vdot(hd, eta))
@@ -274,14 +274,14 @@ def solve_subproblem(
 ) -> SubsolverResult:
     """Approximately minimize the cubic model over the tangent space.
 
-    ``probe`` is a curvature estimate at ``model.base`` (for example the
-    one used by the outer termination test); without one, the eigen step
-    is not a candidate. ``refine_steps`` bounds the normalized gradient
-    steps on ``m`` that polish the winning candidate (0 disables
-    refinement). The candidate with the lower model value wins, and the
-    Cauchy point wins a tie. Raises ``ContractError`` when the
-    gradient is zero and no negative curvature is detected, since the
-    caller should have terminated.
+    ``probe`` is a curvature estimate at ``model.gradient.base``, where
+    every returned step is based (for example the one used by the outer
+    termination test); without one, the eigen step is not a candidate.
+    ``refine_steps`` bounds the normalized gradient steps on ``m`` that
+    polish the winning candidate (0 disables refinement). The candidate
+    with the lower model value wins, and the Cauchy point wins a tie.
+    Raises ``ContractError`` when the gradient is zero and no negative
+    curvature is detected, since the caller should have terminated.
     """
     gnorm = model.manifold.norm(model.gradient)
     candidates = [_cauchy_candidate(model, gnorm)] if gnorm > 0.0 else []
@@ -306,7 +306,7 @@ def solve_subproblem(
         h_best = model.hvp(best).data
         eta, m_ref = _refine(model, best.data, h_best, refine_steps)
         if m_ref < best_m:
-            best = Tangent(eta, model.base)
+            best = Tangent(eta, model.gradient.base)
             best_m = m_ref
 
     return SubsolverResult(step=best, m_val=best_m, cauchy_m=cauchy_m, eigen_m=eigen_m)

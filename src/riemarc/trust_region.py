@@ -56,7 +56,7 @@ class TrustRegionConfig(DriverConfig):
     def initial_weight(self) -> float:
         return self.delta0
 
-    def step(self, grad, hvp, weight, x, manifold, probe) -> TrialStep:
+    def step(self, grad, hvp, weight, manifold, probe) -> TrialStep:
         sub = tr_subproblem(grad, hvp, weight, manifold)
         return sub.step, sub.model_val, None
 

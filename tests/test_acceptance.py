@@ -46,7 +46,7 @@ def _euclidean_model(g_vec, h_mat, sigma):
     def hvp(eta):
         return Tangent(h @ eta.data, x)
 
-    return CubicModel(g, hvp, sigma, x, man), man, x
+    return CubicModel(g, hvp, sigma, man), man, x
 
 
 def test_criterion_01_gradient_consistency():

@@ -20,6 +20,7 @@ from riemarc.arc import (
 from riemarc.errors import ContractError
 from riemarc.jointdiag import JointDiagObjective, generate_instance
 from riemarc.oracles import OracleMode
+from riemarc.subproblem import min_eig_estimate
 from riemarc.trust_region import TrustRegionConfig, run_trust_region
 
 from euclidean import QuadraticSum, SaddleQuartic
@@ -414,9 +415,9 @@ def _l_hat_from_steps(objective, x0, cfg, monkeypatch):
     steps = []
     step = SolverConfig.step
 
-    def capture(self, grad, hvp, weight, x, manifold, probe):
-        trial = step(self, grad, hvp, weight, x, manifold, probe)
-        steps.append((x, trial[0], probe))
+    def capture(self, grad, hvp, weight, manifold, probe):
+        trial = step(self, grad, hvp, weight, manifold, probe)
+        steps.append((grad.base, trial[0], probe))
         return trial
 
     monkeypatch.setattr(SolverConfig, "step", capture)
@@ -477,11 +478,41 @@ def test_cubic_step_reports_reg_only_with_both_oracles_exact(variant, sizes):
     man = obj.manifold
     x = man.random_point(2)
     cfg = SolverConfig.for_variant(variant, **sizes)
-    eta, _, reg = cfg.step(obj.gradient(x), partial(obj.hess_vec, x), 0.5, x, man, None)
+    eta, _, reg = cfg.step(obj.gradient(x), partial(obj.hess_vec, x), 0.5, man, None)
     if variant == "racr":
         assert reg == (0.5 / 3.0) * man.norm(eta) ** 3 and reg > 0.0
     else:
         assert reg is None
+
+
+@pytest.mark.parametrize("kind", ["eigen", "refined", "trust_region"])
+def test_steps_are_based_and_tangent_where_the_gradient_is(kind):
+    """A step rule takes no point: its step is based at ``grad.base`` and
+    tangent there. At this Stiefel point and weight 0.5 the probe's
+    negative curvature wins the cubic step, three refinement steps move it
+    off the eigen direction to a lower model value, and the trust region
+    exits at its boundary."""
+    obj = JointDiagObjective(generate_instance(40, 6, 4, seed=11, noise=0.3))
+    man = obj.manifold
+    x = man.random_point(12)
+    grad, hvp = obj.gradient(x), partial(obj.hess_vec, x)
+    probe = min_eig_estimate(man, x, hvp, seed=13)
+    cfg = {
+        "eigen": SolverConfig(),
+        "refined": SolverConfig(refine_steps=3),
+        "trust_region": TrustRegionConfig(),
+    }[kind]
+    eta, m_val, _ = cfg.step(grad, hvp, 0.5, man, probe)
+    assert eta.base is grad.base
+    assert np.linalg.norm(eta.data - man.project(grad.base, eta.data).data) <= 1e-12
+    along = abs(man.inner(eta, probe.vector)) / man.norm(eta)
+    if kind == "eigen":
+        assert probe.value < 0.0 and along == pytest.approx(1.0, rel=1e-12)
+    elif kind == "refined":
+        eigen_m = SolverConfig().step(grad, hvp, 0.5, man, probe)[1]
+        assert m_val < eigen_m and along < 1.0 - 1e-6
+    else:
+        assert man.norm(eta) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_fail_count_and_sigma_cap_bounds():

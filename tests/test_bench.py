@@ -149,6 +149,28 @@ def test_a_case_line_with_a_non_integer_names_its_line():
         parse_plan("repetitions = 1\ncase 10 3 two\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "repetitions = 2\ncase 10 3 2\nrepetitions=5\n",
+            "line 3: repetitions is set on line 1 too",
+        ),
+        (
+            "solvers = racr\n# racr only\n solvers = ssrtr\ncase 10 3 2\n",
+            "line 3: solvers is set on line 1 too",
+        ),
+    ],
+    ids=["repetitions", "solvers"],
+)
+def test_a_plan_key_set_twice_names_the_repeat(text, message):
+    """A key is set at most once in a plan file, as a case is listed at
+    most once, so no line is silently outweighed by a later one. A
+    ``--set`` still overrides a file's value (``test_cli_set_overrides_apply``)."""
+    with pytest.raises(PlanError, match=f"^{message}$"):
+        parse_plan(text)
+
+
 @pytest.mark.parametrize("noise", [math.inf, math.nan, -1.0])
 def test_plan_noise_must_be_finite_and_non_negative(tmp_path, noise):
     """A plan built in code is held to ``generate_instance``'s noise rule

@@ -386,12 +386,20 @@ def test_layout_folds_vec_products_onto_packed_entries(d):
 
 
 def test_objectives_of_one_d_share_one_layout():
-    a = JointDiagObjective(generate_instance(6, 4, 2, seed=1))
-    b = JointDiagObjective(generate_instance(30, 4, 4, seed=2))
-    c = JointDiagObjective(generate_instance(6, 5, 2, seed=1))
-    assert a._expand is b._expand is _layout(4)[2]
-    assert a._fold is b._fold is _layout(4)[3]
-    assert c._fold is not a._fold and c._fold.shape == (25, 15)
+    """Every memo of every objective of one ``d``, full batch through the
+    rows (t > n) or the moment matrix (t < n), or a sampled set, packs and
+    unpacks through the arrays that ``_layout(d)`` caches."""
+    memos = []
+    for n, d, idx in [(6, 4, None), (30, 4, None), (30, 4, [0, 2]), (6, 5, None)]:
+        obj = JointDiagObjective(generate_instance(n, d, 2, seed=n))
+        obj.value(obj.manifold.random_point(0), None if idx is None else np.array(idx))
+        memos.append(obj._memo)
+    rows, moments, sampled, other = memos
+    assert rows.moments is None and moments.moments is not None
+    for memo in (rows, moments, sampled):
+        assert memo.expand is _layout(4)[2] and memo.fold is _layout(4)[3]
+    assert other.expand is _layout(5)[2] and other.fold is _layout(5)[3]
+    assert other.fold.shape == (25, 15)
 
 
 @pytest.mark.parametrize("n", [6, 30])

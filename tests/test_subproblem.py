@@ -27,12 +27,12 @@ def _euclidean_model(g_vec, h_mat, sigma):
     def hvp(eta):
         return Tangent(h @ eta.data, x)
 
-    return CubicModel(g, hvp, sigma, x, man), man, x
+    return CubicModel(g, hvp, sigma, man), man, x
 
 
 def _probe(model, seed):
     """The Lanczos probe a driver passes to ``solve_subproblem``."""
-    return min_eig_estimate(model.manifold, model.base, model.hvp, seed=seed)
+    return min_eig_estimate(model.manifold, model.gradient.base, model.hvp, seed=seed)
 
 
 def _grid_min_1d(model, direction, lo=0.0, hi=3.0, step=1e-5):
@@ -49,9 +49,9 @@ def _grid_min_1d(model, direction, lo=0.0, hi=3.0, step=1e-5):
 def test_model_requires_positive_sigma():
     model, _, _ = _euclidean_model([1.0, 0.0], np.eye(2), 1.0)
     with pytest.raises(ContractError):
-        CubicModel(model.gradient, model.hvp, 0.0, model.base, model.manifold)
+        CubicModel(model.gradient, model.hvp, 0.0, model.manifold)
     with pytest.raises(ContractError):
-        CubicModel(model.gradient, model.hvp, math.inf, model.base, model.manifold)
+        CubicModel(model.gradient, model.hvp, math.inf, model.manifold)
 
 
 def test_cauchy_point_zero_quadratic_term():
@@ -501,7 +501,7 @@ def _line_model(sigma):
         products.append(eta)
         return family.hess_vec(x, eta)
 
-    return CubicModel(family.gradient(x), hvp, sigma, x, family.manifold), products
+    return CubicModel(family.gradient(x), hvp, sigma, family.manifold), products
 
 
 def test_refinement_stops_at_a_stationary_point_of_the_model():
@@ -527,7 +527,7 @@ def test_refinement_halves_a_step_that_overshoots():
     zero = np.zeros((1, 1))
     eta, m_val = subproblem._refine(model, zero, zero, 1)
     assert eta.tolist() == [[-1.0 / (2.0 * sigma) / 2**9]]
-    assert m_val == pytest.approx(model_value(model, Tangent(eta, model.base)))
+    assert m_val == pytest.approx(model_value(model, Tangent(eta, model.gradient.base)))
     # Within 0.1% of the model's minimum, -2 / (3 sqrt(sigma)).
     assert -2.0 / (3.0 * math.sqrt(sigma)) < m_val < -666.0
 
